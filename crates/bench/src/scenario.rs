@@ -41,7 +41,6 @@ use nautix_rt::{
 use nautix_stats::StatsSnapshot;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 
 /// Codec version. Bump when fields are added, removed, or reordered; a
 /// parser only ever accepts its own version. v2 added the `cluster`
@@ -674,7 +673,8 @@ impl Scenario {
     /// scenario to `<dir>/<name>.replay`, and re-raise. Without the env
     /// var the trial runs unwrapped, so paper-scale sweeps pay nothing.
     pub fn run_recorded(&self, pool: &mut NodePool) -> Result<TrialOutcome, String> {
-        let result = match replay_dir() {
+        // Read per call so test-scoped overrides are observed.
+        let result = match HarnessConfig::replay_dir_from_env() {
             None => self.run_pooled(pool),
             Some(dir) => match catch_unwind(AssertUnwindSafe(|| self.run_pooled(pool))) {
                 Ok(r) => r,
@@ -990,14 +990,6 @@ fn cluster_trial(out: &ClusterOutcome) -> TrialOutcome {
         faults: FaultStats::default(),
         degrade: DegradeStats::default(),
     }
-}
-
-/// Where [`Scenario::run_recorded`] writes replay files for flagged
-/// trials ([`HarnessConfig`]'s `replay_dir`, from `NAUTIX_REPLAY_DIR`).
-/// Unset disables emission. Read per call so test-scoped overrides are
-/// observed.
-fn replay_dir() -> Option<PathBuf> {
-    HarnessConfig::from_env().replay_dir
 }
 
 fn onoff(b: bool) -> String {

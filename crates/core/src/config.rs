@@ -209,30 +209,46 @@ impl HarnessConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
         };
-        let oracles = match std::env::var("NAUTIX_ORACLES") {
-            Ok(v) => parse_switch(&v).unwrap_or_else(|e| panic!("NAUTIX_ORACLES: {e}")),
-            Err(_) => false,
-        };
         let faults = match std::env::var("NAUTIX_FAULTS") {
             Ok(v) => parse_fault_intensity(&v).unwrap_or_else(|e| panic!("NAUTIX_FAULTS: {e}")),
             Err(_) => FaultIntensity::OFF,
         };
-        let layers = match std::env::var("NAUTIX_LAYERS") {
-            Ok(v) => Some(parse_layers(&v).unwrap_or_else(|e| panic!("NAUTIX_LAYERS: {e}"))),
-            Err(_) => None,
-        };
         HarnessConfig {
             threads,
-            oracles,
+            oracles: Self::oracles_from_env(),
             faults,
             // Both already hard-error on malformed values.
             queue: QueueKind::from_env(),
             topology: Topology::from_env(),
             admission: env_admission(),
-            layers,
-            replay_dir: env_path("NAUTIX_REPLAY_DIR"),
+            layers: Self::layers_from_env(),
+            replay_dir: Self::replay_dir_from_env(),
             stats_stream: env_path("NAUTIX_STATS_STREAM"),
         }
+    }
+
+    /// [`HarnessConfig::from_env`]'s `oracles` field alone. Node
+    /// construction and trial recording run once per trial and read only
+    /// the fields they use through these: the full constructor's `threads`
+    /// default asks the host for its parallelism, which reads cgroup files.
+    pub fn oracles_from_env() -> bool {
+        match std::env::var("NAUTIX_ORACLES") {
+            Ok(v) => parse_switch(&v).unwrap_or_else(|e| panic!("NAUTIX_ORACLES: {e}")),
+            Err(_) => false,
+        }
+    }
+
+    /// [`HarnessConfig::from_env`]'s `layers` field alone.
+    pub fn layers_from_env() -> Option<LayerTable> {
+        match std::env::var("NAUTIX_LAYERS") {
+            Ok(v) => Some(parse_layers(&v).unwrap_or_else(|e| panic!("NAUTIX_LAYERS: {e}"))),
+            Err(_) => None,
+        }
+    }
+
+    /// [`HarnessConfig::from_env`]'s `replay_dir` field alone.
+    pub fn replay_dir_from_env() -> Option<PathBuf> {
+        env_path("NAUTIX_REPLAY_DIR")
     }
 }
 

@@ -35,6 +35,7 @@
 //!   itself uses power-of-two-random-choices victim selection (§3.4).
 
 use crate::admission::{SchedConfig, SimCache, StealPolicy};
+use crate::config::{env_admission_engine, HarnessConfig};
 use crate::local::{InvokeReason, LocalScheduler, SchedThread};
 #[cfg(feature = "trace")]
 use crate::oracle::{OracleConfig, OracleSuite};
@@ -426,6 +427,23 @@ fn tok_payload(t: u64) -> u64 {
     t & ((1u64 << 56) - 1)
 }
 
+/// Apply the environment's scheduler overrides to a boot or reset
+/// configuration, reading only those two variables (this runs per trial).
+/// The `NAUTIX_ADMISSION` escape hatch outranks the configured engine, so
+/// a whole run can be forced onto the fresh-recompute reference (or back)
+/// without touching call sites; `NAUTIX_LAYERS` likewise replaces the
+/// boot-time layer table for the whole run (quick-start bandwidth
+/// experiments need no code).
+fn env_sched_overrides(mut sched: SchedConfig) -> SchedConfig {
+    if let Some(engine) = env_admission_engine() {
+        sched.engine = engine;
+    }
+    if let Some(layers) = HarnessConfig::layers_from_env() {
+        sched.layers = layers;
+    }
+    sched
+}
+
 fn admission_error_code(e: AdmissionError) -> u64 {
     match e {
         AdmissionError::Invalid(_) => 1,
@@ -510,6 +528,19 @@ pub struct Node {
     /// for a bounded time).
     zombies: Vec<Vec<ThreadId>>,
     live_programs: usize,
+    /// One bit per CPU whose non-RT queue holds a stealable backlog
+    /// (`nonrt_len() > 1`), refreshed by [`Node::note_backlog`] wherever
+    /// a scheduler's queues change. An idle pass walks the set bits
+    /// instead of probing every scheduler on the machine.
+    backlogged: Vec<u64>,
+    /// Operations in flight (`Some` entries of `cur_op`) and tasks queued
+    /// across all CPUs, so the quiescence test is two reads, not two
+    /// machine-wide scans per step.
+    ops_in_flight: usize,
+    queued_tasks: usize,
+    /// Remote schedulers an idle pass looked into (work-count guard).
+    #[cfg(test)]
+    remote_inspected: u64,
     /// Device interrupts handled, per CPU.
     pub device_irqs_handled: Vec<u64>,
     #[cfg(feature = "trace")]
@@ -529,18 +560,7 @@ impl Node {
     /// Boot a node: build the machine, calibrate time, start the per-CPU
     /// schedulers and idle threads.
     pub fn new(mut cfg: NodeConfig) -> Self {
-        // The `NAUTIX_ADMISSION` escape hatch outranks the configured
-        // engine, so a whole run can be forced onto the fresh-recompute
-        // reference (or back) without touching call sites.
-        let env = crate::config::HarnessConfig::from_env();
-        if let Some(engine) = env.admission {
-            cfg.sched.engine = engine;
-        }
-        // `NAUTIX_LAYERS` likewise replaces the boot-time layer table for
-        // the whole run (quick-start bandwidth experiments need no code).
-        if let Some(layers) = env.layers {
-            cfg.sched.layers = layers;
-        }
+        cfg.sched = env_sched_overrides(cfg.sched);
         let mut machine = Machine::new(cfg.machine);
         let n = machine.n_cpus();
         let freq = machine.freq();
@@ -610,6 +630,11 @@ impl Node {
             irq_waiters: (0..IRQ_LINES).map(|_| VecDeque::new()).collect(),
             zombies: (0..n).map(|_| Vec::new()).collect(),
             live_programs: 0,
+            backlogged: vec![0; n.div_ceil(64)],
+            ops_in_flight: 0,
+            queued_tasks: 0,
+            #[cfg(test)]
+            remote_inspected: 0,
             device_irqs_handled: vec![0; n],
             #[cfg(feature = "trace")]
             trace: None,
@@ -617,7 +642,7 @@ impl Node {
             oracles: None,
         };
         #[cfg(feature = "trace")]
-        if env.oracles {
+        if HarnessConfig::oracles_from_env() {
             node.enable_oracles();
         }
         // Kick every CPU once at boot so each local scheduler runs its
@@ -641,13 +666,7 @@ impl Node {
     /// and every subsequent event land exactly as on a fresh node. The
     /// pooled determinism test asserts this byte-for-byte.
     pub fn reset(&mut self, mut cfg: NodeConfig) {
-        let env = crate::config::HarnessConfig::from_env();
-        if let Some(engine) = env.admission {
-            cfg.sched.engine = engine;
-        }
-        if let Some(layers) = env.layers {
-            cfg.sched.layers = layers;
-        }
+        cfg.sched = env_sched_overrides(cfg.sched);
         self.machine.reset(cfg.machine);
         let n = self.machine.n_cpus();
         self.freq = self.machine.freq();
@@ -733,6 +752,10 @@ impl Node {
             self.zombies.push(Vec::new());
         }
         self.live_programs = 0;
+        self.backlogged.clear();
+        self.backlogged.resize(n.div_ceil(64), 0);
+        self.ops_in_flight = 0;
+        self.queued_tasks = 0;
         self.device_irqs_handled.clear();
         self.device_irqs_handled.resize(n, 0);
         #[cfg(feature = "trace")]
@@ -741,7 +764,7 @@ impl Node {
             // start every trial with a fresh sink and fresh oracle state.
             self.trace = None;
             self.oracles = None;
-            if env.oracles {
+            if HarnessConfig::oracles_from_env() {
                 self.enable_oracles();
             }
         }
@@ -1008,6 +1031,7 @@ impl Node {
         {
             let st = &mut self.ts[tid];
             self.sched[cpu].enqueue(tid, st, now);
+            self.note_backlog(cpu);
         }
         // Nudge the target CPU to schedule (a kick in spirit; at boot the
         // machine is idle and this is the first event).
@@ -1134,10 +1158,9 @@ impl Node {
     /// so "no events left" alone is not a usable criterion.)
     pub fn run_until_quiescent(&mut self) {
         loop {
-            if self.live_programs == 0
-                && self.cur_op.iter().all(|o| o.is_none())
-                && self.tasks.iter().all(|t| t.is_empty())
-            {
+            if self.live_programs == 0 && self.ops_in_flight == 0 && self.queued_tasks == 0 {
+                debug_assert!(self.cur_op.iter().all(|o| o.is_none()));
+                debug_assert!(self.tasks.iter().all(|t| t.is_empty()));
                 break;
             }
             if !self.step() {
@@ -1165,7 +1188,7 @@ impl Node {
     fn preempt(&mut self, cpu: CpuId) {
         if let Some((token, remaining)) = self.machine.cancel_op(cpu) {
             let tid = token as usize;
-            let (_, total) = self.cur_op[cpu].take().expect("op bookkeeping lost");
+            let (_, total) = self.take_op(cpu).expect("op bookkeeping lost");
             let executed = total - remaining;
             self.sched[cpu].account(&mut self.ts[tid], executed);
             self.threads.expect_mut(tid).cycles_used += executed;
@@ -1173,7 +1196,7 @@ impl Node {
                 self.ts[tid].pending_compute = Some(remaining);
             }
         } else {
-            self.cur_op[cpu] = None;
+            self.take_op(cpu);
         }
     }
 
@@ -1256,7 +1279,7 @@ impl Node {
     /// A thread operation ran to completion.
     fn op_complete(&mut self, cpu: CpuId, token: u64) {
         let tid = token as usize;
-        let (op_tid, total) = self.cur_op[cpu].take().expect("op bookkeeping lost");
+        let (op_tid, total) = self.take_op(cpu).expect("op bookkeeping lost");
         debug_assert_eq!(op_tid, tid);
         self.sched[cpu].account(&mut self.ts[tid], total);
         self.threads.expect_mut(tid).cycles_used += total;
@@ -1308,6 +1331,7 @@ impl Node {
                 self.sched[cpu].enqueue(tid, st, now);
             }
         }
+        self.note_backlog(cpu);
     }
 
     /// Invoke the local scheduler and program its timer in one go (for
@@ -1330,6 +1354,7 @@ impl Node {
         let now = self.wall_ns(cpu);
         let prev = self.sched[cpu].current;
         let d = self.sched[cpu].invoke(now, &mut self.ts, reason, runnable);
+        self.note_backlog(cpu);
         let mut c_switch = 0;
         if d.switched {
             c_switch = self.machine.charge(cpu, self.cm.ctx_switch);
@@ -1375,6 +1400,7 @@ impl Node {
         if budget > 0 && !self.tasks[cpu].is_empty() {
             let mut spent = 0;
             while let Some(task) = self.tasks[cpu].pop_sized_fitting(budget - spent) {
+                self.queued_tasks -= 1;
                 self.machine.charge_raw(cpu, task.work);
                 #[cfg(feature = "trace")]
                 if let Some(t) = &self.trace {
@@ -1471,6 +1497,7 @@ impl Node {
                     // Anchored periodic/sporadic: wait for the arrival.
                     let st = &mut self.ts[tid];
                     self.sched[cpu].enqueue(tid, st, 0);
+                    self.note_backlog(cpu);
                     // enqueue used pending queue keyed on next_arrival.
                     self.threads.expect_mut(tid).state = ThreadState::Ready;
                     self.local_invoke(cpu, InvokeReason::ConstraintChange, false);
@@ -1518,6 +1545,7 @@ impl Node {
     fn begin_op(&mut self, cpu: CpuId, tid: ThreadId, cycles: Cycles) {
         debug_assert!(self.cur_op[cpu].is_none());
         self.cur_op[cpu] = Some((tid, cycles));
+        self.ops_in_flight += 1;
         self.machine.begin_op(cpu, cycles, tid as u64);
     }
 
@@ -1532,6 +1560,7 @@ impl Node {
         }
         // 2. Unsized lightweight tasks (the task-exec role).
         if let Some(task) = self.tasks[cpu].pop_unsized() {
+            self.queued_tasks -= 1;
             self.tasks[cpu].helper_completed += 1;
             let idle = self.sched[cpu].idle;
             self.begin_op(cpu, idle, task.work);
@@ -1539,13 +1568,14 @@ impl Node {
         }
         // 3. Arm a steal retry poll if stealable work exists elsewhere.
         if self.cfg_sched.work_stealing && !self.steal_poll_armed[cpu] {
-            let work_somewhere = (0..self.sched.len()).any(|c| {
-                c != cpu
-                    && self.sched[c].nonrt_len() > 1
-                    && self.sched[c]
-                        .nonrt_iter()
-                        .any(|t| !self.threads.expect(t).bound)
-            });
+            let work_somewhere = self.stealable_backlog_elsewhere(cpu);
+            debug_assert_eq!(
+                work_somewhere,
+                (0..self.sched.len()).any(|c| {
+                    c != cpu && self.sched[c].nonrt_len() > 1 && self.has_unbound_nonrt(c)
+                }),
+                "backlog bitmap out of date"
+            );
             if work_somewhere {
                 self.steal_poll_armed[cpu] = true;
                 let at = self.machine.now() + self.freq.ns_to_cycles(self.steal_poll_ns);
@@ -1554,6 +1584,56 @@ impl Node {
             }
         }
         // 4. Halt until the next interrupt.
+    }
+
+    /// Refresh `cpu`'s backlog bit after its scheduler's queues changed.
+    fn note_backlog(&mut self, cpu: CpuId) {
+        let bit = 1u64 << (cpu % 64);
+        let word = &mut self.backlogged[cpu / 64];
+        if self.sched[cpu].nonrt_len() > 1 {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// Whether `cpu`'s non-RT queue holds a thread that may migrate.
+    fn has_unbound_nonrt(&self, cpu: CpuId) -> bool {
+        self.sched[cpu]
+            .nonrt_iter()
+            .any(|t| !self.threads.expect(t).bound)
+    }
+
+    /// Whether any CPU other than `cpu` has a backlog a thief could take
+    /// from. Looks only into the schedulers whose backlog bit is set.
+    fn stealable_backlog_elsewhere(&mut self, cpu: CpuId) -> bool {
+        for w in 0..self.backlogged.len() {
+            let mut bits = self.backlogged[w];
+            while bits != 0 {
+                let c = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if c == cpu {
+                    continue;
+                }
+                #[cfg(test)]
+                {
+                    self.remote_inspected += 1;
+                }
+                if self.has_unbound_nonrt(c) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Clear `cpu`'s in-flight operation record, if any.
+    fn take_op(&mut self, cpu: CpuId) -> Option<(ThreadId, Cycles)> {
+        let op = self.cur_op[cpu].take();
+        if op.is_some() {
+            self.ops_in_flight -= 1;
+        }
+        op
     }
 
     /// Pick a work-steal victim in the CPU domain `[lo, hi)`: uniform over
@@ -1642,10 +1722,12 @@ impl Node {
             });
         }
         self.sched[victim].dequeue(tid);
+        self.note_backlog(victim);
         self.threads.expect_mut(tid).cpu = cpu;
         let now = self.wall_ns(cpu);
         let st = &mut self.ts[tid];
         self.sched[cpu].enqueue(tid, st, now);
+        self.note_backlog(cpu);
         self.sched[cpu].stats.steals += 1;
         self.sched[cpu].stats.steals_by_distance[dist.index()] += 1;
         StageOutcome::Stole
@@ -1671,6 +1753,7 @@ impl Node {
         }
         self.sched[cpu].load.release(&self.ts[tid].constraints);
         self.sched[cpu].dequeue(tid);
+        self.note_backlog(cpu);
         self.threads.expect_mut(tid).state = ThreadState::Exited;
         if let Some(stack) = self.threads.expect(tid).stack {
             self.alloc.free(stack);
@@ -1838,10 +1921,13 @@ impl Node {
             }
             SysCall::TaskSpawn { size, work } => {
                 self.machine.charge(cpu, self.cm.atomic_rmw);
-                let id = self.tasks[cpu]
-                    .spawn(size, work)
-                    .map(|t| t.0)
-                    .unwrap_or(u64::MAX);
+                let id = match self.tasks[cpu].spawn(size, work) {
+                    Ok(t) => {
+                        self.queued_tasks += 1;
+                        t.0
+                    }
+                    Err(_) => u64::MAX,
+                };
                 self.pending_result[tid] = SysResult::Value(id);
                 false
             }
@@ -2690,5 +2776,31 @@ mod steal_tests {
             assert!(!node.try_steal(0), "stole a bound thread");
         }
         assert_eq!(node.scheduler(1).nonrt_len(), 4);
+    }
+
+    #[test]
+    fn idle_pass_looks_only_into_backlogged_schedulers() {
+        let mut cfg = NodeConfig::for_machine(MachineConfig::phi().with_cpus(1024));
+        cfg.calib_rounds = 0;
+        cfg.max_threads = 1024 + 8;
+        let mut node = Node::new(cfg);
+        // Boot: every CPU takes its first pass and falls into the idle loop.
+        node.run_for_ns(100_000);
+        assert!((0..1024).all(|c| node.scheduler(c).stats.invocations > 0));
+        assert_eq!(node.remote_inspected, 0, "no backlog, nothing to inspect");
+        // A single queued thread is not a backlog; three are.
+        node.spawn_unbound(5, "w", Box::new(IdleLoop::new(1)))
+            .unwrap();
+        assert!(!node.stealable_backlog_elsewhere(700));
+        assert_eq!(node.remote_inspected, 0);
+        for _ in 0..2 {
+            node.spawn_unbound(5, "w", Box::new(IdleLoop::new(1)))
+                .unwrap();
+        }
+        assert!(node.stealable_backlog_elsewhere(700));
+        assert_eq!(node.remote_inspected, 1, "only CPU 5 is backlogged");
+        // The backlogged CPU does not count itself.
+        assert!(!node.stealable_backlog_elsewhere(5));
+        assert_eq!(node.remote_inspected, 1);
     }
 }

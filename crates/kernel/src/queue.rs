@@ -10,39 +10,37 @@
 //!
 //! These run queues deliberately stay heaps even though the simulator's
 //! future-event list moved to a hierarchical timing wheel
-//! (`nautix_des::wheel`): a run queue holds at most `capacity` entries
-//! (tens, set by admission control), where O(log n) with FIFO tie-break
-//! beats a 1K-slot wheel's cache footprint — and EDF keys are deadlines,
-//! not timestamps bounded by a sim clock horizon. The wheel pays off at
-//! the event-queue's scale (hundreds of thousands of timer-shaped
-//! events), not here.
-
-use std::collections::HashMap;
-use std::hash::Hash;
+//! (`nautix_des::wheel`): every per-CPU queue is *sized* for the whole
+//! thread table (`max_threads`) but admission control keeps the entries
+//! actually queued on one CPU to a handful, where O(log n) with FIFO
+//! tie-break beats a 1K-slot wheel's cache footprint — and EDF keys are
+//! deadlines, not timestamps bounded by a sim clock horizon. The wheel
+//! pays off at the event-queue's scale (hundreds of thousands of
+//! timer-shaped events), not here.
+//!
+//! Nothing here hashes or allocates after construction: every scheduling
+//! pass pushes and pops these queues, so they are on the event path.
 
 /// A bounded binary min-heap of `(key, value)` with FIFO tie-break.
 ///
-/// Alongside the heap array it keeps a value→heap-indices map, maintained
-/// through every sift swap, so [`FixedHeap::contains`] is O(1) and
-/// [`FixedHeap::remove`] is O(log n) — no linear scan for the victim's
-/// position. Duplicate values each track their own index. Both structures
-/// are sized once in [`FixedHeap::new`] and never grow past `capacity`
-/// entries, preserving the no-reallocation bound.
+/// A flat array and nothing else: push and pop are O(log n) sifts, while
+/// [`FixedHeap::contains`] and [`FixedHeap::remove`] scan the live
+/// entries — a handful where admission bounds the queue, and only needed
+/// when a thread leaves its CPU (exit, migration, class change). The
+/// array is sized once in [`FixedHeap::new`] and never grows past
+/// `capacity` entries, preserving the no-reallocation bound.
 #[derive(Debug, Clone)]
-pub struct FixedHeap<K: Ord + Copy, V: Copy + Eq + Hash> {
+pub struct FixedHeap<K: Ord + Copy, V: Copy + Eq> {
     items: Vec<(K, u64, V)>,
-    /// value → indices in `items` currently holding it.
-    positions: HashMap<V, Vec<u32>>,
     capacity: usize,
     seq: u64,
 }
 
-impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
+impl<K: Ord + Copy, V: Copy + Eq> FixedHeap<K, V> {
     /// An empty heap that will never hold more than `capacity` items.
     pub fn new(capacity: usize) -> Self {
         FixedHeap {
             items: Vec::with_capacity(capacity),
-            positions: HashMap::with_capacity(capacity),
             capacity,
             seq: 0,
         }
@@ -68,7 +66,6 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
     /// fresh one (trial-to-trial determinism for pooled schedulers).
     pub fn clear(&mut self) {
         self.items.clear();
-        self.positions.clear();
         self.seq = 0;
     }
 
@@ -80,8 +77,6 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         let seq = self.seq;
         self.seq += 1;
         self.items.push((key, seq, value));
-        let idx = (self.items.len() - 1) as u32;
-        self.positions.entry(value).or_default().push(idx);
         self.sift_up(self.items.len() - 1);
         Ok(())
     }
@@ -96,29 +91,20 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         if self.items.is_empty() {
             return None;
         }
-        let last = self.items.len() - 1;
-        self.swap_entries(0, last);
-        let (k, _, v) = self.items.pop().unwrap();
-        self.drop_position(v, last as u32);
+        let (k, _, v) = self.items.swap_remove(0);
         if !self.items.is_empty() {
             self.sift_down(0);
         }
         Some((k, v))
     }
 
-    /// Remove the first-positioned entry whose value equals `value`, in
-    /// O(log n): the position map hands over the victim's heap index (the
-    /// lowest, matching the old array-scan semantics for duplicates), and
-    /// only the sifts remain. Absent values are rejected in O(1).
+    /// Remove the first-positioned entry whose value equals `value`: among
+    /// duplicates the one at the lowest heap index goes.
     pub fn remove(&mut self, value: V) -> bool {
-        let Some(ps) = self.positions.get(&value) else {
+        let Some(idx) = self.items.iter().position(|&(_, _, v)| v == value) else {
             return false;
         };
-        let idx = *ps.iter().min().expect("position map entry empty") as usize;
-        let last = self.items.len() - 1;
-        self.swap_entries(idx, last);
-        self.items.pop();
-        self.drop_position(value, last as u32);
+        self.items.swap_remove(idx);
         if idx < self.items.len() {
             self.sift_down(idx);
             self.sift_up(idx);
@@ -126,50 +112,9 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         true
     }
 
-    /// Whether `value` is queued. O(1): a lookup in the position map.
+    /// Whether `value` is queued.
     pub fn contains(&self, value: V) -> bool {
-        self.positions.contains_key(&value)
-    }
-
-    /// Swap two heap slots, keeping the position map in sync.
-    fn swap_entries(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let va = self.items[a].2;
-        let vb = self.items[b].2;
-        self.items.swap(a, b);
-        self.reindex(va, a as u32, b as u32);
-        self.reindex(vb, b as u32, a as u32);
-    }
-
-    /// Retarget one tracked index of `value` from `from` to `to`.
-    fn reindex(&mut self, value: V, from: u32, to: u32) {
-        let ps = self
-            .positions
-            .get_mut(&value)
-            .expect("position map out of sync");
-        let slot = ps
-            .iter_mut()
-            .find(|p| **p == from)
-            .expect("position map out of sync");
-        *slot = to;
-    }
-
-    /// Forget that `value` occupied heap index `at` (it left the heap).
-    fn drop_position(&mut self, value: V, at: u32) {
-        let ps = self
-            .positions
-            .get_mut(&value)
-            .expect("position map out of sync");
-        let i = ps
-            .iter()
-            .position(|&p| p == at)
-            .expect("position map out of sync");
-        ps.swap_remove(i);
-        if ps.is_empty() {
-            self.positions.remove(&value);
-        }
+        self.items.iter().any(|&(_, _, v)| v == value)
     }
 
     /// Iterate entries in unspecified (heap) order.
@@ -187,7 +132,7 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         while i > 0 {
             let parent = (i - 1) / 2;
             if self.less(i, parent) {
-                self.swap_entries(i, parent);
+                self.items.swap(i, parent);
                 i = parent;
             } else {
                 break;
@@ -209,7 +154,7 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
             if smallest == i {
                 break;
             }
-            self.swap_entries(i, smallest);
+            self.items.swap(i, smallest);
             i = smallest;
         }
     }
@@ -372,7 +317,7 @@ mod tests {
     #[test]
     fn heap_remove_then_pop_preserves_order() {
         // Interior removals must leave the heap property and FIFO
-        // tie-breaks intact — this is the path the position map serves.
+        // tie-breaks intact.
         let mut h: FixedHeap<u64, usize> = FixedHeap::new(16);
         for (i, k) in [8, 3, 11, 1, 9, 4, 15, 2, 6].iter().enumerate() {
             h.push(*k, i).unwrap();
@@ -405,8 +350,7 @@ mod tests {
     #[test]
     fn heap_random_remove_pop_matches_model() {
         // Drive the heap through thousands of push/remove/pop steps and
-        // check every pop against a brute-force model; any drift in the
-        // position map would surface as a mismatch or an internal panic.
+        // check every pop against a brute-force model.
         let mut h: FixedHeap<u64, u64> = FixedHeap::new(64);
         let mut model: Vec<(u64, u64)> = Vec::new(); // (key, value); value doubles as seq
         let mut next_v = 0u64;
