@@ -10,12 +10,13 @@
 //!
 //! then update the `PINS` table in the corpus test from the output. The
 //! corpus covers the codec and determinism surface, not the physics:
-//! flat vs hierarchical topology, heap vs wheel event queues, each fault
-//! lane in isolation, and a degradation-churn case.
+//! flat vs hierarchical topology, machines on either side of the event
+//! queue's width boundary (the `heap`/`wheel` words in the file names are
+//! historical: 2-CPU rigs run the heap, the 8-CPU ones the wheel), each
+//! fault lane in isolation, and a degradation-churn case.
 
 use nautix_bench::Scenario;
 use nautix_cluster::PlacementStrategy;
-use nautix_des::QueueKind;
 use nautix_hw::{FaultPattern, FaultPlan, Platform, Topology};
 
 /// The ten corpus scenarios. Quick-sized: the whole corpus replays in
@@ -23,16 +24,14 @@ use nautix_hw::{FaultPattern, FaultPlan, Platform, Topology};
 pub fn corpus() -> Vec<Scenario> {
     let mut v = Vec::new();
 
-    // 1. Flat topology, heap queue, trivially feasible miss-rate point.
+    // 1. Flat topology, 2-CPU rig, trivially feasible miss-rate point.
     let mut sc = Scenario::missrate(Platform::Phi, 1_000_000, 500_000, 60, 5);
-    sc.machine.queue = QueueKind::Heap;
     sc.machine.topology = Topology::flat();
     sc.name = "flat_heap_feasible".into();
     v.push(sc);
 
-    // 2. 2x4 topology, wheel queue, 8 CPUs, tight but feasible.
+    // 2. 2x4 topology, 8 CPUs, tight but feasible.
     let mut sc = Scenario::missrate(Platform::Phi, 100_000, 30_000, 60, 5);
-    sc.machine.queue = QueueKind::Wheel;
     sc.machine.topology = Topology::parse("2x4").unwrap();
     sc.machine.n_cpus = 8;
     sc.name = "t2x4_wheel_tight".into();
@@ -40,7 +39,6 @@ pub fn corpus() -> Vec<Scenario> {
 
     // 3. The Figure 6 infeasible edge: 10 µs period, 70% slice on Phi.
     let mut sc = Scenario::missrate(Platform::Phi, 10_000, 7_000, 100, 5);
-    sc.machine.queue = QueueKind::Wheel;
     sc.machine.topology = Topology::flat();
     sc.name = "phi_edge_infeasible".into();
     v.push(sc);
@@ -92,15 +90,15 @@ pub fn corpus() -> Vec<Scenario> {
     // 9. Cluster placement under churn: a 3-shard fleet admitting 200
     // tenant gangs with power-of-two-choices. Pins the cluster codec tag
     // and the whole placement/departure history (the headline's
-    // `cluster=` triple). Queue and topology are pinned by the cluster
-    // constructor itself (wheel, flat).
+    // `cluster=` triple). The topology is pinned by the cluster
+    // constructor itself (flat).
     let mut sc = Scenario::cluster(3, 8, 200, PlacementStrategy::PowerOfTwo, 5);
     sc.name = "cluster_po2_churn".into();
     v.push(sc);
 
     // 10. Layer starvation: the three-layer table throttles an
-    // always-runnable background hog under RT saturation, pinning codec
-    // v3's `sched.layers` line and the throttle/replenish history.
+    // always-runnable background hog under RT saturation, pinning the
+    // codec's `sched.layers` line and the throttle/replenish history.
     let mut sc = Scenario::layer_starve(1_000_000, 70, 100, 5);
     sc.name = "layer_starve_bg".into();
     v.push(sc);

@@ -103,10 +103,8 @@ fn main() {
     let hub = start_stats_stream(&hc);
     println!(
         "scale: {scale:?} (pass --paper for the full configuration); \
-         {} worker threads (set NAUTIX_THREADS to override); \
-         {} event queue (set NAUTIX_QUEUE=heap|wheel to override)\n",
-        hc.threads,
-        nautix_hw::QueueKind::from_env().label()
+         {} worker threads (set NAUTIX_THREADS to override)\n",
+        hc.threads
     );
     #[cfg(feature = "trace")]
     if hc.oracles {

@@ -243,7 +243,7 @@ impl BenchReport {
     /// Attach a free-form advisory note (serialized under `"notes"`; the
     /// key is omitted entirely when no note was recorded, so note-free
     /// reports keep their exact shape). Used for tracked caveats — e.g.
-    /// the wheel backend's tiny-backlog regression flag.
+    /// the layer sweep's containment advisories.
     pub fn note(&mut self, msg: impl Into<String>) {
         self.notes.push(msg.into());
     }

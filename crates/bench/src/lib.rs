@@ -24,7 +24,6 @@
 //! `repro_all` runs everything in sequence.
 
 pub mod ablations;
-pub mod admission_bench;
 pub mod barrier_removal;
 pub mod cluster_bench;
 pub mod common;

@@ -2,7 +2,7 @@
 //!
 //! A [`Scenario`] is everything that determines a trial's simulated
 //! history: the full machine configuration (platform, CPU count, timer
-//! mode, SMI/fault plans, queue backend, topology, seed), the scheduler
+//! mode, SMI/fault plans, topology, seed), the scheduler
 //! configuration, the node knobs the sweep harnesses touch, the oracle /
 //! sabotage arming flags, and a [`Workload`] descriptor naming the
 //! programs to spawn. Because every trial in this crate is a pure
@@ -29,14 +29,14 @@
 
 use crate::harness::{stream_delta, NodePool};
 use nautix_cluster::{ClusterConfig, ClusterOutcome, Fleet, PlacementStrategy};
-use nautix_des::{Nanos, QueueKind};
+use nautix_des::Nanos;
 use nautix_hw::{
     CpuId, FaultPlan, FaultStats, MachineConfig, Platform, SmiConfig, TimerMode, Topology,
 };
 use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
 use nautix_rt::{
-    AdmissionEngine, AdmissionPolicy, DegradePolicy, DegradeStats, HarnessConfig, LayerSpec,
-    LayerTable, Node, NodeConfig, SchedConfig, SchedMode, StealPolicy,
+    AdmissionPolicy, DegradePolicy, DegradeStats, HarnessConfig, LayerSpec, LayerTable, Node,
+    NodeConfig, SchedConfig, SchedMode, StealPolicy,
 };
 use nautix_stats::StatsSnapshot;
 use std::cell::RefCell;
@@ -45,11 +45,14 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 /// Codec version. Bump when fields are added, removed, or reordered; a
 /// parser only ever accepts its own version. v2 added the `cluster`
 /// workload tag; v3 added the `sched.layers` table, the
-/// `node.sabotage_layer` arming flag, and the `layer_mix` workload tag.
-pub const REPLAY_VERSION: u32 = 3;
+/// `node.sabotage_layer` arming flag, and the `layer_mix` workload tag;
+/// v4 dropped `machine.queue` and `sched.engine` (neither is configuration
+/// any more: the machine picks its queue from its width, and admission has
+/// one engine).
+pub const REPLAY_VERSION: u32 = 4;
 
 /// Header line of the replay codec.
-pub const REPLAY_HEADER: &str = "nautix-replay v3";
+pub const REPLAY_HEADER: &str = "nautix-replay v4";
 
 /// What the trial runs on the configured node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,9 +276,8 @@ impl Scenario {
         cfg.sched.min_slice_ns = 50;
         cfg.sched.granularity_ns = 1;
         let name = format!(
-            "missrate_{}_{}_{}_p{}_s{}_j{}_x{}",
+            "missrate_{}_{}_p{}_s{}_j{}_x{}",
             platform.encode(),
-            cfg.machine.queue.label(),
             cfg.machine.topology.label(),
             period_ns,
             slice_ns,
@@ -316,8 +318,7 @@ impl Scenario {
             ..DegradePolicy::enabled()
         };
         let name = format!(
-            "fault_{}_{}_i{}_p{}_pct{}_j{}_x{}",
-            machine.queue.label(),
+            "fault_{}_i{}_p{}_pct{}_j{}_x{}",
             machine.topology.label(),
             (intensity * 100.0).round() as u64,
             period_ns,
@@ -353,8 +354,7 @@ impl Scenario {
                 .with_seed(seed),
         );
         let name = format!(
-            "competing_{}_{}_p{}_s{}_j{}_x{}",
-            cfg.machine.queue.label(),
+            "competing_{}_p{}_s{}_j{}_x{}",
             cfg.machine.topology.label(),
             period_ns,
             slice_ns,
@@ -375,7 +375,7 @@ impl Scenario {
     /// A cluster admission run: `shards` nodes of `cpus` CPUs each
     /// processing `tenants` arrivals under `strategy` (see
     /// [`nautix_cluster`]). The machine and scheduler configuration are
-    /// [`ClusterConfig::new`]'s — queue backend and topology pinned, the
+    /// [`ClusterConfig::new`]'s — topology pinned, the
     /// overhead-aware admission policy armed — so a recorded cluster
     /// scenario never depends on ambient environment knobs.
     pub fn cluster(
@@ -436,8 +436,7 @@ impl Scenario {
         )
         .expect("three-way layer table is valid");
         let name = format!(
-            "layer_{}_{}_p{}_pct{}_j{}_x{}",
-            cfg.machine.queue.label(),
+            "layer_{}_p{}_pct{}_j{}_x{}",
             cfg.machine.topology.label(),
             period_ns,
             slice_pct,
@@ -726,7 +725,6 @@ impl Scenario {
         kv("machine.boot_skew_max", m.boot_skew_max.to_string());
         kv("machine.smi", m.smi.encode());
         kv("machine.faults", m.faults.encode());
-        kv("machine.queue", m.queue.label().to_string());
         kv("machine.topology", m.topology.label());
         kv("machine.seed", m.seed.to_string());
         kv("sched.util_limit_ppm", s.util_limit_ppm.to_string());
@@ -772,13 +770,6 @@ impl Scenario {
                 s.degrade.widen_pct,
                 s.degrade.max_widen
             ),
-        );
-        kv(
-            "sched.engine",
-            match s.engine {
-                AdmissionEngine::Incremental => "incremental".into(),
-                AdmissionEngine::Fresh => "fresh".into(),
-            },
         );
         kv("sched.layers", s.layers.encode());
         kv(
@@ -839,15 +830,6 @@ impl Scenario {
         let boot_skew_max = p.num("machine.boot_skew_max")?;
         let smi = SmiConfig::decode(p.take("machine.smi")?)?;
         let faults = FaultPlan::decode(p.take("machine.faults")?)?;
-        let queue = match p.take("machine.queue")? {
-            "heap" => QueueKind::Heap,
-            "wheel" => QueueKind::Wheel,
-            other => {
-                return Err(format!(
-                    "machine.queue: expected `heap` or `wheel`, got `{other}`"
-                ))
-            }
-        };
         let topology = Topology::parse(p.take("machine.topology")?)
             .map_err(|e| format!("machine.topology: {e}"))?;
         let seed = p.num("machine.seed")?;
@@ -859,7 +841,6 @@ impl Scenario {
             boot_skew_max,
             smi,
             faults,
-            queue,
             topology,
             seed,
         };
@@ -897,15 +878,6 @@ impl Scenario {
                 }
             },
             degrade: decode_degrade(p.take("sched.degrade")?)?,
-            engine: match p.take("sched.engine")? {
-                "incremental" => AdmissionEngine::Incremental,
-                "fresh" => AdmissionEngine::Fresh,
-                other => {
-                    return Err(format!(
-                        "sched.engine: expected `incremental` or `fresh`, got `{other}`"
-                    ))
-                }
-            },
             layers: LayerTable::decode(p.take("sched.layers")?)
                 .map_err(|e| format!("sched.layers: {e}"))?,
         };

@@ -49,13 +49,6 @@ fn arb_scenario(seed: u64) -> Scenario {
     sc.name = format!("arb_{seed:016x}");
     let m = &mut sc.machine;
     if rng.below(2) == 0 {
-        m.queue = if rng.below(2) == 0 {
-            nautix_des::QueueKind::Heap
-        } else {
-            nautix_des::QueueKind::Wheel
-        };
-    }
-    if rng.below(2) == 0 {
         m.topology =
             Topology::parse(&format!("{}x{}", 1 + rng.below(4), 1 + rng.below(4))).unwrap();
     }

@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 use crate::policy::{ClusterView, PlacementPolicy, PlacementStrategy, ShardView};
 use crate::tenant::{TenantRequest, TenantStream};
 use nautix_des::{DetRng, Nanos};
-use nautix_hw::{MachineConfig, Platform, QueueKind, Topology};
+use nautix_hw::{MachineConfig, Platform, Topology};
 use nautix_kernel::{AdmissionError, Constraints, IdleLoop, ThreadId};
 use nautix_rt::{AdmissionPolicy, AdmissionRequest, NodeConfig, NodePool, SchedConfig};
 use nautix_stats::StatsSnapshot;
@@ -64,15 +64,14 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster of Phi-derived shards with `cpus` CPUs each, the event
-    /// queue and topology pinned (never read from the environment — a
-    /// cluster run must be a pure function of this value), and the
+    /// A cluster of Phi-derived shards with `cpus` CPUs each, the
+    /// topology pinned (never read from the environment — a cluster run
+    /// must be a pure function of this value), and the
     /// overhead-aware admission policy the paper's prototype used.
     pub fn new(shards: usize, cpus: usize, tenants: u64, strategy: PlacementStrategy) -> Self {
         assert!(shards >= 1 && cpus >= 1);
         let mut machine = MachineConfig::for_platform(Platform::Phi);
         machine.n_cpus = cpus;
-        machine.queue = QueueKind::Wheel;
         machine.topology = Topology::flat();
         let sched = SchedConfig {
             policy: AdmissionPolicy::HyperperiodSim {

@@ -28,10 +28,10 @@
 //! path, the ledger is *incremental*: the periodic utilization sum is
 //! maintained on every admit/release instead of rescanned, and
 //! hyperperiod-simulation verdicts are memoized in a per-node [`SimCache`]
-//! keyed by [`nautix_kernel::task_set_signature`]. The
-//! [`AdmissionEngine::Fresh`] escape hatch (env: `NAUTIX_ADMISSION=fresh`)
-//! recomputes everything from scratch; the differential test suite pins
-//! the two engines verdict- and sum-identical.
+//! keyed by [`nautix_kernel::task_set_signature`]. The independent
+//! reference is [`CpuLoad::periodic_util_ppm_rescan`] plus a ledger with
+//! no cache installed (every verdict re-simulated); the differential test
+//! suite pins both verdict- and sum-identical to the memoised ledger.
 
 use crate::stats::AdmissionStats;
 use nautix_des::Nanos;
@@ -296,17 +296,6 @@ impl LayerTable {
     }
 }
 
-/// How the ledger computes its verdicts. Both engines are defined to be
-/// verdict- and sum-identical on every request stream (the differential
-/// suite enforces it); `Fresh` exists as an escape hatch and reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionEngine {
-    /// Maintained utilization sums + memoized hyperperiod simulation.
-    Incremental,
-    /// Rescan the ledger and re-simulate on every request.
-    Fresh,
-}
-
 /// Process-wide admission-engine tallies, accumulated live from every
 /// ledger (unlike per-[`CpuLoad`] stats, these survive `Node::reset`).
 static G_SIM_HITS: AtomicU64 = AtomicU64::new(0);
@@ -568,8 +557,6 @@ pub struct SchedConfig {
     pub steal: StealPolicy,
     /// Graceful degradation under sustained interference (off by default).
     pub degrade: DegradePolicy,
-    /// Incremental (default) or fresh-recompute admission engine.
-    pub engine: AdmissionEngine,
     /// Per-layer bandwidth contracts and class mapping. The default is a
     /// single exempt layer — byte-identical to the unlayered scheduler.
     pub layers: LayerTable,
@@ -592,7 +579,6 @@ impl Default for SchedConfig {
             work_stealing: true,
             steal: StealPolicy::LlcFirst,
             degrade: DegradePolicy::default(),
-            engine: AdmissionEngine::Incremental,
             layers: LayerTable::default(),
         }
     }
@@ -635,7 +621,7 @@ pub struct CpuLoad {
     sporadic_ppm: u64,
     /// Memo cache for hyperperiod-simulation verdicts, installed by the
     /// owning node (absent on standalone ledgers, which then simulate
-    /// per request like the `Fresh` engine but still count misses).
+    /// per request and count every one as a miss).
     sim_cache: Option<Rc<RefCell<SimCache>>>,
     /// Engine counters for this ledger's lifetime (reset with the ledger).
     stats: AdmissionStats,
@@ -684,8 +670,7 @@ impl CpuLoad {
     }
 
     /// Total admitted periodic utilization recomputed from scratch: the
-    /// reference the `Fresh` engine tests against and differential tests
-    /// compare with the maintained sum.
+    /// reference the differential tests compare with the maintained sum.
     pub fn periodic_util_ppm_rescan(&self) -> u64 {
         self.periodic.iter().map(|&(p, s)| util_term(p, s)).sum()
     }
@@ -786,10 +771,7 @@ impl CpuLoad {
     ) -> Result<(), AdmissionError> {
         let budget = cfg.periodic_budget_ppm();
         let u_new = util_term(period, slice);
-        let u_total = match cfg.engine {
-            AdmissionEngine::Incremental => self.periodic_ppm + u_new,
-            AdmissionEngine::Fresh => self.periodic_util_ppm_rescan() + u_new,
-        };
+        let u_total = self.periodic_ppm + u_new;
         match cfg.policy {
             AdmissionPolicy::EdfBound => {
                 if u_total <= budget {
@@ -818,7 +800,7 @@ impl CpuLoad {
                 if u_total > budget {
                     return Err(AdmissionError::UtilizationExceeded);
                 }
-                if self.sim_feasible(cfg.engine, &set, overhead_ns, window_cap_ns) {
+                if self.sim_feasible(&set, overhead_ns, window_cap_ns) {
                     Ok(())
                 } else {
                     Err(AdmissionError::UtilizationExceeded)
@@ -827,14 +809,13 @@ impl CpuLoad {
         }
     }
 
-    /// Hyperperiod-simulation feasibility of `set`, memoized under the
-    /// incremental engine. The simulation input stays in ledger order (the
-    /// verdict is permutation-invariant, so the unsorted set and the
-    /// sorted canonical key yield the same answer); the canonical sorted
-    /// copy exists only as the cache key.
+    /// Hyperperiod-simulation feasibility of `set`, memoized when a
+    /// [`SimCache`] is installed. The simulation input stays in ledger
+    /// order (the verdict is permutation-invariant, so the unsorted set and
+    /// the sorted canonical key yield the same answer); the canonical
+    /// sorted copy exists only as the cache key.
     fn sim_feasible(
         &mut self,
-        engine: AdmissionEngine,
         set: &[(Nanos, Nanos)],
         overhead_ns: Nanos,
         window_cap_ns: Nanos,
@@ -842,10 +823,7 @@ impl CpuLoad {
         let mut key: Vec<(Nanos, Nanos)> = set.to_vec();
         key.sort_unstable();
         let sig = task_set_signature(&key, overhead_ns, window_cap_ns);
-        let cache = match engine {
-            AdmissionEngine::Incremental => self.sim_cache.clone(),
-            AdmissionEngine::Fresh => None,
-        };
+        let cache = self.sim_cache.clone();
         if let Some(cache) = &cache {
             if let Some(feasible) = cache
                 .borrow_mut()
@@ -1260,29 +1238,25 @@ mod tests {
     }
 
     #[test]
-    fn fresh_engine_matches_incremental_verdicts_and_skips_cache() {
-        let mut inc = cfg();
-        inc.policy = AdmissionPolicy::HyperperiodSim {
+    fn cacheless_ledger_matches_memoised_verdicts() {
+        let mut c = cfg();
+        c.policy = AdmissionPolicy::HyperperiodSim {
             overhead_ns: 9_000,
             window_cap_ns: 1_000_000_000,
         };
-        let mut fresh = inc;
-        fresh.engine = AdmissionEngine::Fresh;
         let cache = Rc::new(RefCell::new(SimCache::new()));
         let mut li = CpuLoad::new();
         li.install_sim_cache(cache.clone());
         let mut lf = CpuLoad::new();
-        lf.install_sim_cache(cache.clone());
         for req in [
             Constraints::periodic(10_000, 5_000).build(), // overhead-dominated
             Constraints::periodic(1_000_000, 500_000).build(),
             Constraints::periodic(1_000_000, 200_000).build(),
         ] {
-            assert_eq!(li.admit(&inc, &req), lf.admit(&fresh, &req));
-            assert_eq!(li.periodic_util_ppm(), lf.periodic_util_ppm());
+            assert_eq!(li.admit(&c, &req), lf.admit(&c, &req));
+            assert_eq!(li.periodic_util_ppm(), lf.periodic_util_ppm_rescan());
         }
-        // The fresh ledger never touched the shared cache and recorded
-        // every simulation as a miss.
+        // The cacheless ledger recorded every simulation as a miss.
         assert_eq!(lf.admission_stats().sim_hits, 0);
         assert_eq!(cache.borrow().len() as u64, li.admission_stats().sim_misses);
     }

@@ -14,32 +14,9 @@
 //! `NAUTIX_TOPOLOGY=2×4` must kill the run, not quietly benchmark the
 //! flat machine.
 
-use crate::admission::{AdmissionEngine, LayerTable};
-use nautix_hw::{FaultPlan, QueueKind, Topology};
+use crate::admission::LayerTable;
+use nautix_hw::{FaultPlan, Topology};
 use std::path::PathBuf;
-
-/// The `NAUTIX_ADMISSION` escape hatch: `fresh` forces every node built
-/// afterwards onto the fresh-recompute admission engine (the reference the
-/// incremental engine is differentially tested against); `incremental`
-/// forces the default explicitly; unset means "no override". Any other
-/// value is a hard error. Like [`HarnessConfig::from_env`], this reads the
-/// environment on every call so test-scoped overrides are observed.
-///
-/// Compat shim over [`HarnessConfig::from_env`]'s `admission` field; prefer
-/// threading a constructed config through explicitly.
-pub fn env_admission_engine() -> Option<AdmissionEngine> {
-    env_admission()
-}
-
-/// The raw `NAUTIX_ADMISSION` read behind [`HarnessConfig::from_env`].
-fn env_admission() -> Option<AdmissionEngine> {
-    match std::env::var("NAUTIX_ADMISSION") {
-        Ok(v) => {
-            Some(parse_admission_engine(&v).unwrap_or_else(|e| panic!("NAUTIX_ADMISSION: {e}")))
-        }
-        Err(_) => None,
-    }
-}
 
 /// A set-but-empty path variable is almost certainly a broken shell
 /// expansion; die loudly instead of writing into the current directory.
@@ -47,15 +24,6 @@ fn env_path(var: &str) -> Option<PathBuf> {
     let v = std::env::var_os(var)?;
     assert!(!v.is_empty(), "{var}: set but empty");
     Some(PathBuf::from(v))
-}
-
-/// Strict parser behind [`env_admission_engine`].
-pub fn parse_admission_engine(s: &str) -> Result<AdmissionEngine, String> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "fresh" => Ok(AdmissionEngine::Fresh),
-        "incremental" => Ok(AdmissionEngine::Incremental),
-        other => Err(format!("must be `fresh` or `incremental`, got `{other}`")),
-    }
 }
 
 /// Strict worker-count parser behind `NAUTIX_THREADS`.
@@ -122,11 +90,10 @@ impl FaultIntensity {
 
 /// How a harness run is configured: worker threads for parallel trials,
 /// whether every constructed node arms the online invariant oracles, the
-/// fault-injection intensity for experiments that opt in, the machine
-/// defaults (event-queue backend, topology shape) the run's nodes get
-/// unless a bench pins them explicitly, and the observability hooks
-/// (admission-engine override, replay-emission directory, stats-stream
-/// path) that used to be scattered raw `std::env` reads.
+/// fault-injection intensity for experiments that opt in, the topology
+/// shape the run's nodes get unless a bench pins it explicitly, and the
+/// observability hooks (replay-emission directory, stats-stream path)
+/// that used to be scattered raw `std::env` reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessConfig {
     /// Host worker threads for the parallel trial harness.
@@ -138,13 +105,8 @@ pub struct HarnessConfig {
     /// reproduction never applies this implicitly — an enabled intensity
     /// changes results only where a harness passes it into a machine.
     pub faults: FaultIntensity,
-    /// Event-queue backend for machines this run builds (`NAUTIX_QUEUE`).
-    pub queue: QueueKind,
     /// Topology shape for machines this run builds (`NAUTIX_TOPOLOGY`).
     pub topology: Topology,
-    /// Admission-engine override applied to every node this run builds
-    /// (`NAUTIX_ADMISSION`); `None` keeps each node's configured engine.
-    pub admission: Option<AdmissionEngine>,
     /// Layer-table override applied to every node this run builds
     /// (`NAUTIX_LAYERS`); `None` keeps each node's configured table.
     pub layers: Option<LayerTable>,
@@ -157,7 +119,7 @@ pub struct HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Serial, oracle-free, fault-free, flat wheel-backed machines: the
+    /// Serial, oracle-free, fault-free, flat machines: the
     /// explicit-configuration baseline for tests, independent of the
     /// process environment.
     pub fn serial() -> Self {
@@ -165,9 +127,7 @@ impl HarnessConfig {
             threads: 1,
             oracles: false,
             faults: FaultIntensity::OFF,
-            queue: QueueKind::Wheel,
             topology: Topology::flat(),
-            admission: None,
             layers: None,
             replay_dir: None,
             stats_stream: None,
@@ -188,9 +148,7 @@ impl HarnessConfig {
     ///   available parallelism,
     /// * `NAUTIX_ORACLES` — `1`/`true`/`yes`/`on` arms the oracles,
     /// * `NAUTIX_FAULTS` — fault intensity as a float (`0` disables),
-    /// * `NAUTIX_QUEUE` — `heap` / `wheel` event-queue backend,
     /// * `NAUTIX_TOPOLOGY` — `flat` or `<packages>x<llcs>` (e.g. `2x4`),
-    /// * `NAUTIX_ADMISSION` — `fresh` / `incremental` engine override,
     /// * `NAUTIX_LAYERS` — layer-table override in the canonical
     ///   `<g:b>[,...];<replenish_ns>;<mp>,<ms>,<ma>` form,
     /// * `NAUTIX_REPLAY_DIR` — directory for anomaly `.replay` emission,
@@ -217,10 +175,8 @@ impl HarnessConfig {
             threads,
             oracles: Self::oracles_from_env(),
             faults,
-            // Both already hard-error on malformed values.
-            queue: QueueKind::from_env(),
+            // Already hard-errors on a malformed value.
             topology: Topology::from_env(),
-            admission: env_admission(),
             layers: Self::layers_from_env(),
             replay_dir: Self::replay_dir_from_env(),
             stats_stream: env_path("NAUTIX_STATS_STREAM"),
@@ -269,9 +225,7 @@ mod tests {
         assert_eq!(c.threads, 1);
         assert!(!c.oracles);
         assert!(!c.faults.enabled());
-        assert_eq!(c.queue, QueueKind::Wheel);
         assert!(c.topology.is_flat());
-        assert_eq!(c.admission, None);
         assert_eq!(c.layers, None);
         assert_eq!(c.replay_dir, None);
         assert_eq!(c.stats_stream, None);
@@ -287,17 +241,6 @@ mod tests {
 
     // The strict parsers are tested pure — no process-global env mutation,
     // which would race against other tests in the same binary.
-
-    #[test]
-    fn admission_engine_parses_known_values_only() {
-        assert_eq!(parse_admission_engine("fresh"), Ok(AdmissionEngine::Fresh));
-        assert_eq!(
-            parse_admission_engine("Incremental"),
-            Ok(AdmissionEngine::Incremental)
-        );
-        assert!(parse_admission_engine("bogus").is_err());
-        assert!(parse_admission_engine("").is_err());
-    }
 
     #[test]
     fn threads_parser_rejects_junk_and_zero() {

@@ -28,13 +28,11 @@ pub mod timeline;
 pub mod timesync;
 
 pub use admission::{
-    admission_global_stats, AdmissionEngine, AdmissionPolicy, CpuLoad, DegradePolicy,
-    LayerConfigError, LayerSpec, LayerTable, SchedConfig, SchedMode, SimCache, SimProbe,
-    StealPolicy, MAX_LAYERS, PPM,
+    admission_global_stats, AdmissionPolicy, CpuLoad, DegradePolicy, LayerConfigError, LayerSpec,
+    LayerTable, SchedConfig, SchedMode, SimCache, SimProbe, StealPolicy, MAX_LAYERS, PPM,
 };
 pub use config::{
-    env_admission_engine, parse_admission_engine, parse_fault_intensity, parse_layers,
-    parse_switch, parse_threads, FaultIntensity, HarnessConfig,
+    parse_fault_intensity, parse_layers, parse_switch, parse_threads, FaultIntensity, HarnessConfig,
 };
 pub use cyclic::{
     compile as compile_cyclic, CyclicError, CyclicExecutive, CyclicSchedule, CyclicTask,

@@ -35,7 +35,7 @@
 //!   itself uses power-of-two-random-choices victim selection (§3.4).
 
 use crate::admission::{SchedConfig, SimCache, StealPolicy};
-use crate::config::{env_admission_engine, HarnessConfig};
+use crate::config::HarnessConfig;
 use crate::local::{InvokeReason, LocalScheduler, SchedThread};
 #[cfg(feature = "trace")]
 use crate::oracle::{OracleConfig, OracleSuite};
@@ -427,17 +427,11 @@ fn tok_payload(t: u64) -> u64 {
     t & ((1u64 << 56) - 1)
 }
 
-/// Apply the environment's scheduler overrides to a boot or reset
-/// configuration, reading only those two variables (this runs per trial).
-/// The `NAUTIX_ADMISSION` escape hatch outranks the configured engine, so
-/// a whole run can be forced onto the fresh-recompute reference (or back)
-/// without touching call sites; `NAUTIX_LAYERS` likewise replaces the
-/// boot-time layer table for the whole run (quick-start bandwidth
-/// experiments need no code).
+/// Apply the environment's scheduler override to a boot or reset
+/// configuration, reading only that one variable (this runs per trial):
+/// `NAUTIX_LAYERS` replaces the boot-time layer table for the whole run
+/// (quick-start bandwidth experiments need no code).
 fn env_sched_overrides(mut sched: SchedConfig) -> SchedConfig {
-    if let Some(engine) = env_admission_engine() {
-        sched.engine = engine;
-    }
     if let Some(layers) = HarnessConfig::layers_from_env() {
         sched.layers = layers;
     }
@@ -1122,12 +1116,6 @@ impl Node {
     pub fn raise_device_irq(&mut self, irq: u8) {
         let cpu = self.steering.cpu_for_irq(irq);
         self.machine.raise_irq(cpu, irq);
-    }
-
-    /// Event-queue backend driving this node's machine (diagnostics; set
-    /// via `MachineConfig::with_queue` or the `NAUTIX_QUEUE` hatch).
-    pub fn queue_kind(&self) -> nautix_hw::QueueKind {
-        self.machine.config().queue
     }
 
     /// Process one machine event. Returns false when the machine is
@@ -2142,9 +2130,6 @@ impl Node {
                             0
                         }
                         Err(e) => {
-                            if std::env::var_os("NAUTIX_GA_DEBUG").is_some() {
-                                eprintln!("GA: tid {tid} cpu {cpu} admission failed: {e:?} (attached {attached:?})");
-                            }
                             self.sched[cpu]
                                 .load
                                 .admit(&cfg, &old)
@@ -2575,23 +2560,6 @@ impl Node {
         let cpu = self.threads.expect(tid).cpu;
         let st = &mut self.ts[tid];
         self.sched[cpu].change_constraints(tid, st, constraints, now, true)
-    }
-
-    /// Admit (or reject) an entire team in one ledger transaction — the
-    /// host-context face of the `GroupAdmitTeam` syscall. On success every
-    /// member holds `constraints` phase-corrected by its slot in
-    /// `members`; on failure every ledger is back exactly as it was and
-    /// the first rejection's error is returned. All-or-nothing: a
-    /// partially admitted team is never observable.
-    #[deprecated(note = "use `Node::admit` with `AdmissionRequest::team`")]
-    pub fn admit_team(
-        &mut self,
-        members: &[ThreadId],
-        constraints: Constraints,
-    ) -> Result<(), AdmissionError> {
-        self.admit(AdmissionRequest::team(members.to_vec()).constraints(constraints))
-            .into_result()
-            .map(|_| ())
     }
 
     /// The all-or-nothing team transaction shared by [`Node::admit`]

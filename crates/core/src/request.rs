@@ -1,18 +1,14 @@
 //! The typed admission surface.
 //!
-//! [`Node`](crate::node::Node) used to expose one entry point per admission
-//! shape: `admit_team` for host-context gang admission and the
-//! `ChangeConstraints` syscall path for a single thread re-negotiating its
-//! own reservation. Callers picked the method, and every new shape (the
-//! cluster placement layer, tooling, tests) grew another ad-hoc signature.
-//!
-//! [`AdmissionRequest`] replaces that with a single typed request built in
-//! the [`ConstraintsBuilder`](nautix_kernel::ConstraintsBuilder) style and
+//! Host-context admission has one entry point whatever its shape (a gang,
+//! or a single thread re-negotiating its own reservation):
+//! [`AdmissionRequest`], a typed request built in the
+//! [`ConstraintsBuilder`](nautix_kernel::ConstraintsBuilder) style and
 //! submitted through [`Node::admit`](crate::node::Node::admit), which
 //! always answers with an [`AdmissionOutcome`]. The request names *what*
 //! should hold the reservation (one thread, or a whole team in one
 //! all-or-nothing ledger transaction); the scheduler decides *whether* it
-//! can. The legacy `admit_team` method survives as a thin deprecated shim.
+//! can.
 //!
 //! ```
 //! use nautix_rt::{AdmissionRequest, Constraints};

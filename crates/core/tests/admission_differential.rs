@@ -1,15 +1,16 @@
 //! Differential suite for the incremental admission engine: at every step
 //! of a random admit / revoke / re-admit / widen sequence, the incremental
 //! ledger with the memoized hyperperiod simulation must return exactly the
-//! verdict the fresh-recompute reference returns, and its incrementally
+//! verdict the reference returns — a ledger with no [`SimCache`] installed,
+//! which re-simulates every request — and both ledgers' incrementally
 //! maintained sums must equal a full rescan of the admitted set.
 //!
-//! Both engines run under [`AdmissionPolicy::HyperperiodSim`] so every
+//! Both ledgers run under [`AdmissionPolicy::HyperperiodSim`] so every
 //! periodic verdict exercises the simulation (and, on the incremental
 //! side, the memo), not just the closed-form bound.
 
 use nautix_kernel::Constraints;
-use nautix_rt::{AdmissionEngine, AdmissionPolicy, CpuLoad, SchedConfig, SimCache};
+use nautix_rt::{AdmissionPolicy, CpuLoad, SchedConfig, SimCache};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -45,24 +46,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn sim_cfg(engine: AdmissionEngine) -> SchedConfig {
+fn sim_cfg() -> SchedConfig {
     SchedConfig {
         policy: AdmissionPolicy::HyperperiodSim {
             overhead_ns: 1_000,
             window_cap_ns: 8_000_000,
         },
-        engine,
         ..SchedConfig::default()
     }
 }
 
 /// Both ledgers side by side; every operation is applied to both and the
-/// verdicts compared.
+/// verdicts compared. `fresh` has no memo cache: every verdict it gives
+/// comes from a simulation run for that request.
 struct Pair {
     fresh: CpuLoad,
-    fresh_cfg: SchedConfig,
     incr: CpuLoad,
-    incr_cfg: SchedConfig,
+    cfg: SchedConfig,
 }
 
 impl Pair {
@@ -71,16 +71,15 @@ impl Pair {
         incr.install_sim_cache(Rc::new(RefCell::new(SimCache::new())));
         Pair {
             fresh: CpuLoad::new(),
-            fresh_cfg: sim_cfg(AdmissionEngine::Fresh),
             incr,
-            incr_cfg: sim_cfg(AdmissionEngine::Incremental),
+            cfg: sim_cfg(),
         }
     }
 
     /// Admit on both; panics on divergence, returns the common verdict.
     fn admit(&mut self, c: &Constraints) -> bool {
-        let vf = self.fresh.admit(&self.fresh_cfg, c).is_ok();
-        let vi = self.incr.admit(&self.incr_cfg, c).is_ok();
+        let vf = self.fresh.admit(&self.cfg, c).is_ok();
+        let vi = self.incr.admit(&self.cfg, c).is_ok();
         assert_eq!(
             vf,
             vi,

@@ -4,10 +4,7 @@
 
 use nautix_kernel::{task_set_signature, AdmissionError, Constraints};
 use nautix_rt::admission::simulate_edf_feasible;
-use nautix_rt::{
-    compile_cyclic, AdmissionEngine, AdmissionPolicy, CpuLoad, CyclicTask, SchedConfig, SimCache,
-    PPM,
-};
+use nautix_rt::{compile_cyclic, AdmissionPolicy, CpuLoad, CyclicTask, SchedConfig, SimCache, PPM};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -225,15 +222,14 @@ proptest! {
     }
 }
 
-/// A ledger running the memoized simulation path: incremental engine,
-/// hyperperiod-sim policy, cache installed.
+/// A ledger running the memoized simulation path: hyperperiod-sim
+/// policy, cache installed.
 fn cached_sim_load(cfg: &SchedConfig) -> (SchedConfig, CpuLoad) {
     let cfg = SchedConfig {
         policy: AdmissionPolicy::HyperperiodSim {
             overhead_ns: 0,
             window_cap_ns: 20_000_000,
         },
-        engine: AdmissionEngine::Incremental,
         ..*cfg
     };
     let mut load = CpuLoad::new();

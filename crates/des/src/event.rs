@@ -1,16 +1,22 @@
 //! Cancellable, deterministically ordered event queue.
 //!
-//! [`EventQueue`] is a thin facade over two interchangeable backends
-//! selected by [`QueueKind`]:
+//! [`EventQueue`] is a thin facade over two interchangeable backends:
 //!
 //! * [`HeapQueue`] — an index-tracked binary min-heap keyed on
-//!   `(time, sequence)`. O(log n) schedule/cancel/pop. This is the
-//!   *reference* backend: simple enough to audit by eye, and kept alive
-//!   as the differential oracle for the wheel.
+//!   `(time, sequence)`. O(log n) schedule/cancel/pop, and the cheaper of
+//!   the two while the standing backlog is a handful of events: a pop is
+//!   a couple of 24-byte swaps where the wheel scans slots between sparse
+//!   events.
 //! * [`WheelQueue`] — a hierarchical timing
 //!   wheel (Linux-kernel style) with O(1) schedule and cancel and an
-//!   amortized-O(1) cascade on pop. The default for simulations; see
+//!   amortized-O(1) cascade on pop, which wins once the backlog grows; see
 //!   `crate::wheel` for the layout and the ordering proof.
+//!
+//! Neither is a user option. The standing backlog of a machine simulation
+//! scales with the number of CPUs feeding the queue, so the queue picks its
+//! backend from that width: [`EventQueue::for_width`] builds the heap up
+//! to `HEAP_MAX_WIDTH` CPUs (the paper's 2–3-CPU single-probe rigs) and
+//! the wheel for anything wider; [`EventQueue::new`] is the wide case.
 //!
 //! Both backends observe identical semantics, bit for bit: two events
 //! scheduled for the same instant fire in insertion order, cancellation is
@@ -55,51 +61,16 @@ impl EventId {
     }
 }
 
-/// Which future-event-list implementation an [`EventQueue`] runs on.
-///
-/// The two are observably identical (same pop order, same ids, same
-/// panics); they differ only in cost shape. `Heap` is the reference,
-/// `Wheel` the production default. The `NAUTIX_QUEUE` environment variable
-/// (`heap` / `wheel`) selects the kind for harness-built machines — the
-/// escape hatch CI uses to run every differential smoke under both.
-///
-/// **Known tradeoff (tracked):** the wheel wins every microbenchmark
-/// 2–3x at realistic backlogs, but on *tiny* standing backlogs (a
-/// handful of pending events, the Figure 6 single-probe workload) its
-/// per-advance constant factor — slot scanning between sparse events —
-/// can fall below the heap end-to-end; 0.76x heap was measured on the
-/// fig6-only sweep. `event_queue_bench` flags any end-to-end run where
-/// wheel throughput drops under 0.9x heap and records the measurement as
-/// an advisory note in `BENCH_wheel.json` so the case stays visible.
-/// Workloads with more than a few pending events per instant are faster
-/// on the wheel, which is why it remains the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// Index-tracked binary min-heap (reference backend).
-    Heap,
-    /// Hierarchical timing wheel (production backend).
-    Wheel,
-}
-
-impl QueueKind {
-    /// Read `NAUTIX_QUEUE` (`heap` / `wheel`); defaults to `Wheel`.
-    pub fn from_env() -> Self {
-        match std::env::var("NAUTIX_QUEUE").as_deref() {
-            Ok("heap") => QueueKind::Heap,
-            Ok("wheel") => QueueKind::Wheel,
-            Ok(other) => panic!("NAUTIX_QUEUE must be `heap` or `wheel`, got `{other}`"),
-            Err(_) => QueueKind::Wheel,
-        }
-    }
-
-    /// Lowercase name, for banners and CSV columns.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Wheel => "wheel",
-        }
-    }
-}
+/// Widest machine whose [`EventQueue`] runs on the heap. Measured end to
+/// end on the `benchmark/` workloads (events/s, heap everywhere vs wheel
+/// everywhere; DESIGN.md §6d): 2-CPU `small_trials` 10.16 M vs 8.47 M,
+/// 64-CPU `paper_repro` 6.50 M vs 7.10 M, 1024-CPU `storm_1024` 4.43 M vs
+/// 5.53 M.
+/// The crossover sits between the paper's single-probe rigs (2–3 CPUs, a
+/// standing backlog of about one event) and its gang nodes (8 CPUs and
+/// up); no experiment runs a width in between, so the boundary is the
+/// power of two that separates them.
+const HEAP_MAX_WIDTH: usize = 4;
 
 /// Per-event bookkeeping. `payload` is `Some` exactly while the event is
 /// pending; `pos` is its current index in `heap` during that window.
@@ -126,7 +97,7 @@ impl HeapEntry {
     }
 }
 
-/// The reference future-event list: an index-tracked binary min-heap.
+/// The narrow-machine future-event list: an index-tracked binary min-heap.
 ///
 /// Cancellation is *true removal*: every scheduled event owns a slot that
 /// records its current heap position, kept up to date through sift swaps, so
@@ -438,8 +409,8 @@ enum Imp<E> {
 ///
 /// `E` is the event payload type chosen by the simulation layer (the
 /// hardware model uses a fixed enum of machine events). The backend is
-/// chosen at construction via [`QueueKind`]; every method dispatches over
-/// a two-variant enum, which the branch predictor resolves for free.
+/// chosen at construction from the machine width; every method dispatches
+/// over a two-variant enum, which the branch predictor resolves for free.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     imp: Imp<E>,
@@ -467,41 +438,36 @@ macro_rules! delegate {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero on the *reference* heap backend.
-    /// Simulation layers pass an explicit [`QueueKind`] via
-    /// [`with_kind`](Self::with_kind); bare `new()` keeps its historical
-    /// meaning for direct users and differential baselines.
+    /// An empty queue at time zero on the wide-machine backend (the
+    /// wheel): what every machine wider than `HEAP_MAX_WIDTH` runs.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Heap)
-    }
-
-    /// An empty queue on the chosen backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
         EventQueue {
-            imp: match kind {
-                QueueKind::Heap => Imp::Heap(HeapQueue::new()),
-                QueueKind::Wheel => Imp::Wheel(WheelQueue::new()),
-            },
+            imp: Imp::Wheel(WheelQueue::new()),
         }
     }
 
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.imp {
-            Imp::Heap(_) => QueueKind::Heap,
-            Imp::Wheel(_) => QueueKind::Wheel,
+    /// An empty queue for a machine of `width` CPUs: the heap up to
+    /// `HEAP_MAX_WIDTH`, the wheel beyond.
+    pub fn for_width(width: usize) -> Self {
+        if width <= HEAP_MAX_WIDTH {
+            EventQueue {
+                imp: Imp::Heap(HeapQueue::new()),
+            }
+        } else {
+            Self::new()
         }
     }
 
-    /// Clear back to the power-on state *as `kind`*: when the kind matches
-    /// the current backend this is [`clear`](Self::clear) (allocations
-    /// kept); a kind switch rebuilds the backend. Machine reset uses this
-    /// so a pooled node honors a changed configuration.
-    pub fn reset(&mut self, kind: QueueKind) {
-        if self.kind() == kind {
+    /// Clear back to the power-on state *for `width` CPUs*: when the
+    /// backend that width selects is the current one this is
+    /// [`clear`](Self::clear) (allocations kept); otherwise the backend is
+    /// rebuilt. Machine reset uses this so a pooled node re-shaped across
+    /// the boundary runs what a fresh one would.
+    pub fn reset_for_width(&mut self, width: usize) {
+        if matches!(self.imp, Imp::Heap(_)) == (width <= HEAP_MAX_WIDTH) {
             self.clear();
         } else {
-            *self = Self::with_kind(kind);
+            *self = Self::for_width(width);
         }
     }
 
@@ -593,10 +559,38 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
+    /// The widest heap-backed queue.
+    fn heap<E>() -> EventQueue<E> {
+        EventQueue::for_width(HEAP_MAX_WIDTH)
+    }
+
+    /// The narrowest wheel-backed queue.
+    fn wheel<E>() -> EventQueue<E> {
+        EventQueue::for_width(HEAP_MAX_WIDTH + 1)
+    }
+
     /// Run a behavioral check against both backends.
     fn both(f: impl Fn(EventQueue<&'static str>)) {
-        f(EventQueue::with_kind(QueueKind::Heap));
-        f(EventQueue::with_kind(QueueKind::Wheel));
+        f(heap());
+        f(wheel());
+    }
+
+    #[test]
+    fn width_selects_the_backend() {
+        assert!(matches!(heap::<()>().imp, Imp::Heap(_)));
+        assert!(matches!(EventQueue::<()>::for_width(1).imp, Imp::Heap(_)));
+        assert!(matches!(wheel::<()>().imp, Imp::Wheel(_)));
+        assert!(matches!(EventQueue::<()>::new().imp, Imp::Wheel(_)));
+        // A reset across the boundary rebuilds; within a side it clears.
+        let mut q = wheel::<u32>();
+        q.schedule(3, 1);
+        q.reset_for_width(HEAP_MAX_WIDTH);
+        assert!(matches!(q.imp, Imp::Heap(_)));
+        assert!(q.is_empty());
+        q.reset_for_width(1);
+        assert!(matches!(q.imp, Imp::Heap(_)));
+        q.reset_for_width(1024);
+        assert!(matches!(q.imp, Imp::Wheel(_)));
     }
 
     #[test]
@@ -712,8 +706,8 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn scheduling_in_the_past_panics() {
-        let mut q = EventQueue::new();
+    fn heap_scheduling_in_the_past_panics() {
+        let mut q = heap();
         q.schedule(10, ());
         q.pop();
         q.schedule(5, ());
@@ -722,7 +716,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn wheel_scheduling_in_the_past_panics() {
-        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        let mut q = wheel();
         q.schedule(10, ());
         q.pop();
         q.schedule(5, ());
@@ -752,8 +746,7 @@ mod tests {
 
     #[test]
     fn advance_to_moves_clock_without_pop() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::<()>::with_kind(kind);
+        for mut q in [heap::<()>(), wheel()] {
             q.advance_to(500);
             assert_eq!(q.now(), 500);
             assert_eq!(q.events_processed(), 0);
@@ -766,8 +759,8 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn advance_to_rejects_the_past() {
-        let mut q = EventQueue::<()>::new();
+    fn heap_advance_to_rejects_the_past() {
+        let mut q = heap::<()>();
         q.schedule(10, ());
         q.pop();
         q.advance_to(5);
@@ -776,7 +769,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn wheel_advance_to_rejects_the_past() {
-        let mut q = EventQueue::<()>::with_kind(QueueKind::Wheel);
+        let mut q = wheel::<()>();
         q.schedule(10, ());
         q.pop();
         q.advance_to(5);
@@ -820,8 +813,8 @@ mod tests {
 
     #[test]
     fn clear_retains_backing_capacity() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::with_kind(kind);
+        for width in [HEAP_MAX_WIDTH, HEAP_MAX_WIDTH + 1] {
+            let mut q = EventQueue::for_width(width);
             let ids: Vec<_> = (0..10_000u64).map(|t| q.schedule(t, t)).collect();
             for id in ids.iter().step_by(3) {
                 q.cancel(*id);
@@ -831,25 +824,14 @@ mod tests {
             q.clear();
             // The power-on state keeps the slot storage: pooled trials
             // (Node::reset) must not re-allocate queue memory.
-            assert_eq!(q.capacity(), cap, "{kind:?} clear dropped capacity");
+            assert_eq!(q.capacity(), cap, "width {width}: clear dropped capacity");
             assert!(q.is_empty());
             assert_eq!(q.now(), 0);
             assert_eq!(q.events_processed(), 0);
             // And a cleared queue restarts id assignment from scratch.
-            let fresh = EventQueue::with_kind(kind).schedule(7, 0u64);
+            let fresh = EventQueue::for_width(width).schedule(7, 0u64);
             assert_eq!(q.schedule(7, 0u64), fresh);
         }
-    }
-
-    #[test]
-    fn reset_switches_backend_kind() {
-        let mut q = EventQueue::<u32>::with_kind(QueueKind::Wheel);
-        q.schedule(3, 1);
-        q.reset(QueueKind::Heap);
-        assert_eq!(q.kind(), QueueKind::Heap);
-        assert!(q.is_empty());
-        q.reset(QueueKind::Heap);
-        assert_eq!(q.kind(), QueueKind::Heap);
     }
 
     #[test]

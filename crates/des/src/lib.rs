@@ -19,7 +19,7 @@ pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use event::{EventId, EventQueue, QueueKind};
+pub use event::{EventId, EventQueue};
 pub use rng::DetRng;
 pub use stats::{Histogram, OnlineStats, Summary};
 pub use time::{Cycles, Freq, Nanos};

@@ -1,4 +1,4 @@
-//! Hierarchical timing wheel: the production future-event list.
+//! Hierarchical timing wheel: the wide-machine future-event list.
 //!
 //! The tickless design the paper argues for (one-shot timers re-armed on
 //! every scheduler exit, §3.3) makes the simulator's event queue the
@@ -8,7 +8,10 @@
 //! answer that shape with a hierarchical timing wheel — O(1) insert and
 //! cancel against the O(log n) of a binary heap — and this module is that
 //! structure, specialized to the determinism contract of
-//! [`EventQueue`](crate::event::EventQueue).
+//! [`EventQueue`](crate::event::EventQueue), which builds it for every
+//! machine wide enough to keep a standing backlog (on a 2–3-CPU rig with
+//! about one pending event the heap's constant factor is lower, and the
+//! facade builds that instead).
 //!
 //! # Layout
 //!

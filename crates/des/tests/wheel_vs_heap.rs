@@ -1,15 +1,15 @@
 //! Differential property tests: the timing wheel against the binary heap.
 //!
-//! The wheel's entire value proposition rests on being *observationally
-//! identical* to the heap reference — same pop stream, same [`EventId`]s
-//! (tie-breaks included), same counters — so the paper-scale repro can
-//! switch backends without moving a byte. These tests drive both backends
+//! The machine picks its queue backend from its width, so the two must be
+//! *observationally identical* — same pop stream, same [`EventId`]s
+//! (tie-breaks included), same counters — or a result would depend on how
+//! many CPUs the rig has. These tests drive both backends
 //! through identical random schedule/cancel/advance/pop churn and assert
 //! the full observable state stays in lockstep at every step.
 
 use nautix_des::event::HeapQueue;
 use nautix_des::wheel::WheelQueue;
-use nautix_des::{Cycles, EventId, EventQueue, QueueKind};
+use nautix_des::{Cycles, EventId, EventQueue};
 use proptest::prelude::*;
 
 /// One scripted queue operation, decoded from raw random words so the
@@ -28,9 +28,16 @@ enum Op {
     Pop,
     /// Drain one whole instant from each and compare the batches.
     PopBatch,
+    /// `clear()` both back to power-on; the script continues on the reused
+    /// queues (what every pooled trial does) and ids must still match.
+    Clear,
 }
 
 fn decode(sel: u8, a: u64, b: u64) -> Op {
+    // Rare, so queues still fill up between clears.
+    if sel >= 253 {
+        return Op::Clear;
+    }
     match sel % 8 {
         // Weight pushes heaviest so queues actually fill up.
         0..=2 => {
@@ -121,6 +128,11 @@ fn run_script(ops: &[(u8, u64, u64)]) {
                     live.retain(|x| x != id);
                 }
             }
+            Op::Clear => {
+                h.clear();
+                w.clear();
+                live.clear();
+            }
         }
         assert_state_eq(&h, &w);
     }
@@ -147,13 +159,12 @@ proptest! {
 }
 
 /// Same churn, but driven through the [`EventQueue`] facade with mixed
-/// same-instant bursts — exercises the `QueueKind` selection path itself.
+/// same-instant bursts — exercises the width selection path itself: a
+/// 2-CPU rig's queue (heap) against a 64-CPU gang node's (wheel).
 #[test]
 fn facade_backends_agree_on_bursty_same_instant_traffic() {
-    let mut h = EventQueue::with_kind(QueueKind::Heap);
-    let mut w = EventQueue::with_kind(QueueKind::Wheel);
-    assert_eq!(h.kind(), QueueKind::Heap);
-    assert_eq!(w.kind(), QueueKind::Wheel);
+    let mut h = EventQueue::for_width(2);
+    let mut w = EventQueue::for_width(64);
     let mut state = 0xD1B5_4A32_D192_ED03u64;
     let mut next = |bound: u64| {
         state ^= state << 13;

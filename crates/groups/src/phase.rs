@@ -40,8 +40,8 @@ pub fn correct_constraints(c: Constraints, order: usize, n: usize, delta_ns: Nan
 /// Phase-correct a whole team at once: the slot-`i` member of an
 /// `n`-member team receives [`correct_constraints`]`(c, i, n, delta_ns)`.
 /// The batched form of the per-thread correction, used by team admission
-/// (`Node::admit_team` / the `GroupAdmitTeam` syscall), where one
-/// completer corrects every member inside a single ledger transaction.
+/// (`Node::admit` with a team target / the `GroupAdmitTeam` syscall), where
+/// one completer corrects every member inside a single ledger transaction.
 pub fn correct_team(c: Constraints, n: usize, delta_ns: Nanos) -> Vec<Constraints> {
     (0..n)
         .map(|i| correct_constraints(c, i, n, delta_ns))

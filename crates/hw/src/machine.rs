@@ -32,7 +32,7 @@ use crate::smi::{SmiConfig, SmiStats};
 use crate::timer::TimerSlots;
 use crate::topology::{Distance, TopoMap, Topology};
 use crate::tsc::Tsc;
-use nautix_des::{Cycles, DetRng, EventId, EventQueue, Freq, Nanos, QueueKind};
+use nautix_des::{Cycles, DetRng, EventId, EventQueue, Freq, Nanos};
 #[cfg(feature = "trace")]
 use nautix_trace::{FaultLane, Record, TraceHandle};
 
@@ -106,9 +106,6 @@ pub struct MachineConfig {
     /// Fault-lane injection plan beyond SMIs (kick loss/delay, timer
     /// overshoot, frequency dips, spurious interrupts, per-CPU stalls).
     pub faults: FaultPlan,
-    /// Future-event queue backend. Both produce byte-identical runs; the
-    /// wheel is the fast default, the heap the differential reference.
-    pub queue: QueueKind,
     /// Package → LLC topology shape. Flat (the default) makes every hop
     /// same-LLC and is byte-identical to the pre-topology model; tree
     /// shapes make kick-IPI latency and steal costs distance-dependent.
@@ -140,7 +137,6 @@ impl MachineConfig {
             boot_skew_max: platform.freq().us_to_cycles(1500),
             smi: SmiConfig::disabled(),
             faults: FaultPlan::disabled(),
-            queue: QueueKind::from_env(),
             topology: Topology::from_env(),
             seed: 0xAA71,
         }
@@ -174,13 +170,6 @@ impl MachineConfig {
     /// Enable fault-lane injection.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Override the event-queue backend (the `NAUTIX_QUEUE` hatch picks
-    /// the default; benches pin it explicitly for A/B comparisons).
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -317,7 +306,7 @@ impl Machine {
                 op: None,
             });
         }
-        let mut q = EventQueue::with_kind(cfg.queue);
+        let mut q = EventQueue::for_width(cfg.n_cpus);
         if let Some(gap) = cfg.smi.next_gap(&mut rng) {
             q.schedule(gap, Ev::SmiEnter);
         }
@@ -389,7 +378,7 @@ impl Machine {
                 op: None,
             });
         }
-        self.q.reset(cfg.queue);
+        self.q.reset_for_width(cfg.n_cpus);
         self.batch.clear();
         self.batch_pos = 0;
         if let Some(gap) = cfg.smi.next_gap(&mut rng) {

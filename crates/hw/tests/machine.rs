@@ -295,38 +295,60 @@ fn cpu_bound_wakeup_defers_on_busy_window() {
     assert!(t >= 10_000);
 }
 
+/// An SMI-noisy machine config for the determinism tests below.
+fn noisy(cpus: usize, seed: u64) -> MachineConfig {
+    MachineConfig::phi()
+        .with_cpus(cpus)
+        .with_seed(seed)
+        .with_smi(SmiConfig {
+            pattern: SmiPattern::Poisson {
+                mean_interval: 100_000,
+            },
+            duration: Cost::new(5_000, 2_000),
+        })
+}
+
+/// The first 32 events of a four-CPU timer ping-pong on `m`.
+fn trace(m: &mut Machine) -> Vec<(u64, String)> {
+    for c in 0..4 {
+        m.set_timer_ns(c, 10_000 + c as u64 * 100);
+    }
+    let mut log = Vec::new();
+    for _ in 0..32 {
+        match m.advance() {
+            Some((t, ev)) => {
+                log.push((t, format!("{ev:?}")));
+                if let MachineEvent::TimerInterrupt { cpu } = ev {
+                    m.set_timer_ns(cpu, 10_000);
+                }
+            }
+            None => break,
+        }
+    }
+    log
+}
+
 #[test]
 fn identical_seeds_produce_identical_traces() {
-    let run = |seed: u64| {
-        let cfg = MachineConfig::phi()
-            .with_cpus(4)
-            .with_seed(seed)
-            .with_smi(SmiConfig {
-                pattern: SmiPattern::Poisson {
-                    mean_interval: 100_000,
-                },
-                duration: Cost::new(5_000, 2_000),
-            });
-        let mut m = Machine::new(cfg);
-        for c in 0..4 {
-            m.set_timer_ns(c, 10_000 + c as u64 * 100);
-        }
-        let mut log = Vec::new();
-        for _ in 0..32 {
-            match m.advance() {
-                Some((t, ev)) => {
-                    log.push((t, format!("{ev:?}")));
-                    if let MachineEvent::TimerInterrupt { cpu } = ev {
-                        m.set_timer_ns(cpu, 10_000);
-                    }
-                }
-                None => break,
-            }
-        }
-        log
-    };
+    let run = |seed: u64| trace(&mut Machine::new(noisy(4, seed)));
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43));
+}
+
+#[test]
+fn reset_across_the_queue_width_boundary_replays_like_a_fresh_machine() {
+    // A 4-CPU machine runs the heap and a 64-CPU one the wheel
+    // (`EventQueue::for_width`); a pooled machine re-shaped across that
+    // boundary, either way, must rebuild its queue and then be
+    // indistinguishable from a fresh machine of the new shape.
+    for (from, to) in [(64, 4), (4, 64)] {
+        let mut pooled = Machine::new(noisy(from, 7));
+        trace(&mut pooled);
+        pooled.reset(noisy(to, 42));
+        let fresh = trace(&mut Machine::new(noisy(to, 42)));
+        assert_eq!(trace(&mut pooled), fresh, "{from} -> {to} CPUs");
+        assert_eq!(fresh.len(), 32);
+    }
 }
 
 #[test]

@@ -285,8 +285,8 @@ pub enum Record {
         slice_ns: Nanos,
     },
     /// A batched team admission transaction committed or rolled back
-    /// (`Node::admit_team` / the `GroupAdmitTeam` syscall): every member
-    /// was admitted, or none was.
+    /// (`Node::admit` with a team target / the `GroupAdmitTeam` syscall):
+    /// every member was admitted, or none was.
     TeamAdmit {
         /// CPU of the member that completed the transaction.
         cpu: TraceCpu,
