@@ -87,7 +87,6 @@ fn main() {
         );
     }
 
-    #[cfg(feature = "trace")]
     if hc.oracles {
         let (suites, o) = nautix_rt::oracle::global_stats();
         println!(

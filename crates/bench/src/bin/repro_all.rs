@@ -22,7 +22,7 @@ use nautix_rt::HarnessConfig;
 use nautix_stats::{HubOptions, StatsHub};
 
 /// `--replay <file>`: re-run one recorded trial and print its snapshot.
-/// Exits 0 on a clean replay, 2 on any read/parse/run error (an armed
+/// Exits 0 on a clean replay, 2 on any read/parse error (an armed
 /// oracle flagging the replayed trial panics, as it did when recorded —
 /// that is the expected way to reproduce a flagged anomaly).
 fn run_replay(path: &str) -> ! {
@@ -35,18 +35,11 @@ fn run_replay(path: &str) -> ! {
         std::process::exit(2);
     });
     println!("replaying `{}` from {path}", sc.name);
-    match sc.run_fresh() {
-        Ok(out) => {
-            print!("{}", out.snapshot.to_text());
-            println!("headline: {}", out.snapshot.headline());
-            println!("events: {}", out.events);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("replay: {e}");
-            std::process::exit(2);
-        }
-    }
+    let out = sc.run_fresh();
+    print!("{}", out.snapshot.to_text());
+    println!("headline: {}", out.snapshot.headline());
+    println!("events: {}", out.events);
+    std::process::exit(0);
 }
 
 /// Start the live-stats hub when the harness config carries a stream
@@ -56,26 +49,22 @@ fn start_stats_stream(hc: &HarnessConfig) -> Option<StatsHub> {
     let path = hc.stats_stream.clone()?;
     // Oracle tallies are process-global (nodes flush on drop), so they are
     // overlaid on published frames rather than summed from trial deltas.
-    #[cfg(feature = "trace")]
-    let sampler: Option<nautix_stats::Sampler> =
-        Some(Box::new(|s: &mut nautix_stats::StatsSnapshot| {
-            let (suites, o) = nautix_rt::oracle::global_stats();
-            s.oracle_suites = suites;
-            s.oracle_records = o.records;
-            s.oracle_checks = o.edf_checks
-                + o.miss_checks
-                + o.task_checks
-                + o.timer_checks
-                + o.fire_order_checks
-                + o.cache_checks;
-            s.oracle_env_misses = o.environment_misses;
-            s.oracle_divergences = o.divergences;
-        }));
-    #[cfg(not(feature = "trace"))]
-    let sampler: Option<nautix_stats::Sampler> = None;
+    let sampler: nautix_stats::Sampler = Box::new(|s: &mut nautix_stats::StatsSnapshot| {
+        let (suites, o) = nautix_rt::oracle::global_stats();
+        s.oracle_suites = suites;
+        s.oracle_records = o.records;
+        s.oracle_checks = o.edf_checks
+            + o.miss_checks
+            + o.task_checks
+            + o.timer_checks
+            + o.fire_order_checks
+            + o.cache_checks;
+        s.oracle_env_misses = o.environment_misses;
+        s.oracle_divergences = o.divergences;
+    });
     let opts = HubOptions {
         stream_path: Some(path.clone()),
-        sampler,
+        sampler: Some(sampler),
         ..HubOptions::default()
     };
     let hub = StatsHub::start(opts);
@@ -106,7 +95,6 @@ fn main() {
          {} worker threads (set NAUTIX_THREADS to override)\n",
         hc.threads
     );
-    #[cfg(feature = "trace")]
     if hc.oracles {
         println!(
             "NAUTIX_ORACLES=1: online invariant oracles armed on every node \
@@ -496,7 +484,6 @@ fn main() {
             0.0
         }
     );
-    #[cfg(feature = "trace")]
     if hc.oracles {
         let (suites, o) = nautix_rt::oracle::global_stats();
         println!(

@@ -107,7 +107,7 @@ pub fn measure_point_pooled(
     seed: u64,
 ) -> FaultPoint {
     let sc = Scenario::fault_mix(intensity, period_ns, slice_pct, jobs, seed);
-    let out = sc.run_recorded(pool).expect("fault scenario is runnable");
+    let out = sc.run_recorded(pool);
     FaultPoint {
         intensity,
         period_us: period_ns / 1000,

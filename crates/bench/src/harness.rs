@@ -71,13 +71,6 @@ fn stream_beat(shard: usize, trials: u64, events: u64, wall_nanos: u64) {
 // re-export keeps every existing `harness::NodePool` path working.
 pub use nautix_rt::NodePool;
 
-/// Worker-thread count of the ambient environment. Compat shim over
-/// [`HarnessConfig::from_env`]; prefer threading a [`HarnessConfig`]
-/// through explicitly.
-pub fn threads() -> usize {
-    HarnessConfig::from_env().threads
-}
-
 /// Aggregate instrumentation for one batch of trials.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessStats {
@@ -263,9 +256,12 @@ impl BenchReport {
     /// Serialize as JSON.
     pub fn to_json(&self) -> String {
         let (trials, wall, events) = self.totals();
+        // The widest section: what the run actually used, not what the
+        // environment asks for now.
+        let threads = self.sections.iter().map(|(_, st)| st.threads).max();
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"threads\": {},", threads());
+        let _ = writeln!(s, "  \"threads\": {},", threads.unwrap_or(0));
         let _ = writeln!(s, "  \"trials\": {trials},");
         let _ = writeln!(s, "  \"wall_secs\": {},", fnum(wall));
         let _ = writeln!(s, "  \"events\": {events},");
@@ -433,6 +429,8 @@ mod tests {
         assert!(j.contains("\"sections\": ["));
         assert!(j.contains("sec\\\"one"));
         assert!(j.contains("\"events\": 600"));
+        // The thread count the section ran with, whatever NAUTIX_THREADS says.
+        assert!(j.contains("\"threads\": 2,"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

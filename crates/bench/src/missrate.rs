@@ -86,9 +86,7 @@ pub fn measure_point_pooled(
     seed: u64,
 ) -> MissPoint {
     let sc = Scenario::missrate(platform, period_ns, slice_ns, jobs, seed);
-    let out = sc
-        .run_recorded(pool)
-        .expect("missrate scenario is runnable");
+    let out = sc.run_recorded(pool);
     MissPoint {
         period_us: period_ns / 1000,
         slice_pct: slice_ns * 100 / period_ns,

@@ -218,14 +218,13 @@ pub struct Scenario {
     pub steal_poll_ns: Nanos,
     /// §4.4 phase correction during group admission.
     pub phase_correction: bool,
-    /// Arm the online invariant oracles on the replayed node (requires
-    /// the `trace` feature; replay errors rather than silently skipping).
+    /// Arm the online invariant oracles on the replayed node.
     pub oracles: bool,
     /// Enable the deliberately broken FIFO dispatch on this CPU (the
-    /// oracle-regression sabotage; requires `trace` like `oracles`).
+    /// oracle-regression sabotage).
     pub sabotage_fifo: Option<CpuId>,
     /// Enable the deliberately over-generous layer-bucket refill on this
-    /// CPU (the layer-isolation-oracle sabotage; requires `trace`).
+    /// CPU (the layer-isolation-oracle sabotage).
     pub sabotage_layer: Option<CpuId>,
     /// The programs to run.
     pub workload: Workload,
@@ -326,10 +325,9 @@ impl Scenario {
             jobs,
             seed
         );
-        let cfg = Node::builder(machine)
-            .fault_plan(plan)
-            .degrade(degrade)
-            .into_config();
+        let mut cfg = NodeConfig::for_machine(machine);
+        cfg.machine.faults = plan;
+        cfg.sched.degrade = degrade;
         Scenario::from_node_config(
             name,
             cfg,
@@ -511,16 +509,8 @@ impl Scenario {
         cfg
     }
 
-    /// Run the trial on a pooled node. Errors (without running) when the
-    /// scenario requires the `trace` feature and this build lacks it.
-    pub fn run_pooled(&self, pool: &mut NodePool) -> Result<TrialOutcome, String> {
-        #[cfg(not(feature = "trace"))]
-        if self.oracles || self.sabotage_fifo.is_some() || self.sabotage_layer.is_some() {
-            return Err(format!(
-                "scenario `{}` arms oracles/sabotage, which needs a build with `--features trace`",
-                self.name
-            ));
-        }
+    /// Run the trial on a pooled node.
+    pub fn run_pooled(&self, pool: &mut NodePool) -> TrialOutcome {
         if let Workload::Cluster { .. } = self.workload {
             // Cluster runs own a whole fleet, not the caller's single
             // node; a thread-local fleet gives them the same cross-trial
@@ -531,20 +521,17 @@ impl Scenario {
             }
             let cfg = self.cluster_config();
             let out = FLEET.with(|f| nautix_cluster::run(&cfg, &mut f.borrow_mut()));
-            return Ok(cluster_trial(&out));
+            return cluster_trial(&out);
         }
         let node = pool.node(self.node_config());
-        #[cfg(feature = "trace")]
-        {
-            if self.oracles && node.oracles().is_none() {
-                node.enable_oracles();
-            }
-            if let Some(cpu) = self.sabotage_fifo {
-                node.set_sabotage_fifo(cpu, true);
-            }
-            if let Some(cpu) = self.sabotage_layer {
-                node.set_sabotage_layer(cpu, true);
-            }
+        if self.oracles && node.oracles().is_none() {
+            node.enable_oracles();
+        }
+        if let Some(cpu) = self.sabotage_fifo {
+            node.set_sabotage_fifo(cpu, true);
+        }
+        if let Some(cpu) = self.sabotage_layer {
+            node.set_sabotage_layer(cpu, true);
         }
         match self.workload {
             Workload::MissRate {
@@ -568,7 +555,7 @@ impl Scenario {
                 });
                 let tid = node.spawn_on(1, "probe", Box::new(prog)).unwrap();
                 node.run_for_ns(period_ns.saturating_mul(jobs + 20));
-                Ok(outcome(node, tid))
+                outcome(node, tid)
             }
             Workload::FaultMix {
                 period_ns,
@@ -601,7 +588,7 @@ impl Scenario {
                 });
                 node.spawn_on(2, "burst", Box::new(burst)).unwrap();
                 node.run_for_ns(period_ns.saturating_mul(jobs + 20));
-                Ok(outcome(node, probe_tid))
+                outcome(node, probe_tid)
             }
             Workload::Competing {
                 period_ns,
@@ -623,7 +610,7 @@ impl Scenario {
                 spawn_periodic(node, "slow", period_ns * 5, slice_ns * 5);
                 let fast = spawn_periodic(node, "fast", period_ns, slice_ns);
                 node.run_for_ns(period_ns.saturating_mul(jobs + 20));
-                Ok(outcome(node, fast))
+                outcome(node, fast)
             }
             Workload::Cluster { .. } => unreachable!("handled before node boot"),
             Workload::LayerMix {
@@ -649,18 +636,16 @@ impl Scenario {
                 let hog = FnProgram::new(move |_cx, _n| Action::Compute(100_000));
                 node.spawn_on(1, "hog", Box::new(hog)).unwrap();
                 node.run_for_ns(period_ns.saturating_mul(jobs + 20));
-                Ok(outcome(node, probe_tid))
+                outcome(node, probe_tid)
             }
         }
     }
 
     /// Run the trial on a fresh (unpooled) node — or, for a cluster
     /// workload, a fresh fleet.
-    pub fn run_fresh(&self) -> Result<TrialOutcome, String> {
+    pub fn run_fresh(&self) -> TrialOutcome {
         if let Workload::Cluster { .. } = self.workload {
-            return Ok(cluster_trial(&nautix_cluster::run_fresh(
-                &self.cluster_config(),
-            )));
+            return cluster_trial(&nautix_cluster::run_fresh(&self.cluster_config()));
         }
         self.run_pooled(&mut NodePool::new())
     }
@@ -671,9 +656,9 @@ impl Scenario {
     /// a trial panic (an armed oracle flagging a violation), write this
     /// scenario to `<dir>/<name>.replay`, and re-raise. Without the env
     /// var the trial runs unwrapped, so paper-scale sweeps pay nothing.
-    pub fn run_recorded(&self, pool: &mut NodePool) -> Result<TrialOutcome, String> {
+    pub fn run_recorded(&self, pool: &mut NodePool) -> TrialOutcome {
         // Read per call so test-scoped overrides are observed.
-        let result = match HarnessConfig::replay_dir_from_env() {
+        let out = match HarnessConfig::replay_dir_from_env() {
             None => self.run_pooled(pool),
             Some(dir) => match catch_unwind(AssertUnwindSafe(|| self.run_pooled(pool))) {
                 Ok(r) => r,
@@ -696,10 +681,8 @@ impl Scenario {
                 }
             },
         };
-        if let Ok(out) = &result {
-            stream_delta(&out.snapshot);
-        }
-        result
+        stream_delta(&out.snapshot);
+        out
     }
 
     /// Canonical text encoding: version header, `key value` lines in
@@ -1128,11 +1111,10 @@ mod tests {
     #[test]
     fn replay_reproduces_the_trial() {
         let sc = Scenario::missrate(Platform::Phi, 1_000_000, 500_000, 30, 5);
-        let a = sc.run_fresh().unwrap();
+        let a = sc.run_fresh();
         let b = Scenario::from_replay_string(&sc.to_replay_string())
             .unwrap()
-            .run_fresh()
-            .unwrap();
+            .run_fresh();
         assert_eq!(a, b);
         assert!(a.jobs >= 20);
         assert_eq!(a.snapshot.trials, 1);
@@ -1229,8 +1211,8 @@ mod tests {
         let back = Scenario::from_replay_string(&text).unwrap();
         assert_eq!(sc, back);
         assert_eq!(back.to_replay_string(), text, "encoding must be canonical");
-        let a = sc.run_fresh().unwrap();
-        let b = back.run_pooled(&mut NodePool::new()).unwrap();
+        let a = sc.run_fresh();
+        let b = back.run_pooled(&mut NodePool::new());
         assert_eq!(a, b, "pooled replay must match fresh");
         assert!(
             a.snapshot.layer_throttles > 0,
@@ -1246,19 +1228,30 @@ mod tests {
         let back = Scenario::from_replay_string(&text).unwrap();
         assert_eq!(sc, back);
         assert_eq!(back.to_replay_string(), text, "encoding must be canonical");
-        let a = sc.run_fresh().unwrap();
-        let b = back.run_pooled(&mut NodePool::new()).unwrap();
+        let a = sc.run_fresh();
+        let b = back.run_pooled(&mut NodePool::new());
         assert_eq!(a, b, "pooled fleet replay must match fresh");
         assert_eq!(a.snapshot.cluster_decisions, 150);
         assert!(a.snapshot.cluster_placed > 0);
     }
 
-    #[cfg(not(feature = "trace"))]
     #[test]
-    fn oracle_scenarios_error_without_trace() {
-        let mut sc = Scenario::missrate(Platform::Phi, 1_000_000, 500_000, 10, 5);
-        sc.oracles = true;
-        let e = sc.run_fresh().unwrap_err();
-        assert!(e.contains("trace"), "{e}");
+    fn armed_replay_is_flagged_under_sabotage_only() {
+        let plain = Scenario::competing(200_000, 20_000, 40, 77);
+        let mut armed = plain.clone();
+        armed.oracles = true;
+        let back = Scenario::from_replay_string(&armed.to_replay_string()).unwrap();
+        assert_eq!(
+            back.run_fresh(),
+            plain.run_fresh(),
+            "armed oracles must not perturb the trial"
+        );
+        let mut sabotaged = armed;
+        sabotaged.sabotage_fifo = Some(1);
+        let back = Scenario::from_replay_string(&sabotaged.to_replay_string()).unwrap();
+        assert!(
+            catch_unwind(AssertUnwindSafe(|| back.run_fresh())).is_err(),
+            "FIFO sabotage under an armed EDF oracle must panic"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! behavior changes, and say so in the commit.
 //!
 //! The pins must hold at any worker thread count and with or without
-//! armed oracles (`NAUTIX_ORACLES=1` under `--features trace`):
+//! armed oracles (`NAUTIX_ORACLES=1`):
 //! [`nautix_stats::StatsSnapshot::headline`] deliberately excludes the
 //! oracle tallies, and each trial is a single-node simulation whose
 //! history never depends on host threading. CI runs this suite at
@@ -118,7 +118,7 @@ fn every_corpus_scenario_reproduces_its_pins() {
     let scenarios: Vec<Scenario> = PINS.iter().map(|(name, _, _)| load(name)).collect();
     let outs: Vec<TrialOutcome> =
         run_trials_pooled(&HarnessConfig::from_env(), scenarios, |pool, sc| {
-            let out = sc.run_recorded(pool).unwrap();
+            let out = sc.run_recorded(pool);
             let events = out.events;
             (out, events)
         })
@@ -144,16 +144,13 @@ fn corpus_trials_are_pool_reset_invariant() {
     let mut pool = nautix_bench::harness::NodePool::new();
     let first: Vec<TrialOutcome> = PINS
         .iter()
-        .map(|(n, _, _)| load(n).run_pooled(&mut pool).unwrap())
+        .map(|(n, _, _)| load(n).run_pooled(&mut pool))
         .collect();
     let second: Vec<TrialOutcome> = PINS
         .iter()
-        .map(|(n, _, _)| load(n).run_pooled(&mut pool).unwrap())
+        .map(|(n, _, _)| load(n).run_pooled(&mut pool))
         .collect();
-    let fresh: Vec<TrialOutcome> = PINS
-        .iter()
-        .map(|(n, _, _)| load(n).run_fresh().unwrap())
-        .collect();
+    let fresh: Vec<TrialOutcome> = PINS.iter().map(|(n, _, _)| load(n).run_fresh()).collect();
     assert_eq!(first, second, "pooled replays must not leak state");
     assert_eq!(first, fresh, "pooled replay must equal fresh construction");
 }

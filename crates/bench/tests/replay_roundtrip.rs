@@ -149,11 +149,11 @@ fn quick_trials() -> Vec<Scenario> {
 #[test]
 fn replayed_trial_reproduces_snapshot_byte_for_byte_fresh_and_pooled() {
     for sc in quick_trials() {
-        let original = sc.run_fresh().unwrap();
+        let original = sc.run_fresh();
         let replayed = Scenario::from_replay_string(&sc.to_replay_string()).unwrap();
 
         // Fresh node.
-        let fresh = replayed.run_fresh().unwrap();
+        let fresh = replayed.run_fresh();
         assert_eq!(fresh, original, "fresh replay diverged for `{}`", sc.name);
         assert_eq!(
             fresh.snapshot.to_text(),
@@ -163,10 +163,8 @@ fn replayed_trial_reproduces_snapshot_byte_for_byte_fresh_and_pooled() {
 
         // Pooled node, pre-dirtied by a different trial so reset is real.
         let mut pool = NodePool::new();
-        let _ = Scenario::missrate(Platform::R415, 50_000, 10_000, 30, 9)
-            .run_pooled(&mut pool)
-            .unwrap();
-        let pooled = replayed.run_pooled(&mut pool).unwrap();
+        let _ = Scenario::missrate(Platform::R415, 50_000, 10_000, 30, 9).run_pooled(&mut pool);
+        let pooled = replayed.run_pooled(&mut pool);
         assert_eq!(pooled, original, "pooled replay diverged for `{}`", sc.name);
         assert_eq!(pooled.events, original.events);
     }
@@ -191,7 +189,7 @@ fn replayed_batch_is_thread_count_invariant() {
             &HarnessConfig::with_threads(threads),
             scenarios.clone(),
             |pool, sc| {
-                let out = sc.run_recorded(pool).unwrap();
+                let out = sc.run_recorded(pool);
                 let events = out.events;
                 (out, events)
             },
@@ -233,14 +231,13 @@ fn node_config_rebuild_is_lossless() {
         let machine = MachineConfig::for_platform(Platform::Phi)
             .with_cpus(3)
             .with_seed(7);
-        let plan = FaultPlan::noisy(machine.platform.freq(), 1.0);
-        nautix_rt::Node::builder(machine)
-            .fault_plan(plan)
-            .degrade(DegradePolicy {
-                miss_threshold: 2,
-                ..DegradePolicy::enabled()
-            })
-            .into_config()
+        let mut cfg = nautix_rt::NodeConfig::for_machine(machine);
+        cfg.machine.faults = FaultPlan::noisy(cfg.machine.platform.freq(), 1.0);
+        cfg.sched.degrade = DegradePolicy {
+            miss_threshold: 2,
+            ..DegradePolicy::enabled()
+        };
+        cfg
     };
     assert_eq!(cfg.machine, direct.machine);
     assert_eq!(cfg.sched, direct.sched);

@@ -35,7 +35,7 @@ fn fanned_worker_deltas_merge_to_the_serial_totals() {
     // Ground truth: serial accumulation, no hub anywhere.
     let mut expect = StatsSnapshot::default();
     for sc in &scenarios {
-        expect.merge(&sc.run_fresh().unwrap().snapshot);
+        expect.merge(&sc.run_fresh().snapshot);
     }
     assert_eq!(expect.trials, scenarios.len() as u64);
     assert!(expect.events > 0 && expect.missed > 0 && expect.faults_total() > 0);
@@ -54,7 +54,7 @@ fn fanned_worker_deltas_merge_to_the_serial_totals() {
         &HarnessConfig::with_threads(4),
         scenarios.clone(),
         |pool, sc| {
-            let out = sc.run_recorded(pool).unwrap();
+            let out = sc.run_recorded(pool);
             let events = out.events;
             (out, events)
         },
@@ -92,7 +92,7 @@ fn fanned_worker_deltas_merge_to_the_serial_totals() {
     let hub2 = StatsHub::start(HubOptions::default());
     let prev = set_stats_stream(Some(hub2.tx()));
     run_trials_pooled(&HarnessConfig::with_threads(1), scenarios, |pool, sc| {
-        let out = sc.run_recorded(pool).unwrap();
+        let out = sc.run_recorded(pool);
         let events = out.events;
         (out, events)
     });

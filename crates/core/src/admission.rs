@@ -313,8 +313,7 @@ pub fn admission_global_stats() -> AdmissionStats {
 
 /// What the most recent hyperperiod-simulation probe on a ledger
 /// concluded, and how: consumed by the trace layer so an armed
-/// `OracleSuite` (trace feature) can re-check cached verdicts against a
-/// fresh simulation.
+/// `OracleSuite` can re-check cached verdicts against a fresh simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimProbe {
     /// Whether the verdict came from the memo cache.

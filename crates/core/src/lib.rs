@@ -19,7 +19,6 @@ pub mod config;
 pub mod cyclic;
 pub mod local;
 pub mod node;
-#[cfg(feature = "trace")]
 pub mod oracle;
 pub mod pool;
 pub mod request;
@@ -40,7 +39,7 @@ pub use cyclic::{
 pub use local::{
     degrade_global_stats, Decision, InvokeReason, JobOutcome, LocalScheduler, SchedThread,
 };
-pub use node::{GaTiming, Node, NodeBuilder, NodeConfig};
+pub use node::{GaTiming, Node, NodeConfig};
 pub use pool::NodePool;
 pub use request::{AdmissionOutcome, AdmissionRequest, AdmissionTarget};
 pub use stats::{

@@ -25,7 +25,6 @@ use crate::stats::{CpuSchedStats, DegradeStats, DispatchLog, ThreadRtStats};
 use nautix_des::{Cycles, Freq, Nanos};
 use nautix_hw::CpuId;
 use nautix_kernel::{AdmissionError, Constraints, FixedHeap, RrQueue, ThreadId};
-#[cfg(feature = "trace")]
 use nautix_trace::{Record, TraceClass, TraceHandle, TraceOutcome};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,7 +52,6 @@ pub fn degrade_global_stats() -> DegradeStats {
 /// How a constraint appears in admission trace records: class plus the
 /// `(period, slice)` shape (a sporadic burst maps its deadline window and
 /// size onto the same two fields).
-#[cfg(feature = "trace")]
 fn trace_shape(c: &Constraints) -> (TraceClass, Nanos, Nanos) {
     match *c {
         Constraints::Aperiodic { .. } => (TraceClass::Aperiodic, 0, 0),
@@ -243,16 +241,13 @@ pub struct LocalScheduler {
     /// Whether the last selection skipped a throttled-layer thread (arms
     /// the window-boundary wake-up timer).
     throttle_skipped: bool,
-    #[cfg(feature = "trace")]
     trace: Option<TraceHandle>,
     /// Deliberately broken dispatch for oracle regression tests: pick the
     /// lowest-numbered runnable RT thread (creation order) instead of the
     /// earliest deadline. Never set outside tests.
-    #[cfg(feature = "trace")]
     sabotage_fifo: bool,
     /// Deliberately broken replenish for layer-oracle regression tests:
     /// refill every bucket to four times its cap. Never set outside tests.
-    #[cfg(feature = "trace")]
     sabotage_layer: bool,
 }
 
@@ -267,11 +262,11 @@ fn boot_buckets(layers: &LayerTable) -> [i64; MAX_LAYERS] {
 }
 
 impl LocalScheduler {
-    /// A scheduler for `cpu` whose idle thread is `idle`.
+    /// A scheduler for `cpu` whose idle thread is `idle`: empty queues of
+    /// the right capacity, then [`LocalScheduler::reset`] — the one place
+    /// boot state is derived from `cfg`.
     pub fn new(cpu: CpuId, idle: ThreadId, cfg: SchedConfig, freq: Freq, capacity: usize) -> Self {
-        let layers_active = cfg.layers != LayerTable::default();
-        let layer_buckets = boot_buckets(&cfg.layers);
-        LocalScheduler {
+        let mut s = LocalScheduler {
             cpu,
             cfg,
             freq,
@@ -283,21 +278,20 @@ impl LocalScheduler {
             idle,
             stats: CpuSchedStats::default(),
             last_outcome: None,
-            layers_active,
-            layer_buckets,
+            layers_active: false,
+            layer_buckets: [0; MAX_LAYERS],
             layer_spent: [0; MAX_LAYERS],
             layer_throttle_mark: [false; MAX_LAYERS],
             layer_epoch: 0,
             last_invoke_ns: 0,
             current_layer: LAYER_IDLE,
             throttle_skipped: false,
-            #[cfg(feature = "trace")]
             trace: None,
-            #[cfg(feature = "trace")]
             sabotage_fifo: false,
-            #[cfg(feature = "trace")]
             sabotage_layer: false,
-        }
+        };
+        s.reset(cpu, idle, cfg, freq, capacity);
+        s
     }
 
     /// The boot-time configuration.
@@ -307,14 +301,12 @@ impl LocalScheduler {
 
     /// Install (or remove) the trace sink fed by this scheduler's queue
     /// transitions, dispatches, and admission verdicts.
-    #[cfg(feature = "trace")]
     pub fn set_trace(&mut self, trace: Option<TraceHandle>) {
         self.trace = trace;
     }
 
     /// Enable the deliberately broken FIFO dispatch (regression tests for
     /// the EDF oracle only).
-    #[cfg(feature = "trace")]
     pub fn set_sabotage_fifo(&mut self, on: bool) {
         self.sabotage_fifo = on;
     }
@@ -323,17 +315,8 @@ impl LocalScheduler {
     /// the layer-isolation oracle only): each refill grants four caps of
     /// tokens, letting a layer overdraw its bandwidth while the honest
     /// spent counter still tells the truth.
-    #[cfg(feature = "trace")]
     pub fn set_sabotage_layer(&mut self, on: bool) {
         self.sabotage_layer = on;
-    }
-
-    #[cfg(feature = "trace")]
-    #[inline]
-    fn emit(&self, r: Record) {
-        if let Some(t) = &self.trace {
-            t.emit(r);
-        }
     }
 
     /// Threads resident on this CPU (for the per-thread pass cost).
@@ -349,12 +332,13 @@ impl LocalScheduler {
                 self.rt_run
                     .push(st.deadline_ns, tid)
                     .expect("rt_run overflow: capacity misconfigured");
-                #[cfg(feature = "trace")]
-                self.emit(Record::RtQueued {
-                    cpu: self.cpu as u32,
-                    tid: tid as u32,
-                    deadline_ns: st.deadline_ns,
-                });
+                if let Some(t) = &self.trace {
+                    t.emit(Record::RtQueued {
+                        cpu: self.cpu as u32,
+                        tid: tid as u32,
+                        deadline_ns: st.deadline_ns,
+                    });
+                }
             } else {
                 // (Re)synchronize to the next arrival strictly after now.
                 if st.job_active {
@@ -365,12 +349,13 @@ impl LocalScheduler {
                 self.pending
                     .push(st.next_arrival_ns, tid)
                     .expect("pending overflow: capacity misconfigured");
-                #[cfg(feature = "trace")]
-                self.emit(Record::PendingQueued {
-                    cpu: self.cpu as u32,
-                    tid: tid as u32,
-                    arrival_ns: st.next_arrival_ns,
-                });
+                if let Some(t) = &self.trace {
+                    t.emit(Record::PendingQueued {
+                        cpu: self.cpu as u32,
+                        tid: tid as u32,
+                        arrival_ns: st.next_arrival_ns,
+                    });
+                }
             }
         } else {
             self.nonrt
@@ -415,11 +400,12 @@ impl LocalScheduler {
         self.pending.remove(tid);
         self.rt_run.remove(tid);
         self.nonrt.remove(tid);
-        #[cfg(feature = "trace")]
-        self.emit(Record::Dequeued {
-            cpu: self.cpu as u32,
-            tid: tid as u32,
-        });
+        if let Some(t) = &self.trace {
+            t.emit(Record::Dequeued {
+                cpu: self.cpu as u32,
+                tid: tid as u32,
+            });
+        }
     }
 
     /// Whether the thread sits in this scheduler's non-RT queue
@@ -446,9 +432,9 @@ impl LocalScheduler {
         self.nonrt.iter().map(|(_, t)| t)
     }
 
-    /// Reinitialize for a new trial, keeping the queues' backing storage
-    /// when the capacity is unchanged (the common case in a sweep). Must
-    /// leave the scheduler in exactly the state `new` would.
+    /// (Re)initialize for a new trial, keeping the queues' backing storage
+    /// when the capacity is unchanged (the common case in a sweep). The
+    /// trace handle and the sabotage hooks are dropped: arming is per trial.
     pub fn reset(
         &mut self,
         cpu: CpuId,
@@ -482,12 +468,9 @@ impl LocalScheduler {
         self.last_invoke_ns = 0;
         self.current_layer = LAYER_IDLE;
         self.throttle_skipped = false;
-        #[cfg(feature = "trace")]
-        {
-            self.trace = None;
-            self.sabotage_fifo = false;
-            self.sabotage_layer = false;
-        }
+        self.trace = None;
+        self.sabotage_fifo = false;
+        self.sabotage_layer = false;
     }
 
     /// Individual admission control: `nk_sched_thread_change_constraints`.
@@ -495,7 +478,7 @@ impl LocalScheduler {
     /// the *caller* must re-queue it (it is typically the running thread).
     pub fn change_constraints(
         &mut self,
-        _tid: ThreadId,
+        tid: ThreadId,
         st: &mut SchedThread,
         new: Constraints,
         now_ns: Nanos,
@@ -506,7 +489,7 @@ impl LocalScheduler {
         let candidate = self.load.admit(&self.cfg, &new);
         // The probe (when the policy simulated) belongs to the candidate's
         // verdict; take it before a rollback re-admission can overwrite it.
-        let _probe = self.load.take_probe();
+        let probe = self.load.take_probe();
         let verdict = match candidate {
             Ok(()) => {
                 st.constraints = new;
@@ -534,29 +517,29 @@ impl LocalScheduler {
                 Err(e)
             }
         };
-        #[cfg(feature = "trace")]
-        {
+        if let Some(t) = &self.trace {
             if verdict.is_ok() && old.is_realtime() {
-                self.emit(Record::ConstraintsReleased {
+                t.emit(Record::ConstraintsReleased {
                     cpu: self.cpu as u32,
-                    tid: _tid as u32,
+                    tid: tid as u32,
                 });
             }
-            self.emit_probe(_probe);
-            self.emit_verdict(_tid, &new, verdict.is_ok());
+            self.emit_probe(t, probe);
+            self.emit_verdict(t, tid, &new, verdict.is_ok());
             if verdict.is_err() && old.is_realtime() {
-                self.emit_rollback(_tid, &old);
+                self.emit_rollback(t, tid, &old);
             }
         }
         verdict
     }
 
-    /// Record an admission verdict for `tid` (also used by the node's
-    /// group-admission path, which goes through the ledger directly).
-    #[cfg(feature = "trace")]
-    pub fn emit_verdict(&self, tid: ThreadId, c: &Constraints, accepted: bool) {
+    /// Record an admission verdict for `tid` into an armed trace (also
+    /// used by the node's group-admission path, which goes through the
+    /// ledger directly). Like its two siblings it takes the handle, so a
+    /// caller has tested for one before any record is built.
+    pub fn emit_verdict(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints, accepted: bool) {
         let (class, period_ns, slice_ns) = trace_shape(c);
-        self.emit(Record::AdmitVerdict {
+        t.emit(Record::AdmitVerdict {
             cpu: self.cpu as u32,
             tid: tid as u32,
             accepted,
@@ -571,10 +554,9 @@ impl LocalScheduler {
     /// verdict on this CPU. No-op when the policy did not simulate (the
     /// common closed-form case leaves no probe). Must precede the paired
     /// [`LocalScheduler::emit_verdict`] on the same CPU.
-    #[cfg(feature = "trace")]
-    pub fn emit_probe(&self, probe: Option<crate::admission::SimProbe>) {
+    pub fn emit_probe(&self, t: &TraceHandle, probe: Option<crate::admission::SimProbe>) {
         if let Some(p) = probe {
-            self.emit(Record::SimCacheProbe {
+            t.emit(Record::SimCacheProbe {
                 cpu: self.cpu as u32,
                 hit: p.hit,
                 feasible: p.feasible,
@@ -587,10 +569,9 @@ impl LocalScheduler {
 
     /// Record a rollback re-admission: a rejected verdict cleared `tid`'s
     /// mirror entry, but the ledger restored its previous constraints `c`.
-    #[cfg(feature = "trace")]
-    pub fn emit_rollback(&self, tid: ThreadId, c: &Constraints) {
+    pub fn emit_rollback(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints) {
         let (class, period_ns, slice_ns) = trace_shape(c);
-        self.emit(Record::AdmitRollback {
+        t.emit(Record::AdmitRollback {
             cpu: self.cpu as u32,
             tid: tid as u32,
             enforced: self.cfg.admission_enabled,
@@ -713,13 +694,14 @@ impl LocalScheduler {
             self.rt_run
                 .push(st.deadline_ns, tid)
                 .expect("rt_run overflow");
-            #[cfg(feature = "trace")]
-            self.emit(Record::JobArrive {
-                cpu: self.cpu as u32,
-                tid: tid as u32,
-                arrival_ns: arrival,
-                deadline_ns: threads[tid].deadline_ns,
-            });
+            if let Some(t) = &self.trace {
+                t.emit(Record::JobArrive {
+                    cpu: self.cpu as u32,
+                    tid: tid as u32,
+                    arrival_ns: arrival,
+                    deadline_ns: threads[tid].deadline_ns,
+                });
+            }
         }
 
         // Re-queue a still-runnable current thread so selection is uniform.
@@ -762,10 +744,9 @@ impl LocalScheduler {
         // 4. Choose the next timer.
         let (timer_exec_cycles, timer_wall_ns) = self.next_timer(now_ns, threads, next);
         let next_is_rt = next != self.idle && threads[next].is_rt();
-        #[cfg(feature = "trace")]
-        {
+        if let Some(t) = &self.trace {
             if switched && prev != self.idle && current_runnable {
-                self.emit(Record::Preempt {
+                t.emit(Record::Preempt {
                     cpu: self.cpu as u32,
                     tid: prev as u32,
                     now_ns,
@@ -773,7 +754,7 @@ impl LocalScheduler {
             }
             let st = &threads[next];
             let in_job_rt = next != self.idle && st.is_rt() && st.job_active;
-            self.emit(Record::Dispatch {
+            t.emit(Record::Dispatch {
                 cpu: self.cpu as u32,
                 tid: next as u32,
                 now_ns,
@@ -843,18 +824,19 @@ impl LocalScheduler {
             JobOutcome::Forfeited => {}
         }
         st.job_active = false;
-        #[cfg(feature = "trace")]
-        self.emit(Record::JobComplete {
-            cpu: self.cpu as u32,
-            tid: tid as u32,
-            now_ns,
-            deadline_ns: st.deadline_ns,
-            outcome: match outcome {
-                JobOutcome::Met => TraceOutcome::Met,
-                JobOutcome::Missed { .. } => TraceOutcome::Missed,
-                JobOutcome::Forfeited => TraceOutcome::Forfeited,
-            },
-        });
+        if let Some(t) = &self.trace {
+            t.emit(Record::JobComplete {
+                cpu: self.cpu as u32,
+                tid: tid as u32,
+                now_ns,
+                deadline_ns: st.deadline_ns,
+                outcome: match outcome {
+                    JobOutcome::Met => TraceOutcome::Met,
+                    JobOutcome::Missed { .. } => TraceOutcome::Missed,
+                    JobOutcome::Forfeited => TraceOutcome::Forfeited,
+                },
+            });
+        }
         // A sporadic burst decays to the aperiodic class.
         if let Constraints::Sporadic {
             aperiodic_priority, ..
@@ -864,11 +846,12 @@ impl LocalScheduler {
             st.constraints = Constraints::Aperiodic {
                 priority: aperiodic_priority,
             };
-            #[cfg(feature = "trace")]
-            self.emit(Record::ConstraintsReleased {
-                cpu: self.cpu as u32,
-                tid: tid as u32,
-            });
+            if let Some(t) = &self.trace {
+                t.emit(Record::ConstraintsReleased {
+                    cpu: self.cpu as u32,
+                    tid: tid as u32,
+                });
+            }
         }
         // Sustained interference on a periodic thread: widen or demote.
         if self.cfg.degrade.enabled && st.consecutive_misses >= self.cfg.degrade.miss_threshold {
@@ -881,7 +864,6 @@ impl LocalScheduler {
                 self.widen_or_demote(tid, st, phase, period, slice);
             }
         }
-        let _ = tid;
     }
 
     /// Demote a thread to the aperiodic class, releasing its reservation
@@ -900,12 +882,12 @@ impl LocalScheduler {
         st.remaining_cycles = 0;
         st.consecutive_misses = 0;
         st.widen_rounds = 0;
-        #[cfg(feature = "trace")]
-        self.emit(Record::ConstraintsReleased {
-            cpu: self.cpu as u32,
-            tid: tid as u32,
-        });
-        let _ = tid;
+        if let Some(t) = &self.trace {
+            t.emit(Record::ConstraintsReleased {
+                cpu: self.cpu as u32,
+                tid: tid as u32,
+            });
+        }
     }
 
     /// Degradation response for a periodic thread past the miss threshold:
@@ -941,7 +923,7 @@ impl LocalScheduler {
             slice,
         };
         let widened_verdict = self.load.admit(&self.cfg, &new);
-        let _probe = self.load.take_probe();
+        let probe = self.load.take_probe();
         match widened_verdict {
             Ok(()) => {
                 st.constraints = new;
@@ -949,14 +931,13 @@ impl LocalScheduler {
                 st.consecutive_misses = 0;
                 self.stats.degrade.periodic_widenings += 1;
                 G_PERIODIC_WIDENINGS.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "trace")]
-                {
-                    self.emit(Record::ConstraintsReleased {
+                if let Some(t) = &self.trace {
+                    t.emit(Record::ConstraintsReleased {
                         cpu: self.cpu as u32,
                         tid: tid as u32,
                     });
-                    self.emit_probe(_probe);
-                    self.emit_verdict(tid, &new, true);
+                    self.emit_probe(t, probe);
+                    self.emit_verdict(t, tid, &new, true);
                 }
             }
             Err(_) => {
@@ -972,14 +953,14 @@ impl LocalScheduler {
                 st.widen_rounds = 0;
                 self.stats.degrade.periodic_demotions += 1;
                 G_PERIODIC_DEMOTIONS.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "trace")]
-                self.emit(Record::ConstraintsReleased {
-                    cpu: self.cpu as u32,
-                    tid: tid as u32,
-                });
+                if let Some(t) = &self.trace {
+                    t.emit(Record::ConstraintsReleased {
+                        cpu: self.cpu as u32,
+                        tid: tid as u32,
+                    });
+                }
             }
         }
-        let _ = tid;
     }
 
     /// Put the (runnable) outgoing current thread back in a queue.
@@ -989,12 +970,13 @@ impl LocalScheduler {
                 self.rt_run
                     .push(st.deadline_ns, tid)
                     .expect("rt_run overflow");
-                #[cfg(feature = "trace")]
-                self.emit(Record::RtQueued {
-                    cpu: self.cpu as u32,
-                    tid: tid as u32,
-                    deadline_ns: st.deadline_ns,
-                });
+                if let Some(t) = &self.trace {
+                    t.emit(Record::RtQueued {
+                        cpu: self.cpu as u32,
+                        tid: tid as u32,
+                        deadline_ns: st.deadline_ns,
+                    });
+                }
             } else {
                 // For a completed periodic job next_arrival is already the
                 // deadline of the finished job; if that instant has passed
@@ -1008,12 +990,13 @@ impl LocalScheduler {
                 self.pending
                     .push(st.next_arrival_ns, tid)
                     .expect("pending overflow");
-                #[cfg(feature = "trace")]
-                self.emit(Record::PendingQueued {
-                    cpu: self.cpu as u32,
-                    tid: tid as u32,
-                    arrival_ns: st.next_arrival_ns,
-                });
+                if let Some(t) = &self.trace {
+                    t.emit(Record::PendingQueued {
+                        cpu: self.cpu as u32,
+                        tid: tid as u32,
+                        arrival_ns: st.next_arrival_ns,
+                    });
+                }
             }
         } else {
             self.nonrt
@@ -1038,16 +1021,15 @@ impl LocalScheduler {
             // flushed `spent` covers everything charged since the previous
             // refill, which is what the oracle's bandwidth bound checks.
             for l in 0..layers.count() {
-                #[cfg(feature = "trace")]
-                self.emit(Record::LayerReplenish {
-                    cpu: self.cpu as u32,
-                    layer: l as u32,
-                    spent_ns: self.layer_spent[l],
-                    cap_ns: layers.cap_ns(l),
-                });
-                #[allow(unused_mut)]
+                if let Some(t) = &self.trace {
+                    t.emit(Record::LayerReplenish {
+                        cpu: self.cpu as u32,
+                        layer: l as u32,
+                        spent_ns: self.layer_spent[l],
+                        cap_ns: layers.cap_ns(l),
+                    });
+                }
                 let mut cap = layers.cap_ns(l) as i64;
-                #[cfg(feature = "trace")]
                 if self.sabotage_layer {
                     cap *= 4;
                 }
@@ -1070,12 +1052,13 @@ impl LocalScheduler {
             if self.layer_buckets[l] <= 0 && !self.layer_throttle_mark[l] {
                 self.layer_throttle_mark[l] = true;
                 self.stats.layer_throttles += 1;
-                #[cfg(feature = "trace")]
-                self.emit(Record::LayerThrottle {
-                    cpu: self.cpu as u32,
-                    layer: l as u32,
-                    now_ns,
-                });
+                if let Some(t) = &self.trace {
+                    t.emit(Record::LayerThrottle {
+                        cpu: self.cpu as u32,
+                        layer: l as u32,
+                        now_ns,
+                    });
+                }
             }
         }
     }
@@ -1156,7 +1139,6 @@ impl LocalScheduler {
         }
         match self.cfg.mode {
             SchedMode::Eager => {
-                #[cfg(feature = "trace")]
                 if self.sabotage_fifo {
                     let mut first: Option<ThreadId> = None;
                     for (_, tid) in self.rt_run.iter() {

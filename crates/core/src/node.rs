@@ -37,7 +37,6 @@
 use crate::admission::{SchedConfig, SimCache, StealPolicy};
 use crate::config::HarnessConfig;
 use crate::local::{InvokeReason, LocalScheduler, SchedThread};
-#[cfg(feature = "trace")]
 use crate::oracle::{OracleConfig, OracleSuite};
 use crate::request::{AdmissionOutcome, AdmissionRequest, AdmissionTarget};
 use crate::stats::DispatchLog;
@@ -53,13 +52,17 @@ use nautix_kernel::{
     Steering, SysCall, SysResult, TaskQueues, Thread, ThreadId, ThreadState, ThreadTable, WaitKind,
     Zone, ZoneAllocator,
 };
-#[cfg(feature = "trace")]
 use nautix_trace::{Record, Sink, TraceHandle};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Node-wide configuration.
+/// Node-wide configuration. The three constructors below, then these
+/// public fields, into [`Node::new`] or [`Node::reset`] is the
+/// construction path. What a run records beyond that is armed on the
+/// booted node: [`Node::enable_oracles`] / [`Node::enable_oracles_with`],
+/// [`Node::record_timeline`], and for the oracle regression tests
+/// [`Node::set_sabotage_fifo`] / [`Node::set_sabotage_layer`].
 pub struct NodeConfig {
     /// The machine to model.
     pub machine: MachineConfig,
@@ -89,20 +92,16 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// The paper's primary testbed configuration.
-    ///
-    /// Deprecated-in-spirit: prefer `Node::builder(MachineConfig::phi())`,
-    /// which converges configuration and the post-hoc arming calls into
-    /// one construction path. Kept as a thin wrapper for one PR.
     pub fn phi() -> Self {
         Self::for_machine(MachineConfig::phi())
     }
 
-    /// The secondary testbed. Prefer `Node::builder(MachineConfig::r415())`.
+    /// The secondary testbed.
     pub fn r415() -> Self {
         Self::for_machine(MachineConfig::r415())
     }
 
-    /// Defaults around a machine config. Prefer [`Node::builder`].
+    /// Defaults around a machine config.
     pub fn for_machine(machine: MachineConfig) -> Self {
         NodeConfig {
             machine,
@@ -116,198 +115,6 @@ impl NodeConfig {
             steal_poll_ns: 1_000_000,
             phase_correction: true,
         }
-    }
-}
-
-/// One converged construction path for [`Node`].
-///
-/// Historically a node was configured through [`NodeConfig`]'s public
-/// fields and then mutated post-hoc (`enable_oracles`, `record_timeline`,
-/// `set_sabotage_fifo`), leaving a window where the node ran unobserved
-/// and scattering setup across call sites. The builder folds both halves
-/// into one expression:
-///
-/// ```
-/// use nautix_rt::Node;
-/// use nautix_hw::{FaultPlan, MachineConfig};
-///
-/// let mc = MachineConfig::phi();
-/// let node = Node::builder(MachineConfig::phi())
-///     .fault_plan(FaultPlan::noisy(mc.platform.freq(), 0.5))
-///     .timeline(4096)
-///     .build();
-/// # let _ = node;
-/// ```
-///
-/// Every knob of [`NodeConfig`] has a builder method; unset knobs keep
-/// [`NodeConfig::for_machine`]'s defaults.
-pub struct NodeBuilder {
-    cfg: NodeConfig,
-    timeline_cap: usize,
-    #[cfg(feature = "trace")]
-    oracle_cfg: Option<OracleConfig>,
-    #[cfg(feature = "trace")]
-    oracles_default: bool,
-    #[cfg(feature = "trace")]
-    sabotage_fifo: Vec<CpuId>,
-    #[cfg(feature = "trace")]
-    sabotage_layer: Vec<CpuId>,
-}
-
-impl NodeBuilder {
-    /// A builder with [`NodeConfig::for_machine`] defaults.
-    pub fn new(machine: MachineConfig) -> Self {
-        NodeBuilder {
-            cfg: NodeConfig::for_machine(machine),
-            timeline_cap: 0,
-            #[cfg(feature = "trace")]
-            oracle_cfg: None,
-            #[cfg(feature = "trace")]
-            oracles_default: false,
-            #[cfg(feature = "trace")]
-            sabotage_fifo: Vec::new(),
-            #[cfg(feature = "trace")]
-            sabotage_layer: Vec::new(),
-        }
-    }
-
-    /// Replace the boot-time local-scheduler configuration.
-    pub fn sched(mut self, sched: SchedConfig) -> Self {
-        self.cfg.sched = sched;
-        self
-    }
-
-    /// CPUs receiving external device interrupts (§3.5).
-    pub fn laden(mut self, laden: Vec<CpuId>) -> Self {
-        self.cfg.laden = laden;
-        self
-    }
-
-    /// Rounds of boot-time TSC calibration (0 skips it).
-    pub fn calib_rounds(mut self, rounds: u32) -> Self {
-        self.cfg.calib_rounds = rounds;
-        self
-    }
-
-    /// Per-thread dispatch-log capacity (0 disables logging).
-    pub fn dispatch_log_cap(mut self, cap: usize) -> Self {
-        self.cfg.dispatch_log_cap = cap;
-        self
-    }
-
-    /// Record per-invocation overhead samples (Figure 5).
-    pub fn record_overheads(mut self, on: bool) -> Self {
-        self.cfg.record_overheads = on;
-        self
-    }
-
-    /// Record group-admission step timings (Figure 10).
-    pub fn record_ga_timing(mut self, on: bool) -> Self {
-        self.cfg.record_ga_timing = on;
-        self
-    }
-
-    /// System-wide thread bound.
-    pub fn max_threads(mut self, n: usize) -> Self {
-        self.cfg.max_threads = n;
-        self
-    }
-
-    /// Idle work-steal poll interval.
-    pub fn steal_poll_ns(mut self, ns: Nanos) -> Self {
-        self.cfg.steal_poll_ns = ns;
-        self
-    }
-
-    /// Apply the §4.4 phase correction during group admission.
-    pub fn phase_correction(mut self, on: bool) -> Self {
-        self.cfg.phase_correction = on;
-        self
-    }
-
-    /// Inject the composed fault lanes into the machine.
-    pub fn fault_plan(mut self, plan: nautix_hw::FaultPlan) -> Self {
-        self.cfg.machine.faults = plan;
-        self
-    }
-
-    /// Enable graceful degradation under sustained interference.
-    pub fn degrade(mut self, policy: crate::admission::DegradePolicy) -> Self {
-        self.cfg.sched.degrade = policy;
-        self
-    }
-
-    /// Record an execution timeline with the given span capacity.
-    pub fn timeline(mut self, cap: usize) -> Self {
-        self.timeline_cap = cap;
-        self
-    }
-
-    /// Arm the online invariant oracles with an explicit configuration.
-    #[cfg(feature = "trace")]
-    pub fn oracles(mut self, cfg: OracleConfig) -> Self {
-        self.oracle_cfg = Some(cfg);
-        self
-    }
-
-    /// Arm the oracles with the configuration derived from the node
-    /// (the `NAUTIX_ORACLES=1` behavior, made explicit).
-    #[cfg(feature = "trace")]
-    pub fn oracles_default(mut self) -> Self {
-        self.oracles_default = true;
-        self
-    }
-
-    /// Enable the deliberately broken FIFO dispatch on `cpu`
-    /// (EDF-oracle regression tests only).
-    #[cfg(feature = "trace")]
-    pub fn sabotage_fifo(mut self, cpu: CpuId) -> Self {
-        self.sabotage_fifo.push(cpu);
-        self
-    }
-
-    /// Enable the deliberately over-generous layer-bucket refill on `cpu`
-    /// (layer-isolation-oracle regression tests only).
-    #[cfg(feature = "trace")]
-    pub fn sabotage_layer(mut self, cpu: CpuId) -> Self {
-        self.sabotage_layer.push(cpu);
-        self
-    }
-
-    /// The accumulated [`NodeConfig`] (for harnesses that reset pooled
-    /// nodes with the same configuration).
-    pub fn config(&self) -> &NodeConfig {
-        &self.cfg
-    }
-
-    /// Consume the builder and return the assembled [`NodeConfig`], for
-    /// callers that construct nodes through another path (for example a
-    /// trial harness `NodePool`).
-    pub fn into_config(self) -> NodeConfig {
-        self.cfg
-    }
-
-    /// Boot the node and apply every post-construction arming step.
-    pub fn build(self) -> Node {
-        let mut node = Node::new(self.cfg);
-        #[cfg(feature = "trace")]
-        {
-            if let Some(cfg) = self.oracle_cfg {
-                node.enable_oracles_with(cfg);
-            } else if self.oracles_default {
-                node.enable_oracles();
-            }
-            for cpu in self.sabotage_fifo {
-                node.set_sabotage_fifo(cpu, true);
-            }
-            for cpu in self.sabotage_layer {
-                node.set_sabotage_layer(cpu, true);
-            }
-        }
-        if self.timeline_cap > 0 {
-            node.record_timeline(self.timeline_cap);
-        }
-        node
     }
 }
 
@@ -537,131 +344,87 @@ pub struct Node {
     remote_inspected: u64,
     /// Device interrupts handled, per CPU.
     pub device_irqs_handled: Vec<u64>,
-    #[cfg(feature = "trace")]
     trace: Option<TraceHandle>,
-    #[cfg(feature = "trace")]
     oracles: Option<Rc<RefCell<OracleSuite>>>,
 }
 
 impl Node {
-    /// Start a [`NodeBuilder`] around a machine configuration — the
-    /// converged construction path (configuration plus post-hoc arming in
-    /// one expression).
-    pub fn builder(machine: MachineConfig) -> NodeBuilder {
-        NodeBuilder::new(machine)
-    }
-
     /// Boot a node: build the machine, calibrate time, start the per-CPU
-    /// schedulers and idle threads.
-    pub fn new(mut cfg: NodeConfig) -> Self {
-        cfg.sched = env_sched_overrides(cfg.sched);
-        let mut machine = Machine::new(cfg.machine);
-        let n = machine.n_cpus();
-        let freq = machine.freq();
-        let sync = if cfg.calib_rounds > 0 {
-            timesync::calibrate(&mut machine, cfg.calib_rounds)
-        } else {
-            TimeSync::perfect(n)
-        };
-        let mut threads = ThreadTable::new(cfg.max_threads);
-        let mut ts: Vec<SchedThread> = (0..cfg.max_threads)
-            .map(|_| SchedThread::new_aperiodic())
-            .collect();
-        let mut sched = Vec::with_capacity(n);
-        let per_cpu_cap = cfg.max_threads;
-        let sim_cache = Rc::new(RefCell::new(SimCache::new()));
-        for cpu in 0..n {
-            // The idle thread: a real table entry, never queued.
-            let idle_tid = threads
-                .spawn(Thread {
-                    name: format!("idle{cpu}"),
-                    cpu,
-                    bound: true,
-                    state: ThreadState::Running,
-                    program: Box::new(nautix_kernel::IdleLoop::new(1)),
-                    cycles_used: 0,
-                    is_idle: true,
-                    stack: None,
-                })
-                .unwrap_or_else(|_| panic!("thread table too small for idle threads"));
-            ts[idle_tid] = SchedThread::new_aperiodic();
-            let mut ls = LocalScheduler::new(cpu, idle_tid, cfg.sched, freq, per_cpu_cap);
-            ls.load.install_sim_cache(Rc::clone(&sim_cache));
-            sched.push(ls);
-        }
-        let cm = *machine.cost_model();
+    /// schedulers and idle threads. A powered-on machine and the kernel
+    /// state that is rebuilt rather than recycled, inside an otherwise
+    /// empty shell, then `Node::boot` — the body [`Node::reset`] runs
+    /// too, so a pooled node and a fresh one cannot drift apart.
+    pub fn new(cfg: NodeConfig) -> Self {
+        let machine = Machine::new(cfg.machine.clone());
         let topo = machine.topology();
         let mut node = Node {
-            machine,
             cfg_sched: cfg.sched,
-            dispatch_log_cap: cfg.dispatch_log_cap,
-            record_overheads: cfg.record_overheads,
-            record_ga_timing: cfg.record_ga_timing,
-            steal_poll_ns: cfg.steal_poll_ns,
-            phase_correction: cfg.phase_correction,
+            dispatch_log_cap: 0,
+            record_overheads: false,
+            record_ga_timing: false,
+            steal_poll_ns: 0,
+            phase_correction: false,
             gpio_watch: None,
             timeline: None,
-            freq,
-            cm,
+            freq: machine.freq(),
+            cm: *machine.cost_model(),
             topo,
-            threads,
-            ts,
-            sched,
-            sync,
+            machine,
+            threads: ThreadTable::new(0),
+            ts: Vec::new(),
+            sched: Vec::new(),
+            sync: TimeSync::perfect(0),
             groups: GroupRegistry::new(),
-            steering: Steering::with_topology(cfg.laden, topo),
+            steering: Steering::with_topology(cfg.laden.clone(), topo),
             alloc: ZoneAllocator::knl_scaled(),
-            tasks: (0..n).map(|_| TaskQueues::new(256)).collect(),
-            ga: (0..cfg.max_threads).map(|_| None).collect(),
-            blocked: (0..cfg.max_threads).map(|_| None).collect(),
-            pending_result: (0..cfg.max_threads).map(|_| SysResult::None).collect(),
-            cur_op: (0..n).map(|_| None).collect(),
+            tasks: Vec::new(),
+            ga: Vec::new(),
+            blocked: Vec::new(),
+            pending_result: Vec::new(),
+            cur_op: Vec::new(),
             serial_until: vec![0; SER_CLASSES * MAX_GROUPS],
             ga_timings: Vec::new(),
             join_timings: Vec::new(),
-            sim_cache,
-            steal_poll_armed: vec![false; n],
+            sim_cache: Rc::new(RefCell::new(SimCache::new())),
+            steal_poll_armed: Vec::new(),
             irq_waiters: (0..IRQ_LINES).map(|_| VecDeque::new()).collect(),
-            zombies: (0..n).map(|_| Vec::new()).collect(),
+            zombies: Vec::new(),
             live_programs: 0,
-            backlogged: vec![0; n.div_ceil(64)],
+            backlogged: Vec::new(),
             ops_in_flight: 0,
             queued_tasks: 0,
             #[cfg(test)]
             remote_inspected: 0,
-            device_irqs_handled: vec![0; n],
-            #[cfg(feature = "trace")]
+            device_irqs_handled: Vec::new(),
             trace: None,
-            #[cfg(feature = "trace")]
             oracles: None,
         };
-        #[cfg(feature = "trace")]
-        if HarnessConfig::oracles_from_env() {
-            node.enable_oracles();
-        }
-        // Kick every CPU once at boot so each local scheduler runs its
-        // first pass (and each idle loop gets a chance to start stealing).
-        for cpu in 0..n {
-            let at = node.machine.now();
-            node.machine
-                .schedule_wakeup(at, tok(TK_POKE, cpu as u64), Some(cpu));
-        }
+        node.boot(&cfg);
         node
     }
 
     /// Reboot this node in place for a new trial, reusing every large
     /// allocation: the thread table's slot vector, the per-thread sched
     /// states, the per-CPU scheduler queues, and the event heap keep their
-    /// capacity instead of being freed and re-grown. A reset node must be
-    /// observationally identical to `Node::new(cfg)`: the machine replays
-    /// the exact boot draw order (per-CPU skews, then the SMI gap),
-    /// calibration reruns against the reseeded RNG, and idle threads and
-    /// boot pokes are re-spawned in the same order, so idle `ThreadId`s
-    /// and every subsequent event land exactly as on a fresh node. The
-    /// pooled determinism test asserts this byte-for-byte.
-    pub fn reset(&mut self, mut cfg: NodeConfig) {
-        cfg.sched = env_sched_overrides(cfg.sched);
-        self.machine.reset(cfg.machine);
+    /// capacity instead of being freed and re-grown. Power-cycles the
+    /// machine, rebuilds what [`Node::new`] builds, and runs the same
+    /// `Node::boot`: the pooled determinism test asserts byte-for-byte
+    /// that the result is a fresh node.
+    pub fn reset(&mut self, cfg: NodeConfig) {
+        self.machine.reset(cfg.machine.clone());
+        self.groups = GroupRegistry::new();
+        self.steering = Steering::with_topology(cfg.laden.clone(), self.machine.topology());
+        self.alloc = ZoneAllocator::knl_scaled();
+        self.boot(&cfg);
+    }
+
+    /// The one boot body, on a machine just powered on for `cfg.machine`:
+    /// calibration runs against the machine's freshly seeded RNG, and idle
+    /// threads and boot pokes are spawned in CPU order, so idle
+    /// `ThreadId`s and every subsequent event land the same on a pooled
+    /// node as on a fresh one.
+    fn boot(&mut self, cfg: &NodeConfig) {
+        let sched = env_sched_overrides(cfg.sched);
         let n = self.machine.n_cpus();
         self.freq = self.machine.freq();
         self.cm = *self.machine.cost_model();
@@ -671,7 +434,7 @@ impl Node {
         } else {
             TimeSync::perfect(n)
         };
-        self.cfg_sched = cfg.sched;
+        self.cfg_sched = sched;
         self.dispatch_log_cap = cfg.dispatch_log_cap;
         self.record_overheads = cfg.record_overheads;
         self.record_ga_timing = cfg.record_ga_timing;
@@ -684,8 +447,8 @@ impl Node {
         self.ts
             .resize_with(cfg.max_threads, SchedThread::new_aperiodic);
         self.sched.truncate(n);
-        let per_cpu_cap = cfg.max_threads;
         for cpu in 0..n {
+            // The idle thread: a real table entry, never queued.
             let idle_tid = self
                 .threads
                 .spawn(Thread {
@@ -700,25 +463,22 @@ impl Node {
                 })
                 .unwrap_or_else(|_| panic!("thread table too small for idle threads"));
             if cpu < self.sched.len() {
-                self.sched[cpu].reset(cpu, idle_tid, cfg.sched, self.freq, per_cpu_cap);
+                self.sched[cpu].reset(cpu, idle_tid, sched, self.freq, cfg.max_threads);
             } else {
                 self.sched.push(LocalScheduler::new(
                     cpu,
                     idle_tid,
-                    cfg.sched,
+                    sched,
                     self.freq,
-                    per_cpu_cap,
+                    cfg.max_threads,
                 ));
             }
+            // Each scheduler's ledger starts from scratch; install the
+            // node's memo so pooled trials keep reusing cached verdicts.
+            self.sched[cpu]
+                .load
+                .install_sim_cache(Rc::clone(&self.sim_cache));
         }
-        // The per-CPU reset rebuilt each ledger from scratch; re-install
-        // the node's memo so pooled trials keep reusing cached verdicts.
-        for s in &mut self.sched {
-            s.load.install_sim_cache(Rc::clone(&self.sim_cache));
-        }
-        self.groups = GroupRegistry::new();
-        self.steering = Steering::with_topology(cfg.laden, self.topo);
-        self.alloc = ZoneAllocator::knl_scaled();
         self.tasks.clear();
         self.tasks.extend((0..n).map(|_| TaskQueues::new(256)));
         self.ga.clear();
@@ -742,9 +502,7 @@ impl Node {
         for z in &mut self.zombies {
             z.clear();
         }
-        while self.zombies.len() < n {
-            self.zombies.push(Vec::new());
-        }
+        self.zombies.resize_with(n, Vec::new);
         self.live_programs = 0;
         self.backlogged.clear();
         self.backlogged.resize(n.div_ceil(64), 0);
@@ -752,16 +510,15 @@ impl Node {
         self.queued_tasks = 0;
         self.device_irqs_handled.clear();
         self.device_irqs_handled.resize(n, 0);
-        #[cfg(feature = "trace")]
-        {
-            // Machine/scheduler/task-queue resets dropped their handles;
-            // start every trial with a fresh sink and fresh oracle state.
-            self.trace = None;
-            self.oracles = None;
-            if HarnessConfig::oracles_from_env() {
-                self.enable_oracles();
-            }
+        // Machine/scheduler/task-queue resets dropped their handles; start
+        // every trial with a fresh sink and fresh oracle state.
+        self.trace = None;
+        self.oracles = None;
+        if HarnessConfig::oracles_from_env() {
+            self.enable_oracles();
         }
+        // Kick every CPU once at boot so each local scheduler runs its
+        // first pass (and each idle loop gets a chance to start stealing).
         for cpu in 0..n {
             let at = self.machine.now();
             self.machine
@@ -774,8 +531,6 @@ impl Node {
     /// the suite for inspection; tests use [`Node::enable_oracles_with`]
     /// to collect violations instead. Tracing never perturbs the
     /// simulation — the event stream is byte-identical with or without it.
-    /// Prefer `NodeBuilder::oracles_default()` at construction time.
-    #[cfg(feature = "trace")]
     pub fn enable_oracles(&mut self) -> Rc<RefCell<OracleSuite>> {
         self.enable_oracles_with(OracleConfig::for_node(
             self.freq,
@@ -786,7 +541,6 @@ impl Node {
     }
 
     /// Attach the oracles with an explicit configuration.
-    #[cfg(feature = "trace")]
     pub fn enable_oracles_with(&mut self, cfg: OracleConfig) -> Rc<RefCell<OracleSuite>> {
         let suite = Rc::new(RefCell::new(OracleSuite::new(cfg)));
         let handle = TraceHandle::new(Sink::with_observer(
@@ -799,7 +553,6 @@ impl Node {
     }
 
     /// The attached oracle suite, if any.
-    #[cfg(feature = "trace")]
     pub fn oracles(&self) -> Option<&Rc<RefCell<OracleSuite>>> {
         self.oracles.as_ref()
     }
@@ -900,7 +653,6 @@ impl Node {
     }
 
     /// Thread a trace handle through every emitting layer of this node.
-    #[cfg(feature = "trace")]
     fn install_trace(&mut self, handle: TraceHandle) {
         self.machine.set_trace(Some(handle.clone()));
         for s in &mut self.sched {
@@ -913,17 +665,13 @@ impl Node {
     }
 
     /// Enable the deliberately broken FIFO dispatch on `cpu` (EDF-oracle
-    /// regression tests only). Prefer `NodeBuilder::sabotage_fifo(cpu)`
-    /// at construction time.
-    #[cfg(feature = "trace")]
+    /// regression tests only).
     pub fn set_sabotage_fifo(&mut self, cpu: CpuId, on: bool) {
         self.sched[cpu].set_sabotage_fifo(on);
     }
 
     /// Enable the deliberately over-generous layer-bucket refill on `cpu`
-    /// (layer-isolation-oracle regression tests only). Prefer
-    /// `NodeBuilder::sabotage_layer(cpu)` at construction time.
-    #[cfg(feature = "trace")]
+    /// (layer-isolation-oracle regression tests only).
     pub fn set_sabotage_layer(&mut self, cpu: CpuId, on: bool) {
         self.sched[cpu].set_sabotage_layer(on);
     }
@@ -1090,7 +838,6 @@ impl Node {
     }
 
     /// Start recording an execution timeline (at most `cap` spans).
-    /// Prefer `NodeBuilder::timeline(cap)` at construction time.
     pub fn record_timeline(&mut self, cap: usize) {
         self.timeline = Some(crate::timeline::Timeline::new(self.machine.n_cpus(), cap));
     }
@@ -1390,7 +1137,6 @@ impl Node {
             while let Some(task) = self.tasks[cpu].pop_sized_fitting(budget - spent) {
                 self.queued_tasks -= 1;
                 self.machine.charge_raw(cpu, task.work);
-                #[cfg(feature = "trace")]
                 if let Some(t) = &self.trace {
                     t.emit(Record::TaskExec {
                         cpu: cpu as u32,
@@ -1426,7 +1172,6 @@ impl Node {
     /// absolute and get no such adjustment. Callers invoke this *after*
     /// their final charges.
     fn program_timer(&mut self, cpu: CpuId, req: TimerReq) {
-        #[cfg(feature = "trace")]
         if let Some(t) = &self.trace {
             t.emit(Record::TimerReq {
                 cpu: cpu as u32,
@@ -1701,7 +1446,6 @@ impl Node {
         let Some(tid) = candidate else {
             return StageOutcome::LockedEmpty;
         };
-        #[cfg(feature = "trace")]
         if let Some(t) = &self.trace {
             t.emit(Record::Steal {
                 thief: cpu as u32,
@@ -1730,9 +1474,8 @@ impl Node {
             self.sched[cpu].finalize_exit(tid, st, now);
         }
         // Release any admitted constraints.
-        #[cfg(feature = "trace")]
-        if self.ts[tid].constraints.is_realtime() {
-            if let Some(t) = &self.trace {
+        if let Some(t) = &self.trace {
+            if self.ts[tid].constraints.is_realtime() {
                 t.emit(Record::ConstraintsReleased {
                     cpu: cpu as u32,
                     tid: tid as u32,
@@ -2121,7 +1864,7 @@ impl Node {
                     // The probe (when the policy simulated) belongs to the
                     // candidate's verdict; take it before a rollback
                     // re-admission can overwrite it.
-                    let _probe = self.sched[cpu].load.take_probe();
+                    let probe = self.sched[cpu].load.take_probe();
                     let err = match candidate {
                         Ok(()) => {
                             let ctx = self.ga[tid].as_mut().unwrap();
@@ -2143,20 +1886,17 @@ impl Node {
                             admission_error_code(e)
                         }
                     };
-                    #[cfg(feature = "trace")]
-                    {
+                    if let Some(t) = &self.trace {
                         if err == 0 && old.is_realtime() {
-                            if let Some(t) = &self.trace {
-                                t.emit(Record::ConstraintsReleased {
-                                    cpu: cpu as u32,
-                                    tid: tid as u32,
-                                });
-                            }
+                            t.emit(Record::ConstraintsReleased {
+                                cpu: cpu as u32,
+                                tid: tid as u32,
+                            });
                         }
-                        self.sched[cpu].emit_probe(_probe);
-                        self.sched[cpu].emit_verdict(tid, &attached, err == 0);
+                        self.sched[cpu].emit_probe(t, probe);
+                        self.sched[cpu].emit_verdict(t, tid, &attached, err == 0);
                         if err != 0 && old.is_realtime() {
-                            self.sched[cpu].emit_rollback(tid, &old);
+                            self.sched[cpu].emit_rollback(t, tid, &old);
                         }
                     }
                     {
@@ -2190,7 +1930,6 @@ impl Node {
                         self.machine.charge(cpu, self.cm.admission_local);
                         if ctx.admitted_here {
                             self.sched[cpu].load.release(&ctx.constraints);
-                            #[cfg(feature = "trace")]
                             if let Some(t) = &self.trace {
                                 t.emit(Record::ConstraintsReleased {
                                     cpu: cpu as u32,
@@ -2203,9 +1942,8 @@ impl Node {
                             // Keep the oracle's admitted-set mirror in step:
                             // the rolled-back reservation (restored after
                             // this member's own rejection) is released too.
-                            #[cfg(feature = "trace")]
-                            if prev.is_realtime() {
-                                if let Some(t) = &self.trace {
+                            if let Some(t) = &self.trace {
+                                if prev.is_realtime() {
                                     t.emit(Record::ConstraintsReleased {
                                         cpu: cpu as u32,
                                         tid: tid as u32,
@@ -2475,7 +2213,6 @@ impl Node {
                 }
                 let anchor = self.wall_ns_busy(cpu);
                 let res = self.admit_team_txn(&members, constraints, anchor, delta);
-                #[cfg(feature = "trace")]
                 if let Some(t) = &self.trace {
                     t.emit(Record::TeamAdmit {
                         cpu: cpu as u32,
@@ -2589,21 +2326,18 @@ impl Node {
             let candidate = self.sched[mcpu].load.admit(&cfg, &constraints);
             // The probe belongs to this member's verdict; take it before
             // any rollback re-admission can overwrite it.
-            let _probe = self.sched[mcpu].load.take_probe();
+            let probe = self.sched[mcpu].load.take_probe();
             match candidate {
                 Ok(()) => {
-                    #[cfg(feature = "trace")]
-                    {
+                    if let Some(t) = &self.trace {
                         if old.is_realtime() {
-                            if let Some(t) = &self.trace {
-                                t.emit(Record::ConstraintsReleased {
-                                    cpu: mcpu as u32,
-                                    tid: m as u32,
-                                });
-                            }
+                            t.emit(Record::ConstraintsReleased {
+                                cpu: mcpu as u32,
+                                tid: m as u32,
+                            });
                         }
-                        self.sched[mcpu].emit_probe(_probe);
-                        self.sched[mcpu].emit_verdict(m, &constraints, true);
+                        self.sched[mcpu].emit_probe(t, probe);
+                        self.sched[mcpu].emit_verdict(t, m, &constraints, true);
                     }
                     done.push((m, old));
                 }
@@ -2617,12 +2351,11 @@ impl Node {
                     if old.is_realtime() {
                         self.sched[mcpu].load.note_rollback();
                     }
-                    #[cfg(feature = "trace")]
-                    {
-                        self.sched[mcpu].emit_probe(_probe);
-                        self.sched[mcpu].emit_verdict(m, &constraints, false);
+                    if let Some(t) = &self.trace {
+                        self.sched[mcpu].emit_probe(t, probe);
+                        self.sched[mcpu].emit_verdict(t, m, &constraints, false);
                         if old.is_realtime() {
-                            self.sched[mcpu].emit_rollback(m, &old);
+                            self.sched[mcpu].emit_rollback(t, m, &old);
                         }
                     }
                     failed = Some(e);
@@ -2643,9 +2376,10 @@ impl Node {
                     .expect("re-admit old constraints");
                 let _ = self.sched[mcpu].load.take_probe();
                 self.sched[mcpu].load.note_rollback();
-                #[cfg(feature = "trace")]
-                if constraints.is_realtime() || old.is_realtime() {
-                    self.sched[mcpu].emit_rollback(m, &old);
+                if let Some(t) = &self.trace {
+                    if constraints.is_realtime() || old.is_realtime() {
+                        self.sched[mcpu].emit_rollback(t, m, &old);
+                    }
                 }
             }
             return Err(e);

@@ -503,3 +503,53 @@ fn node_runs_are_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// "Tracing never perturbs the simulation": the same seeded workload —
+/// periodic threads, a stealable aperiodic pile, sized and unsized tasks —
+/// with and without the oracles armed processes the same events and counts
+/// the same everything.
+#[test]
+fn arming_oracles_does_not_perturb_the_run() {
+    let run = |armed: bool| {
+        let mut node = small_node(4);
+        if armed {
+            node.enable_oracles();
+        }
+        for cpu in 1..3 {
+            let prog = FnProgram::new(move |_cx, n| match n {
+                0 => Action::Call(SysCall::ChangeConstraints(
+                    Constraints::periodic(500_000, 100_000).build(),
+                )),
+                1 => Action::Call(SysCall::TaskSpawn {
+                    size: Some(5_000),
+                    work: 5_000,
+                }),
+                2 => Action::Call(SysCall::TaskSpawn {
+                    size: None,
+                    work: 10_000,
+                }),
+                n if n < 50 => Action::Compute(90_000),
+                _ => Action::Exit,
+            });
+            node.spawn_on(cpu, "rt", Box::new(prog)).unwrap();
+        }
+        for i in 0..6 {
+            let pile = Script::new(vec![Action::Compute(5_000_000)]);
+            node.spawn_unbound(1, &format!("w{i}"), Box::new(pile))
+                .unwrap();
+        }
+        node.run_until_quiescent();
+        let records = node.oracles().map(|o| o.borrow().stats().records);
+        (
+            node.machine.events_processed(),
+            node.stats_snapshot(),
+            records,
+        )
+    };
+    let (events, snapshot, records) = run(true);
+    assert!(records.unwrap() > 0, "the armed run must have recorded");
+    assert!(snapshot.met > 0 && snapshot.steals > 0 && snapshot.inline_tasks > 0);
+    let (plain_events, plain_snapshot, _) = run(false);
+    assert_eq!(events, plain_events);
+    assert_eq!(snapshot, plain_snapshot);
+}

@@ -33,7 +33,6 @@ use crate::timer::TimerSlots;
 use crate::topology::{Distance, TopoMap, Topology};
 use crate::tsc::Tsc;
 use nautix_des::{Cycles, DetRng, EventId, EventQueue, Freq, Nanos};
-#[cfg(feature = "trace")]
 use nautix_trace::{FaultLane, Record, TraceHandle};
 
 /// Index of a hardware thread ("CPU" in the paper's terminology).
@@ -280,50 +279,24 @@ pub struct Machine {
     /// ever touch slot 0.
     ipis_by_distance: [u64; 3],
     device_irqs: u64,
-    #[cfg(feature = "trace")]
     trace: Option<TraceHandle>,
 }
 
 impl Machine {
     /// Build and "power on" a machine: TSCs get their boot skew, the SMI
-    /// injector is armed, and the clock sits at zero.
+    /// injector is armed, and the clock sits at zero. A powered-off shell
+    /// of the right width, then [`Machine::reset`] — the one boot body.
     pub fn new(cfg: MachineConfig) -> Self {
-        let mut rng = DetRng::seed_from(cfg.seed);
-        let freq = cfg.platform.freq();
-        let cost = cfg.platform.cost_model();
-        let mut cpus = Vec::with_capacity(cfg.n_cpus);
-        for i in 0..cfg.n_cpus {
-            let offset = if i == 0 || cfg.boot_skew_max == 0 {
-                0
-            } else {
-                rng.uniform(0, cfg.boot_skew_max) as i64
-            };
-            cpus.push(CpuState {
-                tsc: Tsc::new(offset, cfg.tsc_writable),
-                apic: Apic::new(cfg.timer_mode),
-                busy_until: 0,
-                stall_until: 0,
-                op: None,
-            });
-        }
-        let mut q = EventQueue::for_width(cfg.n_cpus);
-        if let Some(gap) = cfg.smi.next_gap(&mut rng) {
-            q.schedule(gap, Ev::SmiEnter);
-        }
-        Self::arm_fault_lanes(&cfg.faults, &mut rng, &mut q);
-        let timers = TimerSlots::new(cpus.len());
-        let topo = TopoMap::new(cfg.topology, cfg.n_cpus);
-        Machine {
-            cfg,
-            freq,
-            cost,
-            topo,
-            q,
+        let mut m = Machine {
+            freq: cfg.platform.freq(),
+            cost: cfg.platform.cost_model(),
+            topo: TopoMap::new(cfg.topology, cfg.n_cpus),
+            q: EventQueue::for_width(cfg.n_cpus),
             batch: Vec::new(),
             batch_pos: 0,
-            timers,
-            cpus,
-            rng,
+            timers: TimerSlots::new(cfg.n_cpus),
+            cpus: Vec::with_capacity(cfg.n_cpus),
+            rng: DetRng::seed_from(cfg.seed),
             gpio: Gpio::new(),
             op_seq: 0,
             stall_until: 0,
@@ -332,15 +305,16 @@ impl Machine {
             ipis_sent: 0,
             ipis_by_distance: [0; 3],
             device_irqs: 0,
-            #[cfg(feature = "trace")]
             trace: None,
-        }
+            cfg: cfg.clone(),
+        };
+        m.reset(cfg);
+        m
     }
 
     /// Schedule the first arrival of each enabled recurring fault lane, in
     /// a fixed order. Disabled lanes draw nothing — the all-disabled plan
-    /// leaves both the RNG stream and the event heap untouched. Called
-    /// with identical state from [`Machine::new`] and [`Machine::reset`].
+    /// leaves both the RNG stream and the event heap untouched.
     fn arm_fault_lanes(faults: &FaultPlan, rng: &mut DetRng, q: &mut EventQueue<Ev>) {
         if let Some(gap) = faults.freq_dip.next_gap(rng) {
             q.schedule(gap, Ev::FaultFreqDip);
@@ -354,11 +328,11 @@ impl Machine {
     }
 
     /// "Power-cycle" the machine in place for `cfg`, reusing the event
-    /// queue's and CPU vector's allocations. The RNG is reseeded and every
-    /// draw of [`Machine::new`] is replayed in the same order (per-CPU boot
-    /// skews, then the first SMI gap), so a reset machine is byte-for-byte
-    /// equivalent to a freshly constructed one — the foundation of pooled
-    /// trial reuse.
+    /// queue's and CPU vector's allocations. This is the only boot body
+    /// ([`Machine::new`] calls it on an empty shell): the RNG is reseeded
+    /// and drawn in a fixed order (per-CPU boot skews, the first SMI gap,
+    /// the fault lanes), so a reset machine is byte-for-byte a freshly
+    /// constructed one — the foundation of pooled trial reuse.
     pub fn reset(&mut self, cfg: MachineConfig) {
         let mut rng = DetRng::seed_from(cfg.seed);
         self.freq = cfg.platform.freq();
@@ -397,16 +371,12 @@ impl Machine {
         self.ipis_by_distance = [0; 3];
         self.device_irqs = 0;
         self.cfg = cfg;
-        #[cfg(feature = "trace")]
-        {
-            self.trace = None;
-        }
+        self.trace = None;
     }
 
     /// Install (or remove) the trace sink fed by this machine's timer and
     /// kick paths. Tracing never perturbs the simulation: no RNG draws, no
     /// event-queue traffic.
-    #[cfg(feature = "trace")]
     pub fn set_trace(&mut self, trace: Option<TraceHandle>) {
         self.trace = trace;
     }
@@ -495,7 +465,6 @@ impl Machine {
             overshoot = self.cfg.faults.timer_overshoot_extra.draw(&mut self.rng);
             self.fault_stats.timer_overshoots += 1;
             self.fault_stats.timer_overshoot_cycles += overshoot;
-            #[cfg(feature = "trace")]
             if let Some(t) = &self.trace {
                 t.emit(Record::Fault {
                     cpu: cpu as u32,
@@ -506,7 +475,6 @@ impl Machine {
             }
         }
         self.timers.arm(cpu, now + actual + overshoot);
-        #[cfg(feature = "trace")]
         if let Some(t) = &self.trace {
             t.emit(Record::TimerArm {
                 cpu: cpu as u32,
@@ -520,7 +488,6 @@ impl Machine {
     /// Disarm `cpu`'s one-shot timer.
     pub fn cancel_timer(&mut self, cpu: CpuId) {
         self.timers.disarm(cpu);
-        #[cfg(feature = "trace")]
         if let Some(t) = &self.trace {
             t.emit(Record::TimerCancel {
                 cpu: cpu as u32,
@@ -589,7 +556,6 @@ impl Machine {
     /// kick lanes: the send can be silently dropped in the interconnect
     /// or delivered late, both invisible to the sender.
     pub fn send_kick(&mut self, from: CpuId, to: CpuId) {
-        #[cfg(feature = "trace")]
         if let Some(t) = &self.trace {
             t.emit(Record::Kick {
                 from: from as u32,
@@ -599,7 +565,6 @@ impl Machine {
         }
         if FaultPlan::chance(self.cfg.faults.kick_drop_ppm, &mut self.rng) {
             self.fault_stats.kicks_dropped += 1;
-            #[cfg(feature = "trace")]
             if let Some(t) = &self.trace {
                 t.emit(Record::Fault {
                     cpu: to as u32,
@@ -615,7 +580,6 @@ impl Machine {
             extra = self.cfg.faults.kick_delay_extra.draw(&mut self.rng);
             self.fault_stats.kicks_delayed += 1;
             self.fault_stats.kick_delay_cycles += extra;
-            #[cfg(feature = "trace")]
             if let Some(t) = &self.trace {
                 t.emit(Record::Fault {
                     cpu: to as u32,
@@ -960,7 +924,6 @@ impl Machine {
         self.timers.disarm(cpu);
         self.q.advance_to(deadline);
         self.q.note_external_events(1);
-        #[cfg(feature = "trace")]
         if let Some(t) = &self.trace {
             t.emit(Record::TimerFire {
                 cpu: cpu as u32,
@@ -1074,8 +1037,7 @@ impl Machine {
         let lost = (window * self.cfg.faults.freq_dip_loss_pct as u64 / 100).max(1);
         self.fault_stats.freq_dips += 1;
         self.fault_stats.freq_dip_lost_cycles += lost;
-        #[cfg(feature = "trace")]
-        if let Some(trace) = self.trace.clone() {
+        if let Some(trace) = &self.trace {
             trace.emit(Record::Fault {
                 cpu: cpu as u32,
                 lane: FaultLane::FreqDip,
@@ -1096,8 +1058,7 @@ impl Machine {
         let cpu = self.rng.uniform(0, (self.cpus.len() - 1) as u64) as CpuId;
         let irq = self.cfg.faults.spurious_irq_line & 0x3F;
         self.fault_stats.spurious_irqs += 1;
-        #[cfg(feature = "trace")]
-        if let Some(trace) = self.trace.clone() {
+        if let Some(trace) = &self.trace {
             trace.emit(Record::Fault {
                 cpu: cpu as u32,
                 lane: FaultLane::SpuriousIrq,
@@ -1132,8 +1093,7 @@ impl Machine {
             .max(1);
         self.fault_stats.cpu_stalls += 1;
         self.fault_stats.cpu_stall_cycles += d;
-        #[cfg(feature = "trace")]
-        if let Some(trace) = self.trace.clone() {
+        if let Some(trace) = &self.trace {
             trace.emit(Record::Fault {
                 cpu: cpu as u32,
                 lane: FaultLane::CpuStall,

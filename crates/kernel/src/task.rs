@@ -10,7 +10,6 @@
 
 use crate::ids::TaskId;
 use nautix_des::Cycles;
-#[cfg(feature = "trace")]
 use nautix_trace::{Record, TraceHandle};
 use std::collections::VecDeque;
 
@@ -40,7 +39,6 @@ pub struct TaskQueues {
     pub inline_completed: u64,
     /// Tasks handed to the task-exec thread.
     pub helper_completed: u64,
-    #[cfg(feature = "trace")]
     trace: Option<(TraceHandle, u32)>,
 }
 
@@ -54,14 +52,12 @@ impl TaskQueues {
             next_id: 0,
             inline_completed: 0,
             helper_completed: 0,
-            #[cfg(feature = "trace")]
             trace: None,
         }
     }
 
     /// Install (or remove) the trace sink for this CPU's queues; `cpu` is
     /// stamped into every record emitted here.
-    #[cfg(feature = "trace")]
     pub fn set_trace(&mut self, trace: Option<(TraceHandle, u32)>) {
         self.trace = trace;
     }
@@ -79,7 +75,6 @@ impl TaskQueues {
         let id = TaskId(self.next_id);
         self.next_id += 1;
         q.push_back(Task { id, size, work });
-        #[cfg(feature = "trace")]
         if let Some((t, cpu)) = &self.trace {
             t.emit(Record::TaskSpawn {
                 cpu: *cpu,

@@ -16,10 +16,10 @@
 //! Records are plain `Copy` values. The ring is allocated once at trace
 //! enable time and overwrites its oldest entry when full — emitting a
 //! record on the event hot path is a bounds-checked store plus an optional
-//! virtual call into the observer, never an allocation. The entire layer
-//! is compiled in only under the `trace` cargo feature of the crates that
-//! host the emission points; with the feature off the hot path is
-//! byte-identical to a build without this crate.
+//! virtual call into the observer, never an allocation. The layer is
+//! always compiled in; each emission point holds an `Option<TraceHandle>`
+//! and tests it before building a record, so an unarmed run pays one
+//! not-taken branch per site.
 //!
 //! # Timestamps
 //!
@@ -33,7 +33,6 @@
 use nautix_des::{Cycles, Nanos};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// CPU index as recorded in the trace.
 pub type TraceCpu = u32;
@@ -588,17 +587,6 @@ impl std::fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "TraceHandle(records={})", self.records())
     }
-}
-
-/// Whether `NAUTIX_ORACLES=1` (or `true`/`yes`/`on`) is set. Read once per
-/// process so every node in a run sees the same answer.
-pub fn oracles_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("NAUTIX_ORACLES")
-            .map(|v| matches!(v.as_str(), "1" | "true" | "yes" | "on"))
-            .unwrap_or(false)
-    })
 }
 
 #[cfg(test)]

@@ -1,14 +1,12 @@
 //! Oracle regression: a deliberately broken scheduler must be caught.
 //!
 //! The EDF oracle's value is only demonstrated by a scheduler that
-//! actually violates EDF. `LocalScheduler::set_sabotage_fifo` (test hook,
-//! `trace` feature only) replaces eager EDF selection with FIFO-by-tid —
-//! the classic wrong answer — and the oracle, rebuilding the runnable-RT
+//! actually violates EDF. `LocalScheduler::set_sabotage_fifo` (test hook)
+//! replaces eager EDF selection with FIFO-by-tid — the classic wrong
+//! answer — and the oracle, rebuilding the runnable-RT
 //! set independently from queue-transition records, must flag the first
 //! dispatch that skips an earlier deadline. The same workload with the
 //! sabotage off must run clean, proving the detection isn't noise.
-
-#![cfg(feature = "trace")]
 
 use nautix::kernel::FnProgram;
 use nautix::prelude::*;
