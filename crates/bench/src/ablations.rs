@@ -9,14 +9,17 @@
 //! * interrupt steering in/out of the RT partition (§3.5),
 //! * APIC tick quantization vs. TSC-deadline timing (§3.3),
 //! * admission policies: EDF bound vs. RM bound vs. hyperperiod
-//!   simulation (§3.2).
+//!   simulation (§3.2),
+//! * hard admission vs. soft overload (§7),
+//! * online EDF vs. a statically compiled cyclic executive (§8).
 
 use crate::harness::{run_trials, HarnessStats};
-use nautix_des::Nanos;
+use nautix_des::{Nanos, Summary};
 use nautix_hw::{Cost, MachineConfig, SmiConfig, SmiPattern, TimerMode};
-use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
+use nautix_kernel::{Action, Constraints, FnProgram, Program, SysCall, SysResult};
 use nautix_rt::{
-    AdmissionPolicy, CpuLoad, HarnessConfig, Node, NodeConfig, SchedConfig, SchedMode,
+    compile_cyclic, AdmissionPolicy, CpuLoad, CyclicExecutive, CyclicTask, HarnessConfig, Node,
+    NodeConfig, SchedConfig, SchedMode,
 };
 
 /// Miss rate of a periodic thread under the given scheduler mode and SMI
@@ -95,12 +98,6 @@ pub fn eager_vs_lazy_with_stats(
     (rows, set.stats)
 }
 
-/// [`eager_vs_lazy_with_stats`] without the instrumentation, configured
-/// from the environment.
-pub fn eager_vs_lazy(seed: u64) -> Vec<(Option<u64>, f64, f64)> {
-    eager_vs_lazy_with_stats(&HarnessConfig::from_env(), seed).0
-}
-
 /// Utilization-limit knob rows: (limit %, miss rate) under fixed SMI noise,
 /// one independent trial per limit.
 pub fn util_limit_knob_with_stats(
@@ -117,12 +114,6 @@ pub fn util_limit_knob_with_stats(
         .map(|(&limit, &rate)| (limit / 10_000, rate))
         .collect();
     (rows, set.stats)
-}
-
-/// [`util_limit_knob_with_stats`] without the instrumentation, configured
-/// from the environment.
-pub fn util_limit_knob(seed: u64) -> Vec<(u64, f64)> {
-    util_limit_knob_with_stats(&HarnessConfig::from_env(), seed).0
 }
 
 /// Interrupt steering: jitter of an RT thread's dispatches with device
@@ -194,6 +185,33 @@ pub fn timer_mode_precision(mode: TimerMode, seed: u64) -> f64 {
     errs.iter().sum::<f64>() / errs.len().max(1) as f64
 }
 
+/// Timer-mode rows: `(mode label, mean absolute period error in cycles)`
+/// for TSC-deadline timing and one-shot ticks of 26, 260 and 2600 cycles.
+pub fn timer_modes(seed: u64) -> Vec<(&'static str, f64)> {
+    [
+        ("tsc_deadline", TimerMode::TscDeadline),
+        ("oneshot_26c", TimerMode::OneShot { tick_cycles: 26 }),
+        ("oneshot_260c", TimerMode::OneShot { tick_cycles: 260 }),
+        ("oneshot_2600c", TimerMode::OneShot { tick_cycles: 2600 }),
+    ]
+    .map(|(name, mode)| (name, timer_mode_precision(mode, seed)))
+    .to_vec()
+}
+
+/// Phase-correction rows: `(group size, corrected?, dispatch-spread
+/// summary in cycles)` for groups of 8, 16 and 32 over 200 invocations,
+/// each size with correction off then on (§4.4).
+pub fn phase_correction(seed: u64) -> Vec<(usize, bool, Summary)> {
+    [8usize, 16, 32]
+        .iter()
+        .flat_map(|&n| [false, true].map(|corrected| (n, corrected)))
+        .map(|(n, corrected)| {
+            let s = crate::groupsync::measure(n, 200, corrected, seed);
+            (n, corrected, s.summary)
+        })
+        .collect()
+}
+
 /// Hard vs. soft real-time under overload (§7 contrasts this work with
 /// the authors' earlier soft model): two threads each want 60% of one CPU.
 /// Hard admission rejects one of them and the admitted one never misses;
@@ -245,6 +263,99 @@ pub fn hard_vs_soft_overload(seed: u64) -> (f64, usize, Vec<f64>) {
         .map(|&(t, _)| hard_rates[t])
         .unwrap_or(f64::NAN);
     (admitted_rate, admitted_count, soft_rates)
+}
+
+/// What one scheduling scheme cost on the cyclic-vs-EDF task set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchemeCounts {
+    /// Deadlines missed.
+    pub missed: u64,
+    /// Timer interrupts taken on the hosting CPU.
+    pub timer_interrupts: u64,
+    /// Context switches on the hosting CPU.
+    pub context_switches: u64,
+}
+
+/// The periodic set both schemes run: 15% + 20% + 7.5% of one CPU.
+const CYCLIC_SET: [CyclicTask; 3] = [
+    CyclicTask {
+        period: 100_000,
+        wcet: 15_000,
+    },
+    CyclicTask {
+        period: 200_000,
+        wcet: 40_000,
+    },
+    CyclicTask {
+        period: 400_000,
+        wcet: 30_000,
+    },
+];
+
+/// Online eager EDF vs. a statically compiled cyclic executive on the same
+/// periodic set for `horizon_ns` (§8 future work, implemented). Returns
+/// `(edf, cyclic)`. Both meet every deadline; the executive's interrupt
+/// count is fixed by construction (one per minor frame, scheduling decided
+/// offline), while EDF's depends on how arrivals and slice ends coalesce.
+pub fn cyclic_vs_edf(horizon_ns: Nanos, seed: u64) -> (SchemeCounts, SchemeCounts) {
+    let node = || {
+        let mut cfg = NodeConfig::phi();
+        cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(seed);
+        cfg.sched = SchedConfig::throughput();
+        Node::new(cfg)
+    };
+    let counts = |node: &Node, missed: u64| {
+        let st = &node.scheduler(1).stats;
+        SchemeCounts {
+            missed,
+            timer_interrupts: st.timer_invocations,
+            context_switches: st.switches,
+        }
+    };
+
+    // The set as three independent EDF threads on one CPU.
+    let mut edf = node();
+    let tids: Vec<_> = CYCLIC_SET
+        .iter()
+        .map(|&t| {
+            let prog = FnProgram::new(move |_cx, n| {
+                if n == 0 {
+                    Action::Call(SysCall::ChangeConstraints(
+                        Constraints::periodic(t.period, t.wcet).build(),
+                    ))
+                } else {
+                    Action::Compute(1_000_000)
+                }
+            });
+            edf.spawn_on(1, "edf", Box::new(prog)).unwrap()
+        })
+        .collect();
+    edf.run_for_ns(horizon_ns);
+    let edf_missed = tids.iter().map(|&t| edf.thread_state(t).stats.missed).sum();
+
+    // The same set as one thread hosting the compiled executive.
+    let schedule = compile_cyclic(&CYCLIC_SET).unwrap();
+    schedule.verify().unwrap();
+    let mut cyc = node();
+    let hosting = schedule.hosting_constraints(10_000);
+    let major_cycles = (horizon_ns / schedule.hyperperiod) as usize;
+    let mut exec = Some(CyclicExecutive::new(schedule, cyc.freq(), major_cycles));
+    let mut inner: Option<CyclicExecutive> = None;
+    let prog = FnProgram::new(move |cx, n| {
+        if n == 0 {
+            return Action::Call(SysCall::ChangeConstraints(hosting));
+        }
+        if n == 1 {
+            assert_eq!(cx.result, SysResult::Admission(Ok(())));
+            inner = exec.take();
+        }
+        inner.as_mut().unwrap().resume(cx)
+    });
+    let tid = cyc.spawn_on(1, "cyclic", Box::new(prog)).unwrap();
+    cyc.run_until_quiescent();
+    let cyc_missed = cyc.thread_state(tid).stats.missed;
+
+    (counts(&edf, edf_missed), counts(&cyc, cyc_missed))
 }
 
 /// Admission-policy comparison on a fixed constraint menu. Returns rows of
@@ -310,7 +421,7 @@ mod tests {
 
     #[test]
     fn eager_beats_lazy_under_smi() {
-        let rows = eager_vs_lazy(31);
+        let (rows, _) = eager_vs_lazy_with_stats(&HarnessConfig::serial(), 31);
         // Without SMIs both modes meet everything.
         let (none, eager0, lazy0) = rows[0];
         assert_eq!(none, None);
@@ -326,7 +437,7 @@ mod tests {
 
     #[test]
     fn lower_utilization_limit_absorbs_more_smi_noise() {
-        let rows = util_limit_knob(31);
+        let (rows, _) = util_limit_knob_with_stats(&HarnessConfig::serial(), 31);
         let at99 = rows[0].1;
         let at70 = rows.last().unwrap().1;
         assert!(
@@ -367,6 +478,15 @@ mod tests {
             soft_rates.iter().any(|&r| r > 0.25),
             "soft overload must show heavy misses: {soft_rates:?}"
         );
+    }
+
+    #[test]
+    fn the_executive_takes_one_interrupt_per_frame_and_neither_scheme_misses() {
+        let (edf, cyclic) = cyclic_vs_edf(100_000_000, 77);
+        assert_eq!((edf.missed, cyclic.missed), (0, 0));
+        // 100 ms of 100 µs minor frames.
+        assert_eq!(cyclic.timer_interrupts, 1000);
+        assert!(edf.timer_interrupts > cyclic.timer_interrupts);
     }
 
     #[test]

@@ -4,50 +4,15 @@
 //! growing tenant counts (to one million gangs per strategy with
 //! `--paper`) and reports admission decisions/second, packing quality
 //! against the fluid oracle, and the hyperperiod-sim memo hit rate.
-//! Writes `results/cluster.csv` plus `BENCH_cluster.json`. Set
+//! Writes `results/cluster.csv` (simulated quantities only; decisions/s
+//! is host timing and is printed, not stored). Set
 //! `NAUTIX_STATS_STREAM=<path>` to watch cluster admission throughput
 //! live with `nautix-top <path>`.
 
-use nautix_bench::cluster_bench::{run_with_stats, ClusterPoint};
+use nautix_bench::cluster_bench::run_with_stats;
 use nautix_bench::{banner, f, out_dir, set_stats_stream, write_csv, Scale};
 use nautix_rt::HarnessConfig;
 use nautix_stats::{HubOptions, StatsHub};
-
-fn json(points: &[ClusterPoint], overall_dps: f64, threads: usize) -> String {
-    let mut s = String::from("{\n  \"bench\": \"cluster\",\n");
-    s.push_str(&format!("  \"threads\": {threads},\n  \"points\": [\n"));
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"shards\": {}, \"cpus\": {}, \
-             \"tenants\": {}, \"decisions\": {}, \"placed\": {}, \
-             \"rejected\": {}, \"departures\": {}, \"probes\": {}, \
-             \"placed_util_ppm\": {}, \"oracle_util_ppm\": {}, \
-             \"quality\": {}, \"sim_hit_rate\": {}, \"wall_secs\": {}, \
-             \"decisions_per_sec\": {}}}{}\n",
-            p.strategy,
-            p.shards,
-            p.cpus,
-            p.tenants,
-            p.decisions,
-            p.placed,
-            p.rejected,
-            p.departures,
-            p.probes,
-            p.placed_util_ppm,
-            p.oracle_util_ppm,
-            f(p.quality),
-            f(p.sim_hit_rate),
-            f(p.wall_secs),
-            f(p.decisions_per_sec),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str(&format!(
-        "  ],\n  \"overall_decisions_per_sec\": {}\n}}\n",
-        f(overall_dps)
-    ));
-    s
-}
 
 fn main() {
     let scale = Scale::from_args();
@@ -119,8 +84,6 @@ fn main() {
             "oracle_util_ppm",
             "quality",
             "sim_hit_rate",
-            "wall_secs",
-            "decisions_per_sec",
         ],
         points.iter().map(|p| {
             vec![
@@ -137,8 +100,6 @@ fn main() {
                 p.oracle_util_ppm.to_string(),
                 f(p.quality),
                 f(p.sim_hit_rate),
-                f(p.wall_secs),
-                f(p.decisions_per_sec),
             ]
         }),
     );
@@ -154,9 +115,4 @@ fn main() {
             live.total.headline()
         );
     }
-
-    let bench_path = std::path::Path::new("BENCH_cluster.json");
-    std::fs::write(bench_path, json(&points, overall_dps, hc.threads))
-        .expect("write BENCH_cluster.json");
-    println!("wrote {bench_path:?}");
 }

@@ -1,12 +1,12 @@
 //! Fault sweep: deterministic injection + graceful degradation.
 //!
 //! Sweeps `FaultPlan::noisy` intensities over an admitted workload and
-//! writes `results/fault_sweep.csv` plus `BENCH_faults.json`. Run with
-//! `NAUTIX_ORACLES=1` (trace build) to have every node check the online
+//! writes `results/fault_sweep.csv`. Run with
+//! `NAUTIX_ORACLES=1` to have every node check the online
 //! invariant oracles and attribute environment-induced misses to fault
 //! lanes; `NAUTIX_FAULTS=<x>` appends an extra intensity to the grid.
 
-use nautix_bench::{banner, f, fault_sweep, out_dir, write_csv, BenchReport, Scale};
+use nautix_bench::{banner, f, fault_sweep, out_dir, write_csv, Scale};
 use nautix_rt::HarnessConfig;
 
 fn main() {
@@ -106,9 +106,5 @@ fn main() {
         }
     }
 
-    let mut report = BenchReport::new();
-    report.add("fault_sweep", stats);
-    let bench_path = std::path::Path::new("BENCH_faults.json");
-    report.write(bench_path);
-    println!("\nwrote {bench_path:?}");
+    println!("\nfault_sweep: {stats}");
 }

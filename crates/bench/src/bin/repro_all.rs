@@ -1,7 +1,13 @@
-//! Run every figure reproduction and every ablation in sequence,
-//! writing all CSVs under `results/` and printing a compact
-//! paper-vs-measured summary at the end. Pass `--paper` for the full
-//! paper-scale sweeps (minutes); the default quick scale finishes fast.
+//! Run the figure table (`nautix_bench::experiments::TABLE`): every figure
+//! reproduction, the §1 isolation experiment and every ablation, each
+//! writing its CSV under `results/` (override with `NAUTIX_RESULTS`), then
+//! print the paper-vs-measured summary and write it beside them as
+//! `paper_vs_measured.txt`.
+//!
+//! `repro_all [--paper] [name…]`: `--paper` selects the paper-scale sweeps
+//! (seconds; the default quick scale takes well under one), and naming
+//! table entries runs only those. An unknown flag or name exits 2 before
+//! anything runs.
 //!
 //! Two extra modes:
 //!
@@ -12,12 +18,7 @@
 //!   to `<path>` while the sweeps run; watch them with
 //!   `nautix-top <path>`.
 
-use nautix_bench::throttle::Granularity;
-use nautix_bench::{
-    ablations, banner, barrier_removal, f, fig03, fig04, fig05, fig10, groupsync, missrate,
-    out_dir, set_stats_stream, throttle, write_csv, BenchReport, Scale, Scenario,
-};
-use nautix_hw::Platform;
+use nautix_bench::{experiments, out_dir, set_stats_stream, Scenario};
 use nautix_rt::HarnessConfig;
 use nautix_stats::{HubOptions, StatsHub};
 
@@ -77,7 +78,7 @@ fn start_stats_stream(hc: &HarnessConfig) -> Option<StatsHub> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--replay") {
         match args.get(i + 1) {
             Some(path) => run_replay(path),
@@ -87,7 +88,10 @@ fn main() {
             }
         }
     }
-    let scale = Scale::from_args();
+    let (scale, entries) = experiments::parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: repro_all [--paper] [name…] | --replay <file>");
+        std::process::exit(2);
+    });
     let hc = HarnessConfig::from_env();
     let hub = start_stats_stream(&hc);
     println!(
@@ -102,377 +106,19 @@ fn main() {
              one-shot); any violation aborts the run\n"
         );
     }
-    let mut summary: Vec<(String, String, String)> = Vec::new();
-    let mut report = BenchReport::new();
     let t0 = std::time::Instant::now();
-
-    banner("Figure 3");
-    let r3 = fig03::run(scale, 42);
-    write_csv(
-        &out_dir().join("fig03_timesync.csv"),
-        &["offset_cycles", "count"],
-        r3.bins.iter().map(|b| vec![b.edge, b.count]),
-    );
-    summary.push((
-        "Fig 3: TSC sync envelope".into(),
-        "all CPUs within 1000 cycles".into(),
-        format!("max {} cycles, {} over 1000", r3.summary.max, r3.over_1000),
-    ));
-
-    banner("Figure 4");
-    let r4 = fig04::run(scale, 3);
-    write_csv(
-        &out_dir().join("fig04_scope.csv"),
-        &[
-            "trace",
-            "pulses",
-            "width_mean",
-            "width_std",
-            "period_mean",
-            "period_std",
-            "duty",
-        ],
-        [
-            ("thread", &r4.thread),
-            ("scheduler", &r4.scheduler),
-            ("interrupt", &r4.interrupt),
-        ]
-        .iter()
-        .map(|(n, a)| {
-            vec![
-                n.to_string(),
-                a.pulses.to_string(),
-                f(a.high_widths.mean),
-                f(a.high_widths.std_dev),
-                f(a.periods.mean),
-                f(a.periods.std_dev),
-                f(a.duty_cycle),
-            ]
-        }),
-    );
-    summary.push((
-        "Fig 4: thread trace sharpness".into(),
-        "thread sharp, scheduler/IRQ fuzzy; duty slightly >50%".into(),
-        format!(
-            "thread period jitter {} cyc, IRQ width jitter {} cyc, duty {}",
-            f(r4.thread.periods.std_dev),
-            f(r4.interrupt.high_widths.std_dev),
-            f(r4.thread.duty_cycle)
-        ),
-    ));
-
-    banner("Figure 5");
-    let r5 = fig05::run(scale, 17);
-    write_csv(
-        &out_dir().join("fig05_overheads.csv"),
-        &["platform", "component", "mean", "std", "min", "max"],
-        [&r5.phi, &r5.r415].iter().flat_map(|p| {
-            [
-                ("IRQ", p.breakdown.irq),
-                ("Other", p.breakdown.other),
-                ("Resched", p.breakdown.resched),
-                ("Switch", p.breakdown.switch),
-            ]
-            .map(|(name, su)| {
-                vec![
-                    format!("{:?}", p.platform),
-                    name.to_string(),
-                    f(su.mean),
-                    f(su.std_dev),
-                    su.min.to_string(),
-                    su.max.to_string(),
-                ]
-            })
-        }),
-    );
-    summary.push((
-        "Fig 5: Phi overhead".into(),
-        "~6000 cycles, pass about half".into(),
-        format!(
-            "{} cycles, pass {}",
-            f(r5.phi.mean_total()),
-            f(r5.phi.breakdown.resched.mean / r5.phi.mean_total())
-        ),
-    ));
-
-    for (figa, figb, platform, edge) in [
-        ("Fig 6", "Fig 8", Platform::Phi, "10 µs"),
-        ("Fig 7", "Fig 9", Platform::R415, "4 µs"),
-    ] {
-        banner(&format!("{figa} / {figb}"));
-        let (pts, stats) = missrate::sweep_with_stats(&hc, platform, scale, 5);
-        report.add(
-            if platform == Platform::Phi {
-                "fig06_08_missrate_phi"
-            } else {
-                "fig07_09_missrate_r415"
-            },
-            stats,
-        );
-        let name = format!(
-            "fig{}_missrate_{}.csv",
-            if platform == Platform::Phi {
-                "06"
-            } else {
-                "07"
-            },
-            if platform == Platform::Phi {
-                "phi"
-            } else {
-                "r415"
-            }
-        );
-        write_csv(
-            &out_dir().join(&name),
-            &[
-                "period_us",
-                "slice_pct",
-                "miss_rate",
-                "miss_mean_ns",
-                "miss_std_ns",
-            ],
-            pts.iter().map(|p| {
-                vec![
-                    p.period_us.to_string(),
-                    p.slice_pct.to_string(),
-                    f(p.miss_rate),
-                    f(p.miss_mean_ns),
-                    f(p.miss_std_ns),
-                ]
-            }),
-        );
-        let feasible_zero = pts
-            .iter()
-            .filter(|p| p.period_us >= 100 && p.slice_pct <= 70)
-            .all(|p| p.miss_rate == 0.0);
-        // The edge period: the smallest period in each platform's sweep.
-        let edge_period = if platform == Platform::Phi { 10 } else { 4 };
-        let edge_missy = pts
-            .iter()
-            .filter(|p| p.period_us == edge_period && p.slice_pct >= 50)
-            .all(|p| p.miss_rate > 0.5);
-        summary.push((
-            format!("{figa}: feasibility edge ({platform:?})"),
-            format!("zero misses when feasible; edge near {edge}"),
-            format!(
-                "coarse feasible zero-miss: {feasible_zero}; \
-                 {edge_period}µs fat slices missy: {edge_missy}"
-            ),
-        ));
-        let worst_miss_time = pts.iter().map(|p| p.miss_mean_ns).fold(0.0f64, f64::max);
-        summary.push((
-            format!("{figb}: miss magnitudes ({platform:?})"),
-            "small (µs-scale) even when infeasible".into(),
-            format!("worst mean lateness {} µs", f(worst_miss_time / 1000.0)),
-        ));
-    }
-
-    banner("Figure 10");
-    let r10 = fig10::run(scale, 9);
-    write_csv(
-        &out_dir().join("fig10_group_admission.csv"),
-        &["n", "step", "min_cycles", "avg_cycles", "max_cycles"],
-        r10.iter().flat_map(|r| {
-            [
-                ("join", r.join),
-                ("election", r.election),
-                ("admission", r.admission),
-                ("local_admission", r.local),
-                ("barrier_phase", r.barrier_phase),
-                ("total", r.total),
-            ]
-            .map(|(step, su)| {
-                vec![
-                    r.n.to_string(),
-                    step.to_string(),
-                    su.min.to_string(),
-                    f(su.mean),
-                    su.max.to_string(),
-                ]
-            })
-        }),
-    );
-    let last = r10.last().unwrap();
-    summary.push((
-        "Fig 10: group admission growth".into(),
-        "linear in n; ~8M cycles at 255".into(),
-        format!(
-            "total mean {:.2}M cycles at n={}",
-            last.total.mean / 1e6,
-            last.n
-        ),
-    ));
-
-    banner("Figure 11");
-    let r11 = groupsync::fig11(scale, 21);
-    write_csv(
-        &out_dir().join("fig11_group_sync8.csv"),
-        &["invocation", "spread_cycles"],
-        r11.spreads
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| vec![i as u64, v]),
-    );
-    summary.push((
-        "Fig 11: 8-thread sync".into(),
-        "within a few 1000s of cycles".into(),
-        format!("mean {} max {}", f(r11.summary.mean), r11.summary.max),
-    ));
-
-    banner("Figure 12");
-    let (r12, stats12) = groupsync::fig12_with_stats(&hc, scale, 21);
-    report.add("fig12_group_sync_scale", stats12);
-    write_csv(
-        &out_dir().join("fig12_group_sync_scale.csv"),
-        &["n", "invocation", "spread_cycles"],
-        r12.iter().flat_map(|s| {
-            s.spreads
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| vec![s.n as u64, i as u64, v])
-                .collect::<Vec<_>>()
-        }),
-    );
-    let big = r12.last().unwrap();
-    let small = r12.first().unwrap();
-    summary.push((
-        "Fig 12: sync vs group size".into(),
-        "bias grows with n; variation does not".into(),
-        format!(
-            "bias {} -> {} cycles; std {} -> {}",
-            f(small.summary.mean),
-            f(big.summary.mean),
-            f(small.summary.std_dev),
-            f(big.summary.std_dev)
-        ),
-    ));
-
-    banner("Figure 13");
-    let (r13, stats13) = throttle::run_with_stats(&hc, Granularity::Coarse, scale, 3);
-    report.add("fig13_throttle_coarse", stats13);
-    let (_, cv13) = throttle::control_quality(&r13);
-    banner("Figure 14");
-    let (r14, stats14) = throttle::run_with_stats(&hc, Granularity::Fine, scale, 3);
-    report.add("fig14_throttle_fine", stats14);
-    let (_, cv14) = throttle::control_quality(&r14);
-    for (name, pts) in [
-        ("fig13_throttle_coarse.csv", &r13),
-        ("fig14_throttle_fine.csv", &r14),
-    ] {
-        write_csv(
-            &out_dir().join(name),
-            &[
-                "period_ns",
-                "slice_ns",
-                "utilization",
-                "time_ns",
-                "admitted",
-            ],
-            pts.iter().map(|p| {
-                vec![
-                    p.period_ns.to_string(),
-                    p.slice_ns.to_string(),
-                    f(p.utilization),
-                    p.time_ns.to_string(),
-                    p.admitted.to_string(),
-                ]
-            }),
-        );
-    }
-    summary.push((
-        "Fig 13/14: throttling".into(),
-        "commensurate; fine grain varies more".into(),
-        format!("time x util cv: coarse {} fine {}", f(cv13), f(cv14)),
-    ));
-
-    banner("Figure 15");
-    let r15 = barrier_removal::run(Granularity::Coarse, scale, 7);
-    banner("Figure 16");
-    let r16 = barrier_removal::run(Granularity::Fine, scale, 7);
-    for (name, r) in [
-        ("fig15_barrier_coarse.csv", &r15),
-        ("fig16_barrier_fine.csv", &r16),
-    ] {
-        write_csv(
-            &out_dir().join(name),
-            &[
-                "period_ns",
-                "slice_ns",
-                "with_barrier_ns",
-                "without_barrier_ns",
-                "speedup",
-                "violations",
-            ],
-            r.points.iter().map(|p| {
-                vec![
-                    p.period_ns.to_string(),
-                    p.slice_ns.to_string(),
-                    p.with_barrier_ns.to_string(),
-                    p.without_barrier_ns.to_string(),
-                    f(p.speedup()),
-                    p.violations.to_string(),
-                ]
-            }),
-        );
-    }
-    let mean_speedup = |r: &barrier_removal::Removal| {
-        r.points.iter().map(|p| p.speedup()).sum::<f64>() / r.points.len().max(1) as f64
-    };
-    summary.push((
-        "Fig 15/16: barrier removal".into(),
-        "small win coarse; 20-300% fine; fine RT beats aperiodic".into(),
-        format!(
-            "mean speedup coarse {} fine {}; fine beats aperiodic: {}",
-            f(mean_speedup(&r15)),
-            f(mean_speedup(&r16)),
-            r16.points
-                .iter()
-                .any(|p| p.without_barrier_ns < r16.aperiodic_ns)
-        ),
-    ));
-
-    banner("Isolation");
-    let iso_rt = nautix_bench::isolation::measure(true, 8, 40, 131);
-    let iso_be = nautix_bench::isolation::measure(false, 8, 40, 131);
-    summary.push((
-        "Isolation: time-shared gangs (§1)".into(),
-        "RT gang unaffected by co-resident gang".into(),
-        format!(
-            "interference: hard-rt {}x (misses {}), best-effort {}x",
-            f(iso_rt.interference),
-            iso_rt.misses,
-            f(iso_be.interference)
-        ),
-    ));
-
-    banner("Ablations");
-    let (el, stats_el) = ablations::eager_vs_lazy_with_stats(&hc, 31);
-    report.add("abl_eager_vs_lazy", stats_el);
-    let (_, e_hot, l_hot) = el[el.len() - 1];
-    summary.push((
-        "Ablation: eager vs lazy under SMI".into(),
-        "eager absorbs missing time".into(),
-        format!("miss rates: eager {} lazy {}", f(e_hot), f(l_hot)),
-    ));
-    let (knob, stats_knob) = ablations::util_limit_knob_with_stats(&hc, 31);
-    report.add("abl_util_limit", stats_knob);
-    summary.push((
-        "Ablation: utilization-limit knob".into(),
-        "lower limit, fewer SMI-induced misses".into(),
-        format!(
-            "99% -> {}; 70% -> {}",
-            f(knob[0].1),
-            f(knob.last().unwrap().1)
-        ),
-    ));
+    let out = out_dir();
+    let run = experiments::run(&hc, scale, &out, &entries);
 
     println!("\n==== paper vs measured ====");
-    for (what, paper, measured) in &summary {
-        println!("{what}\n  paper:    {paper}\n  measured: {measured}");
+    print!("{}", run.summary_text());
+    println!();
+    for (name, st) in run.report.sections() {
+        println!("{name}: {st}");
     }
-    let (trials, wall, events) = report.totals();
+    let (trials, wall, events) = run.report.totals();
     println!(
-        "\nharness: {} trials on {} threads, {:.2}s wall in instrumented sections, \
+        "harness: {} trials on {} threads, {:.2}s wall in instrumented sections, \
          {} simulated events ({:.0} events/s)",
         trials,
         hc.threads,
@@ -538,12 +184,9 @@ fn main() {
             live.total.headline()
         );
     }
-    let bench_path = std::path::Path::new("BENCH_repro.json");
-    report.write(bench_path);
-    println!("wrote {bench_path:?}");
     println!(
-        "\nall CSVs under {:?}; elapsed {:.1}s",
-        out_dir(),
+        "\nall CSVs and {} under {out:?}; elapsed {:.1}s",
+        experiments::SUMMARY_FILE,
         t0.elapsed().as_secs_f64()
     );
 }

@@ -5,11 +5,12 @@
 //! (CPU count, topology) cell — the storm additionally A/Bs
 //! `StealPolicy::LlcFirst` against `Uniform` — and reports events/s,
 //! steal locality hit rate, and cross-package kick fraction. Writes
-//! `results/topology.csv` and `BENCH_topology.json`. Default scale is
-//! quick (the CI smoke run: 1024 CPUs only); pass `--paper` for the full
-//! 256/512/1024 curve.
+//! `results/topology.csv`. Default scale is quick (the CI smoke run: 1024
+//! CPUs only); pass `--paper` for the full 256/512/1024 curve. Exits 1
+//! when LLC-first stealing fails to beat uniform on locality at a tree
+//! cell.
 
-use nautix_bench::{banner, f, out_dir, topology, write_csv, BenchReport, Scale};
+use nautix_bench::{banner, f, out_dir, topology, write_csv, Scale};
 use nautix_rt::HarnessConfig;
 
 fn main() {
@@ -87,20 +88,13 @@ fn main() {
     );
     println!("wrote {:?}", out_dir().join("topology.csv"));
 
-    let mut report = BenchReport::new();
     for (name, stats) in sections {
-        println!(
-            "{name}: {} trials on {} threads, {:.2}s wall, {:.0} events/s",
-            stats.trials,
-            stats.threads,
-            stats.wall_secs,
-            stats.events_per_sec()
-        );
-        report.add(name, stats);
+        println!("{name}: {stats}");
     }
 
     // The headline A/B: at each tree cell, LLC-biased stealing must beat
-    // uniform on locality hit rate and not lose on simulated makespan.
+    // uniform on locality hit rate.
+    let mut broken = 0;
     for p in rows.iter().filter(|p| p.workload == "steal_llcfirst") {
         if let Some(u) = rows.iter().find(|u| {
             u.workload == "steal_uniform" && u.n_cpus == p.n_cpus && u.topology == p.topology
@@ -117,7 +111,7 @@ fn main() {
                     0.0
                 }
             };
-            let line = format!(
+            println!(
                 "{} cpus {}: LlcFirst locality {} vs Uniform {}; makespan {} ms vs {} ms; \
                  {:.0} vs {:.0} simulated events/s",
                 p.n_cpus,
@@ -129,17 +123,17 @@ fn main() {
                 sim_rate(p),
                 sim_rate(u),
             );
-            println!("{line}");
-            report.note(line);
             if p.topology != "flat" && p.locality_hit_rate() <= u.locality_hit_rate() {
-                report.note(format!(
-                    "ADVISORY: LLC-biased stealing did not beat uniform on locality \
+                broken += 1;
+                eprintln!(
+                    "FAIL: LLC-biased stealing did not beat uniform on locality \
                      at {} cpus {}",
                     p.n_cpus, p.topology
-                ));
+                );
             }
         }
     }
-    report.write(std::path::Path::new("BENCH_topology.json"));
-    println!("wrote BENCH_topology.json");
+    if broken > 0 {
+        std::process::exit(1);
+    }
 }

@@ -9,8 +9,8 @@
 //! comparison is apples to apples.
 //!
 //! The binary (`cluster_bench`) prints the table and writes
-//! `results/cluster.csv` plus `BENCH_cluster.json`; `--paper` scales the
-//! sweep to a 16-shard fleet and one million tenant gangs per strategy.
+//! `results/cluster.csv`; `--paper` scales the sweep to a 16-shard fleet
+//! and one million tenant gangs per strategy.
 
 use crate::harness::{run_trials, stream_delta, HarnessStats};
 use crate::Scale;

@@ -9,20 +9,48 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced CPU counts / sweep densities: seconds per figure. Used by
-    /// tests and the Criterion benches.
+    /// tests.
     Quick,
     /// The paper's configuration (full Phi, full sweeps).
     Paper,
 }
 
 impl Scale {
-    /// Parse from argv: `--paper` selects [`Scale::Paper`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Quick
+    /// Parse a sweep binary's arguments (program name excluded): `--paper`
+    /// selects [`Scale::Paper`], any other `-flag` is an error, and
+    /// everything else is returned as positional arguments for the caller
+    /// to judge. Nothing is ignored: a mistyped flag must not run the
+    /// quick scale and report success.
+    pub fn parse_args(args: &[String]) -> Result<(Scale, Vec<&str>), String> {
+        let mut scale = Scale::Quick;
+        let mut positional = Vec::new();
+        for a in args {
+            match a.as_str() {
+                "--paper" => scale = Scale::Paper,
+                flag if flag.starts_with('-') => {
+                    return Err(format!("unknown flag `{flag}` (the only flag is --paper)"))
+                }
+                name => positional.push(name),
+            }
         }
+        Ok((scale, positional))
+    }
+
+    /// The scale of a binary that takes `[--paper]` and nothing else.
+    /// Exits 2 on any other argument.
+    pub fn from_args() -> Scale {
+        let mut argv = std::env::args();
+        let prog = argv.next().unwrap_or_default();
+        let args: Vec<String> = argv.collect();
+        let parsed =
+            Scale::parse_args(&args).and_then(|(scale, positional)| match positional.first() {
+                None => Ok(scale),
+                Some(p) => Err(format!("unexpected argument `{p}`")),
+            });
+        parsed.unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: {prog} [--paper]");
+            std::process::exit(2);
+        })
     }
 }
 
@@ -76,6 +104,19 @@ mod tests {
         write_csv(&p, &["a", "b"], vec![vec![1, 2], vec![3, 4]]);
         let s = fs::read_to_string(&p).unwrap();
         assert_eq!(s, "a,b\n1,2\n3,4\n");
+    }
+
+    #[test]
+    fn arguments_parse_strictly() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(Scale::parse_args(&[]), Ok((Scale::Quick, vec![])));
+        assert_eq!(
+            Scale::parse_args(&args(&["a", "--paper", "b"])),
+            Ok((Scale::Paper, vec!["a", "b"]))
+        );
+        // The typo that used to run quick scale and report success.
+        assert!(Scale::parse_args(&args(&["--papr"])).is_err());
+        assert!(Scale::parse_args(&args(&["--quick"])).is_err());
     }
 
     #[test]

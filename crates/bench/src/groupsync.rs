@@ -155,12 +155,6 @@ pub fn fig12_with_stats(
     (set.results, set.stats)
 }
 
-/// [`fig12_with_stats`] without the instrumentation, configured from the
-/// environment.
-pub fn fig12(scale: Scale, seed: u64) -> Vec<SyncSeries> {
-    fig12_with_stats(&HarnessConfig::from_env(), scale, seed).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

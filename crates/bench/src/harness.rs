@@ -19,13 +19,11 @@
 //!
 //! Every trial is instrumented: the harness records per-trial wall time and
 //! simulated-event count (the DES hot-path metric) and aggregates them into
-//! [`HarnessStats`]. Binaries collect one `HarnessStats` per experiment
-//! section into a [`BenchReport`] and emit it as `BENCH_repro.json`.
+//! [`HarnessStats`]. `repro_all` collects one `HarnessStats` per experiment
+//! section into a [`BenchReport`] and prints the totals.
 
 use nautix_rt::HarnessConfig;
 use nautix_stats::{StatsSnapshot, StatsTx};
-use std::fmt::Write as _;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -123,6 +121,22 @@ impl HarnessStats {
     }
 }
 
+/// `N trials on M threads, W s wall, E events (R events/s)`: the one line
+/// every sweep binary prints per batch.
+impl std::fmt::Display for HarnessStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} trials on {} threads, {:.2}s wall, {} events ({:.0} events/s)",
+            self.trials,
+            self.threads,
+            self.wall_secs,
+            self.events,
+            self.events_per_sec()
+        )
+    }
+}
+
 /// Results plus instrumentation from [`run_trials`].
 #[derive(Debug)]
 pub struct TrialSet<R> {
@@ -215,11 +229,13 @@ where
     TrialSet { results, stats }
 }
 
-/// Per-section instrumentation, serialized to `BENCH_repro.json`.
+/// The instrumented sections of one run, in the order they ran. Host
+/// throughput is recorded by `benchmark/` and nowhere else; this list
+/// exists for [`BenchReport::totals`], whose event count is the
+/// reproduction's pin.
 #[derive(Debug, Default)]
 pub struct BenchReport {
     sections: Vec<(String, HarnessStats)>,
-    notes: Vec<String>,
 }
 
 impl BenchReport {
@@ -233,17 +249,9 @@ impl BenchReport {
         self.sections.push((name.to_string(), stats));
     }
 
-    /// Attach a free-form advisory note (serialized under `"notes"`; the
-    /// key is omitted entirely when no note was recorded, so note-free
-    /// reports keep their exact shape). Used for tracked caveats — e.g.
-    /// the layer sweep's containment advisories.
-    pub fn note(&mut self, msg: impl Into<String>) {
-        self.notes.push(msg.into());
-    }
-
-    /// Advisory notes recorded so far.
-    pub fn notes(&self) -> &[String] {
-        &self.notes
+    /// The recorded sections, in the order they were added.
+    pub fn sections(&self) -> &[(String, HarnessStats)] {
+        &self.sections
     }
 
     /// Totals over all sections: (trials, wall_secs, events).
@@ -252,111 +260,6 @@ impl BenchReport {
             (t + s.trials, w + s.wall_secs, e + s.events)
         })
     }
-
-    /// Serialize as JSON.
-    pub fn to_json(&self) -> String {
-        let (trials, wall, events) = self.totals();
-        // The widest section: what the run actually used, not what the
-        // environment asks for now.
-        let threads = self.sections.iter().map(|(_, st)| st.threads).max();
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"threads\": {},", threads.unwrap_or(0));
-        let _ = writeln!(s, "  \"trials\": {trials},");
-        let _ = writeln!(s, "  \"wall_secs\": {},", fnum(wall));
-        let _ = writeln!(s, "  \"events\": {events},");
-        let _ = writeln!(
-            s,
-            "  \"events_per_sec\": {},",
-            fnum(if wall > 0.0 {
-                events as f64 / wall
-            } else {
-                0.0
-            })
-        );
-        if !self.notes.is_empty() {
-            s.push_str("  \"notes\": [\n");
-            for (i, n) in self.notes.iter().enumerate() {
-                let _ = write!(s, "    \"{}\"", escape(n));
-                s.push_str(if i + 1 < self.notes.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            s.push_str("  ],\n");
-        }
-        s.push_str("  \"sections\": [\n");
-        for (i, (name, st)) in self.sections.iter().enumerate() {
-            s.push_str("    {");
-            let _ = write!(
-                s,
-                "\"name\": \"{}\", \"trials\": {}, \"threads\": {}, \
-                 \"wall_secs\": {}, \"cpu_secs\": {}, \"speedup\": {}, \
-                 \"events\": {}, \"events_per_sec\": {}, ",
-                escape(name),
-                st.trials,
-                st.threads,
-                fnum(st.wall_secs),
-                fnum(st.cpu_secs),
-                fnum(st.speedup()),
-                st.events,
-                fnum(st.events_per_sec()),
-            );
-            let _ = write!(
-                s,
-                "\"trial_wall_secs\": [{}], \"trial_events\": [{}]",
-                st.trial_wall_secs
-                    .iter()
-                    .map(|&x| fnum(x))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                st.trial_events
-                    .iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-            s.push('}');
-            s.push_str(if i + 1 < self.sections.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Write the JSON report to `path`.
-    pub fn write(&self, path: &Path) {
-        std::fs::write(path, self.to_json()).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-    }
-}
-
-/// JSON number formatting: finite, non-scientific, trailing-zero trimmed.
-fn fnum(x: f64) -> String {
-    if !x.is_finite() {
-        return "0".into();
-    }
-    let s = format!("{x:.6}");
-    let s = s.trim_end_matches('0').trim_end_matches('.');
-    if s.is_empty() || s == "-" {
-        "0".into()
-    } else {
-        s.to_string()
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -416,32 +319,5 @@ mod tests {
         assert_eq!(m.trials, 3);
         assert_eq!(m.events, 25);
         assert_eq!(m.trial_events, vec![10, 10, 5]);
-    }
-
-    #[test]
-    fn report_json_is_well_formed() {
-        let mut r = BenchReport::new();
-        let set = run_trials(&HarnessConfig::with_threads(2), vec![1u64, 2, 3], |&i| {
-            (i, i * 100)
-        });
-        r.add("sec\"one", set.stats);
-        let j = r.to_json();
-        assert!(j.contains("\"sections\": ["));
-        assert!(j.contains("sec\\\"one"));
-        assert!(j.contains("\"events\": 600"));
-        // The thread count the section ran with, whatever NAUTIX_THREADS says.
-        assert!(j.contains("\"threads\": 2,"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn fnum_trims_and_stays_finite() {
-        assert_eq!(fnum(1.5), "1.5");
-        assert_eq!(fnum(2.0), "2");
-        assert_eq!(fnum(0.0), "0");
-        assert_eq!(fnum(f64::NAN), "0");
-        assert_eq!(fnum(f64::INFINITY), "0");
     }
 }

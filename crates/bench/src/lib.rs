@@ -1,32 +1,35 @@
 //! Figure-by-figure reproduction harnesses for the HPDC'18 evaluation.
 //!
 //! Every figure in §5–§6 has a module here exposing its experiment as a
-//! library function (so tests and Criterion benches can run it at reduced
-//! scale) and a binary in `src/bin/` that prints the series and writes a
-//! CSV under `results/` (override with `NAUTIX_RESULTS`). Pass `--paper`
-//! to a binary for the paper-scale configuration; the default is a quick
-//! configuration that finishes in seconds.
+//! library function (so tests can run it at reduced scale) and an entry in
+//! [`experiments::TABLE`] that runs it once, writes its CSV under
+//! `results/` (override with `NAUTIX_RESULTS`) and reports its
+//! paper-vs-measured row. `repro_all [--paper] [entry…]` runs the table,
+//! or the named entries; the default is a quick configuration that
+//! finishes in under a second, `--paper` the paper-scale one.
 //!
-//! | Figure | Module | Binary |
-//! |--------|--------|--------|
+//! | Figure | Module | Entry |
+//! |--------|--------|-------|
 //! | 3 | [`fig03`] | `fig03_timesync` |
 //! | 4 | [`fig04`] | `fig04_scope` |
 //! | 5 | [`fig05`] | `fig05_overheads` |
-//! | 6, 8 | [`missrate`] | `fig06_missrate_phi`, `fig08_misstime_phi` |
-//! | 7, 9 | [`missrate`] | `fig07_missrate_r415`, `fig09_misstime_r415` |
+//! | 6, 8 | [`missrate`] | `fig06_missrate_phi` |
+//! | 7, 9 | [`missrate`] | `fig07_missrate_r415` |
 //! | 10 | [`fig10`] | `fig10_group_admission` |
 //! | 11, 12 | [`groupsync`] | `fig11_group_sync8`, `fig12_group_sync_scale` |
-//! | 13, 14 | [`throttle`] | `fig13_throttle_coarse`, `fig14_throttle_fine` |
-//! | 15, 16 | [`barrier_removal`] | `fig15_barrier_coarse`, `fig16_barrier_fine` |
+//! | 13, 14 | [`throttle`] | `fig13_14_throttle` |
+//! | 15, 16 | [`barrier_removal`] | `fig15_16_barrier` |
 //! | ablations | [`ablations`] | `abl_*` |
 //! | isolation (§1 claim) | [`isolation`] | `exp_isolation` |
 //!
-//! `repro_all` runs everything in sequence.
+//! The sweeps beyond the paper (`cluster_bench`, `topology_bench`,
+//! `layer_bench`, `fault_sweep`) keep a binary each.
 
 pub mod ablations;
 pub mod barrier_removal;
 pub mod cluster_bench;
 pub mod common;
+pub mod experiments;
 pub mod fault_sweep;
 pub mod fig03;
 pub mod fig04;

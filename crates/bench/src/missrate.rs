@@ -136,12 +136,6 @@ pub fn sweep_with_stats(
     (set.results, set.stats)
 }
 
-/// [`sweep_with_stats`] without the instrumentation, configured from the
-/// environment.
-pub fn sweep(platform: Platform, scale: Scale, seed: u64) -> Vec<MissPoint> {
-    sweep_with_stats(&HarnessConfig::from_env(), platform, scale, seed).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

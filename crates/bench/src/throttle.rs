@@ -142,11 +142,6 @@ pub fn run_with_stats(
     (set.results, set.stats)
 }
 
-/// Run the full sweep for one granularity, configured from the environment.
-pub fn run(g: Granularity, scale: Scale, seed: u64) -> Vec<ThrottlePoint> {
-    run_with_stats(&HarnessConfig::from_env(), g, scale, seed).0
-}
-
 /// Linear-control figure of merit: for each admitted point, the product
 /// `time x utilization` should be roughly constant (perfect throttling);
 /// returns (mean, coefficient of variation) of that product.

@@ -345,8 +345,8 @@ pub fn sweep_with_stats(
         let ev = p.events;
         (p, ev)
     });
-    // One section per steal policy so BENCH_topology.json carries a
-    // directly comparable events/s for the LlcFirst-vs-Uniform A/B.
+    // One section per steal policy so `topology_bench` prints a directly
+    // comparable events/s for the LlcFirst-vs-Uniform A/B.
     let storm_llc = run_trials(hc, cells.clone(), |&(n, t)| {
         let tasks = pile_factor * (n / 8).max(1);
         let p = steal_storm(

@@ -7,7 +7,7 @@
 //! 2. A disabled `FaultPlan` is free: the machine draws nothing from the
 //!    deterministic RNG and schedules nothing for it, so the paper-scale
 //!    reproduction's total simulated-event count stays byte-identical to
-//!    the seed value recorded in `BENCH_repro.json`.
+//!    the seed value `repro_all --paper` prints as its harness total.
 
 use nautix_bench::harness::NodePool;
 use nautix_bench::throttle::Granularity;
@@ -53,9 +53,9 @@ fn fault_laden_pooled_node_matches_fresh_construction() {
 }
 
 /// The seed event count of the full paper-scale reproduction (the
-/// `events` total in `BENCH_repro.json`): the sum over its instrumented
-/// sections, reconstructed here with the same scales and seeds
-/// `repro_all` uses. Every node in these sections carries the default —
+/// simulated-event total `repro_all --paper` prints): the sum over its
+/// instrumented sections, reconstructed here with the same scales and
+/// seeds `repro_all` uses. Every node in these sections carries the default —
 /// disabled — `FaultPlan`, so the count proves disabled lanes perturb
 /// nothing: no RNG draw, no scheduled event, no drift.
 const SEED_EVENT_COUNT: u64 = 45_472_710;
