@@ -7,7 +7,6 @@ fn main() {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(n + 1).with_seed(21);
     cfg.dispatch_log_cap = 256;
-    cfg.record_ga_timing = true;
     cfg.phase_correction = false;
     let mut node = Node::new(cfg);
     let gid = GroupId(0);

@@ -44,7 +44,6 @@ pub fn group_sizes(scale: Scale) -> Vec<usize> {
 pub fn measure(n: usize, seed: u64) -> GaCosts {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(n + 1).with_seed(seed);
-    cfg.record_ga_timing = true;
     let mut node = Node::new(cfg);
     let gid = GroupId(0);
     let mut tids = Vec::new();

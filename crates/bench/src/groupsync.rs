@@ -62,7 +62,6 @@ pub fn measure_on(
     cfg.max_threads = cfg.max_threads.max(machine.n_cpus + n + 64);
     cfg.machine = machine;
     cfg.dispatch_log_cap = invocations + 64;
-    cfg.record_ga_timing = true;
     cfg.phase_correction = phase_correction;
     let mut node = Node::new(cfg);
     let gid = GroupId(0);

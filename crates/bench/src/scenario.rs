@@ -475,8 +475,8 @@ impl Scenario {
     }
 
     /// Capture an assembled [`NodeConfig`] (the sweeps' exact construction
-    /// path) into a scenario. The config's recording-only knobs
-    /// (`dispatch_log_cap`, overhead/GA sampling) are not captured — the
+    /// path) into a scenario. The config's two recording-only knobs
+    /// (`dispatch_log_cap`, `record_overheads`) are not captured — the
     /// replayable workloads never set them, and they cannot change the
     /// simulated history.
     pub fn from_node_config(name: String, cfg: NodeConfig, workload: Workload) -> Scenario {

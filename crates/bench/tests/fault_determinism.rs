@@ -61,6 +61,7 @@ fn fault_laden_pooled_node_matches_fresh_construction() {
 const SEED_EVENT_COUNT: u64 = 45_472_710;
 
 #[test]
+#[ignore = "paper scale: ~30 s in a debug build; CI's oracles job runs it with --include-ignored"]
 fn disabled_fault_plan_reproduces_the_seed_event_count() {
     let hc = HarnessConfig::with_threads(4);
     let mut events = 0u64;

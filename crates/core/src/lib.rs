@@ -17,6 +17,7 @@
 pub mod admission;
 pub mod config;
 pub mod cyclic;
+mod gang;
 pub mod local;
 pub mod node;
 pub mod oracle;

@@ -484,39 +484,51 @@ impl LocalScheduler {
         now_ns: Nanos,
         anchor: bool,
     ) -> Result<(), AdmissionError> {
-        let old = st.constraints;
-        self.load.release(&old);
-        let candidate = self.load.admit(&self.cfg, &new);
+        self.swap_reservation(tid, &st.constraints, &new)?;
+        st.constraints = new;
+        st.job_active = false;
+        st.job_started = false;
+        st.job_blocked = false;
+        st.remaining_cycles = 0;
+        // A fresh contract restarts the overload bookkeeping.
+        st.consecutive_misses = 0;
+        st.widen_rounds = 0;
+        if anchor {
+            self.anchor(st, now_ns);
+        }
+        Ok(())
+    }
+
+    /// The one ledger step under every admission path (individual,
+    /// Algorithm 1's local step, each member of a team transaction): swap
+    /// `tid`'s reservation `old` for `new`, and on rejection put `old`
+    /// back, counting a rollback when `old` was real-time. Ledger and
+    /// records only — the caller owns the thread's state and anchoring.
+    /// Into an armed trace it emits `[ConstraintsReleased] [SimCacheProbe]
+    /// AdmitVerdict [AdmitRollback]`: the release on success, the rollback
+    /// on rejection, both only for a real-time `old`; the probe whenever
+    /// the policy simulated the candidate.
+    pub(crate) fn swap_reservation(
+        &mut self,
+        tid: ThreadId,
+        old: &Constraints,
+        new: &Constraints,
+    ) -> Result<(), AdmissionError> {
+        self.load.release(old);
+        let verdict = self.load.admit(&self.cfg, new);
         // The probe (when the policy simulated) belongs to the candidate's
         // verdict; take it before a rollback re-admission can overwrite it.
         let probe = self.load.take_probe();
-        let verdict = match candidate {
-            Ok(()) => {
-                st.constraints = new;
-                st.job_active = false;
-                st.job_started = false;
-                st.job_blocked = false;
-                st.remaining_cycles = 0;
-                // A fresh contract restarts the overload bookkeeping.
-                st.consecutive_misses = 0;
-                st.widen_rounds = 0;
-                if anchor {
-                    self.anchor(st, now_ns);
-                }
-                Ok(())
+        if verdict.is_err() {
+            self.load
+                .admit(&self.cfg, old)
+                .expect("re-admitting previously admitted constraints");
+            // The rollback's own probe pairs with no verdict: drop it.
+            let _ = self.load.take_probe();
+            if old.is_realtime() {
+                self.load.note_rollback();
             }
-            Err(e) => {
-                self.load
-                    .admit(&self.cfg, &old)
-                    .expect("re-admitting previously admitted constraints");
-                // The rollback's own probe pairs with no verdict: drop it.
-                let _ = self.load.take_probe();
-                if old.is_realtime() {
-                    self.load.note_rollback();
-                }
-                Err(e)
-            }
-        };
+        }
         if let Some(t) = &self.trace {
             if verdict.is_ok() && old.is_realtime() {
                 t.emit(Record::ConstraintsReleased {
@@ -525,19 +537,42 @@ impl LocalScheduler {
                 });
             }
             self.emit_probe(t, probe);
-            self.emit_verdict(t, tid, &new, verdict.is_ok());
+            self.emit_verdict(t, tid, new, verdict.is_ok());
             if verdict.is_err() && old.is_realtime() {
-                self.emit_rollback(t, tid, &old);
+                self.emit_rollback(t, tid, old);
             }
         }
         verdict
     }
 
-    /// Record an admission verdict for `tid` into an armed trace (also
-    /// used by the node's group-admission path, which goes through the
-    /// ledger directly). Like its two siblings it takes the handle, so a
-    /// caller has tested for one before any record is built.
-    pub fn emit_verdict(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints, accepted: bool) {
+    /// Unwind one already-swapped member of a failed team transaction: give
+    /// back the `new` reservation [`Self::swap_reservation`] granted and
+    /// restore `old`. Unlike a rejected swap this always counts a
+    /// rollback, and the record says so whenever either side was
+    /// real-time.
+    pub(crate) fn restore_reservation(
+        &mut self,
+        tid: ThreadId,
+        new: &Constraints,
+        old: &Constraints,
+    ) {
+        self.load.release(new);
+        self.load
+            .admit(&self.cfg, old)
+            .expect("re-admitting previously admitted constraints");
+        let _ = self.load.take_probe();
+        self.load.note_rollback();
+        if let Some(t) = &self.trace {
+            if new.is_realtime() || old.is_realtime() {
+                self.emit_rollback(t, tid, old);
+            }
+        }
+    }
+
+    /// Record an admission verdict for `tid` into an armed trace. Like its
+    /// two siblings it takes the handle, so a caller has tested for one
+    /// before any record is built.
+    fn emit_verdict(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints, accepted: bool) {
         let (class, period_ns, slice_ns) = trace_shape(c);
         t.emit(Record::AdmitVerdict {
             cpu: self.cpu as u32,
@@ -553,8 +588,8 @@ impl LocalScheduler {
     /// Record the hyperperiod-simulation probe backing the next admission
     /// verdict on this CPU. No-op when the policy did not simulate (the
     /// common closed-form case leaves no probe). Must precede the paired
-    /// [`LocalScheduler::emit_verdict`] on the same CPU.
-    pub fn emit_probe(&self, t: &TraceHandle, probe: Option<crate::admission::SimProbe>) {
+    /// `emit_verdict` on the same CPU.
+    fn emit_probe(&self, t: &TraceHandle, probe: Option<crate::admission::SimProbe>) {
         if let Some(p) = probe {
             t.emit(Record::SimCacheProbe {
                 cpu: self.cpu as u32,
@@ -569,7 +604,7 @@ impl LocalScheduler {
 
     /// Record a rollback re-admission: a rejected verdict cleared `tid`'s
     /// mirror entry, but the ledger restored its previous constraints `c`.
-    pub fn emit_rollback(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints) {
+    fn emit_rollback(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints) {
         let (class, period_ns, slice_ns) = trace_shape(c);
         t.emit(Record::AdmitRollback {
             cpu: self.cpu as u32,
@@ -870,6 +905,12 @@ impl LocalScheduler {
     /// and abandoning any active job.
     fn demote(&mut self, tid: ThreadId, st: &mut SchedThread) {
         self.load.release(&st.constraints);
+        self.become_aperiodic(tid, st);
+    }
+
+    /// The class change of a demotion, for a thread whose reservation is
+    /// already released.
+    fn become_aperiodic(&mut self, tid: ThreadId, st: &mut SchedThread) {
         let priority = match st.constraints {
             Constraints::Sporadic {
                 aperiodic_priority, ..
@@ -941,24 +982,13 @@ impl LocalScheduler {
                 }
             }
             Err(_) => {
-                // The reservation is already released; finish the demotion
-                // by hand (demote() would double-release). No verdict is
-                // emitted here, so the widened admit's probe is dropped
-                // with it — probes pair only with emitted verdicts.
-                st.constraints = Constraints::Aperiodic { priority: 1 };
-                st.job_active = false;
-                st.job_started = false;
-                st.remaining_cycles = 0;
-                st.consecutive_misses = 0;
-                st.widen_rounds = 0;
+                // The reservation is already released (demote() would
+                // double-release). No verdict is emitted here, so the
+                // widened admit's probe is dropped with it — probes pair
+                // only with emitted verdicts.
+                self.become_aperiodic(tid, st);
                 self.stats.degrade.periodic_demotions += 1;
                 G_PERIODIC_DEMOTIONS.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.trace {
-                    t.emit(Record::ConstraintsReleased {
-                        cpu: self.cpu as u32,
-                        tid: tid as u32,
-                    });
-                }
             }
         }
     }

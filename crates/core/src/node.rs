@@ -3,9 +3,8 @@
 //! "The global scheduler is the distributed system comprising the local
 //! schedulers and their interactions" (§3). [`Node`] owns the machine
 //! model, the kernel substrate (thread table, buddy allocator, task
-//! queues, interrupt steering), the group registry, and one
-//! [`LocalScheduler`] per CPU, and drives them from the machine's event
-//! stream:
+//! queues, interrupt steering) and one [`LocalScheduler`] per CPU, and
+//! drives them from the machine's event stream:
 //!
 //! * timer interrupts and kick IPIs invoke the local scheduler,
 //! * operation completions resume thread programs,
@@ -13,13 +12,14 @@
 //!   partition,
 //! * wakeups deliver sleeps, barrier releases, and collective departures.
 //!
-//! It also implements the two pieces of the paper that tie CPUs together:
-//! boot-time time synchronization (§3.4, via [`crate::timesync`]) and
-//! **group admission control** — Algorithm 1 of §4.3 with the phase
-//! correction of §4.4 — as an explicit per-thread continuation machine, so
-//! the blocking collectives inside the call behave exactly like the
-//! paper's: every coordination cost is paid at admission time, and zero
-//! communication happens afterwards.
+//! This file is construction, that event pump, the idle loop with its
+//! work stealer, and the syscall switch. Of the two pieces of the paper
+//! that tie CPUs together, boot-time time synchronization (§3.4) is
+//! [`crate::timesync`], and hard real-time groups — the group syscalls,
+//! group admission control (Algorithm 1, §4.3) and phase correction
+//! (§4.4) — are `gang.rs`, which the pump enters at one `handle_syscall`
+//! arm, at the "is this thread inside Algorithm 1" test of `dispatch` and
+//! `make_ready`, at boot, and through [`Node::admit`]'s team target.
 //!
 //! ## Modeling notes (documented substitutions)
 //!
@@ -36,33 +36,33 @@
 
 use crate::admission::{SchedConfig, SimCache, StealPolicy};
 use crate::config::HarnessConfig;
+pub use crate::gang::GaTiming;
+use crate::gang::Gangs;
 use crate::local::{InvokeReason, LocalScheduler, SchedThread};
 use crate::oracle::{OracleConfig, OracleSuite};
 use crate::request::{AdmissionOutcome, AdmissionRequest, AdmissionTarget};
 use crate::stats::DispatchLog;
 use crate::timesync::{self, TimeSync};
 use nautix_des::{Cycles, Freq, Nanos};
-use nautix_groups::{
-    estimate_delta, CollectiveOutcome, CollectiveRelease, Decision as GDecision, GroupRegistry,
-    MAX_GROUPS,
-};
+use nautix_groups::GroupRegistry;
 use nautix_hw::{shifted_victim, CostModel, CpuId, Machine, MachineConfig, MachineEvent, TopoMap};
 use nautix_kernel::{
-    Action, AdmissionError, BarrierOutcome, Constraints, GroupError, GroupId, Program, ResumeCx,
-    Steering, SysCall, SysResult, TaskQueues, Thread, ThreadId, ThreadState, ThreadTable, WaitKind,
-    Zone, ZoneAllocator,
+    Action, AdmissionError, Constraints, GroupId, Program, ResumeCx, Steering, SysCall, SysResult,
+    TaskQueues, Thread, ThreadId, ThreadState, ThreadTable, WaitKind, Zone, ZoneAllocator,
 };
 use nautix_trace::{Record, Sink, TraceHandle};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Node-wide configuration. The three constructors below, then these
-/// public fields, into [`Node::new`] or [`Node::reset`] is the
-/// construction path. What a run records beyond that is armed on the
+/// Node-wide configuration: one of the three constructors below, these
+/// nine public fields adjusted, then [`Node::new`] or [`Node::reset`] is
+/// the construction path. What a run records beyond that is armed on the
 /// booted node: [`Node::enable_oracles`] / [`Node::enable_oracles_with`],
 /// [`Node::record_timeline`], and for the oracle regression tests
-/// [`Node::set_sabotage_fifo`] / [`Node::set_sabotage_layer`].
+/// [`Node::set_sabotage_fifo`] / [`Node::set_sabotage_layer`]. Group-join
+/// and group-admission timings (Figure 10) need no arming: every node
+/// keeps [`Node::join_timings`] and [`Node::ga_timings`].
 pub struct NodeConfig {
     /// The machine to model.
     pub machine: MachineConfig,
@@ -78,8 +78,6 @@ pub struct NodeConfig {
     pub dispatch_log_cap: usize,
     /// Record per-invocation overhead samples (Figure 5).
     pub record_overheads: bool,
-    /// Record group-admission step timings (Figure 10).
-    pub record_ga_timing: bool,
     /// System-wide thread bound.
     pub max_threads: usize,
     /// Idle work-steal poll interval.
@@ -110,83 +108,11 @@ impl NodeConfig {
             calib_rounds: 16,
             dispatch_log_cap: 0,
             record_overheads: false,
-            record_ga_timing: false,
             max_threads: nautix_kernel::MAX_THREADS,
             steal_poll_ns: 1_000_000,
             phase_correction: true,
         }
     }
-}
-
-/// Timing record of one thread's pass through group admission control,
-/// with the step boundaries Figure 10 reports. All wall-clock nanoseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct GaTiming {
-    /// The thread.
-    pub tid: ThreadId,
-    /// Group size at admission.
-    pub n: usize,
-    /// Call entry.
-    pub t_call: Nanos,
-    /// Leader election completed.
-    pub t_elect: Nanos,
-    /// Local admission control duration (the constant "Local Change
-    /// Constraints" line of Figure 10c).
-    pub local_admit_ns: Nanos,
-    /// Error reduction completed (end of distributed admission control).
-    pub t_reduce: Nanos,
-    /// Final barrier + phase correction completed.
-    pub t_done: Nanos,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GaPhase {
-    /// Arrive at the election (blocking state: no side effects on re-entry).
-    Start,
-    /// Election done: leader locks/attaches (once), then move to Barrier1.
-    AfterElect,
-    /// Arrive at the pre-admission barrier (blocking state).
-    Barrier1,
-    /// Barrier passed: run local admission exactly once, move to Reducing.
-    AfterBarrier1,
-    /// Arrive at the error reduction (blocking state).
-    Reducing,
-    /// Reduction done: commit or roll back exactly once.
-    AfterReduce,
-    /// Arrive at the failure-path barrier (blocking state).
-    FallbackBarrier,
-    /// Arrive at the final barrier (blocking state).
-    FinalBarrier,
-    AfterFallbackBarrier,
-    AfterFinalBarrier,
-}
-
-#[derive(Debug, Clone)]
-struct GaCtx {
-    group: GroupId,
-    constraints: Constraints,
-    phase: GaPhase,
-    leader: ThreadId,
-    my_error: u64,
-    group_error: u64,
-    admitted_here: bool,
-    order: usize,
-    n: usize,
-    delta_ns: Nanos,
-    t_call: Nanos,
-    t_elect: Nanos,
-    local_admit_ns: Nanos,
-    t_reduce: Nanos,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockKind {
-    Sleep,
-    Barrier,
-    Collective,
-    GaCollective,
-    /// Waiting for a device interrupt (interrupt-thread steering, §3.5).
-    Irq,
 }
 
 /// A pending one-shot request produced by a scheduling pass.
@@ -197,34 +123,14 @@ struct TimerReq {
 }
 
 const TK_SLEEP: u64 = 1;
-const TK_RELEASE: u64 = 2;
+pub(crate) const TK_RELEASE: u64 = 2;
 const TK_POKE: u64 = 3;
 const TK_STEAL_POLL: u64 = 4;
 
 /// Device-interrupt vector space (the machine asserts `irq < 0x40`).
 const IRQ_LINES: usize = 64;
 
-/// Serialization classes for the contended shared lines the event path
-/// models. Each class owns one row of [`MAX_GROUPS`] slots in the flat
-/// `serial_until` table, replacing the old `HashMap` keyed on synthetic
-/// `0x10_0000 + gid`-style integers: the hot path indexes instead of
-/// hashing. Collective classes span one row per operation kind.
-const SER_JOIN: usize = 0;
-const SER_BARRIER: usize = 1;
-const SER_COLL: usize = 2; // + CollKind in 0..3
-const SER_GA_COLL: usize = 5; // + GaColl in 0..2
-const SER_GA_BARRIER: usize = 7;
-const SER_CLASSES: usize = 8;
-
-/// Flat index of a (class, group) serialization line. `MAX_GROUPS` is a
-/// power of two, so masking keeps any `GroupId` in range (an out-of-range
-/// id can only alias another line's timing, never index out of bounds).
-fn serial_slot(class: usize, gid: GroupId) -> usize {
-    debug_assert!(class < SER_CLASSES);
-    class * MAX_GROUPS + (gid.0 as usize & (MAX_GROUPS - 1))
-}
-
-fn tok(kind: u64, payload: u64) -> u64 {
+pub(crate) fn tok(kind: u64, payload: u64) -> u64 {
     (kind << 56) | payload
 }
 fn tok_kind(t: u64) -> u64 {
@@ -243,18 +149,6 @@ fn env_sched_overrides(mut sched: SchedConfig) -> SchedConfig {
         sched.layers = layers;
     }
     sched
-}
-
-fn admission_error_code(e: AdmissionError) -> u64 {
-    match e {
-        AdmissionError::Invalid(_) => 1,
-        AdmissionError::UtilizationExceeded => 2,
-        AdmissionError::TooFine => 3,
-        AdmissionError::SporadicReservationExceeded => 4,
-        AdmissionError::CapacityExceeded => 5,
-        AdmissionError::GroupMemberRejected => 6,
-        AdmissionError::LayerOvercommit => 7,
-    }
 }
 
 /// What one widening stage of a steal attempt concluded.
@@ -277,45 +171,37 @@ pub struct Node {
     cfg_sched: SchedConfig,
     dispatch_log_cap: usize,
     record_overheads: bool,
-    record_ga_timing: bool,
     steal_poll_ns: Nanos,
-    phase_correction: bool,
     /// GPIO trace hooks: pin assignments are
     /// pin 0 = the watched thread's activity, pin 1 = scheduler pass,
     /// pin 2 = interrupt handler (the three traces of Figure 4).
     gpio_watch: Option<ThreadId>,
     /// Optional execution-timeline recorder.
     timeline: Option<crate::timeline::Timeline>,
-    freq: Freq,
+    pub(crate) freq: Freq,
     /// The machine's cost model, cached by value at boot (`CostModel` is
     /// `Copy`). The event path reads costs on every interrupt; caching
     /// avoids re-reading through the machine — and the per-event clone the
     /// hot paths used to pay — while keeping disjoint-field borrows with
     /// `&mut self.machine`. The model is fixed per machine; `reset`
     /// refreshes the cache along with everything else.
-    cm: CostModel,
+    pub(crate) cm: CostModel,
     /// The machine's resolved topology map, cached by value like `cm`
     /// (`TopoMap` is `Copy`): the steal path classifies thief→victim
     /// distance on every probe. Refreshed by `reset`.
     topo: TopoMap,
-    threads: ThreadTable,
-    ts: Vec<SchedThread>,
-    sched: Vec<LocalScheduler>,
+    pub(crate) threads: ThreadTable,
+    pub(crate) ts: Vec<SchedThread>,
+    pub(crate) sched: Vec<LocalScheduler>,
     sync: TimeSync,
-    groups: GroupRegistry,
+    /// Groups, Algorithm 1 continuations and their timing records: all of
+    /// gang coordination's state ([`crate::gang`]).
+    pub(crate) gangs: Gangs,
     steering: Steering,
     alloc: ZoneAllocator,
     tasks: Vec<TaskQueues>,
-    ga: Vec<Option<GaCtx>>,
-    blocked: Vec<Option<BlockKind>>,
-    pending_result: Vec<SysResult>,
+    pub(crate) pending_result: Vec<SysResult>,
     cur_op: Vec<Option<(ThreadId, Cycles)>>,
-    /// Per-line serialization horizons modeling contended shared lines
-    /// (group join, collective arrival). Flat `SER_CLASSES × MAX_GROUPS`
-    /// table indexed by [`serial_slot`] — no hashing on the event path.
-    serial_until: Vec<Cycles>,
-    ga_timings: Vec<GaTiming>,
-    join_timings: Vec<(ThreadId, Nanos)>,
     /// The node's shared hyperperiod-simulation memo, installed into every
     /// CPU's ledger. Owned here so `Node::reset` can re-install it: the
     /// cache is a pure memo keyed on the full simulation input, so entries
@@ -344,7 +230,7 @@ pub struct Node {
     remote_inspected: u64,
     /// Device interrupts handled, per CPU.
     pub device_irqs_handled: Vec<u64>,
-    trace: Option<TraceHandle>,
+    pub(crate) trace: Option<TraceHandle>,
     oracles: Option<Rc<RefCell<OracleSuite>>>,
 }
 
@@ -361,9 +247,7 @@ impl Node {
             cfg_sched: cfg.sched,
             dispatch_log_cap: 0,
             record_overheads: false,
-            record_ga_timing: false,
             steal_poll_ns: 0,
-            phase_correction: false,
             gpio_watch: None,
             timeline: None,
             freq: machine.freq(),
@@ -374,17 +258,12 @@ impl Node {
             ts: Vec::new(),
             sched: Vec::new(),
             sync: TimeSync::perfect(0),
-            groups: GroupRegistry::new(),
+            gangs: Gangs::default(),
             steering: Steering::with_topology(cfg.laden.clone(), topo),
             alloc: ZoneAllocator::knl_scaled(),
             tasks: Vec::new(),
-            ga: Vec::new(),
-            blocked: Vec::new(),
             pending_result: Vec::new(),
             cur_op: Vec::new(),
-            serial_until: vec![0; SER_CLASSES * MAX_GROUPS],
-            ga_timings: Vec::new(),
-            join_timings: Vec::new(),
             sim_cache: Rc::new(RefCell::new(SimCache::new())),
             steal_poll_armed: Vec::new(),
             irq_waiters: (0..IRQ_LINES).map(|_| VecDeque::new()).collect(),
@@ -412,7 +291,6 @@ impl Node {
     /// that the result is a fresh node.
     pub fn reset(&mut self, cfg: NodeConfig) {
         self.machine.reset(cfg.machine.clone());
-        self.groups = GroupRegistry::new();
         self.steering = Steering::with_topology(cfg.laden.clone(), self.machine.topology());
         self.alloc = ZoneAllocator::knl_scaled();
         self.boot(&cfg);
@@ -437,9 +315,7 @@ impl Node {
         self.cfg_sched = sched;
         self.dispatch_log_cap = cfg.dispatch_log_cap;
         self.record_overheads = cfg.record_overheads;
-        self.record_ga_timing = cfg.record_ga_timing;
         self.steal_poll_ns = cfg.steal_poll_ns;
-        self.phase_correction = cfg.phase_correction;
         self.gpio_watch = None;
         self.timeline = None;
         self.threads.reset(cfg.max_threads);
@@ -481,18 +357,12 @@ impl Node {
         }
         self.tasks.clear();
         self.tasks.extend((0..n).map(|_| TaskQueues::new(256)));
-        self.ga.clear();
-        self.ga.resize_with(cfg.max_threads, || None);
-        self.blocked.clear();
-        self.blocked.resize_with(cfg.max_threads, || None);
+        self.gangs.reset(cfg.max_threads, cfg.phase_correction);
         self.pending_result.clear();
         self.pending_result
             .resize_with(cfg.max_threads, || SysResult::None);
         self.cur_op.clear();
         self.cur_op.resize(n, None);
-        self.serial_until.fill(0);
-        self.ga_timings.clear();
-        self.join_timings.clear();
         self.steal_poll_armed.clear();
         self.steal_poll_armed.resize(n, false);
         for q in &mut self.irq_waiters {
@@ -699,7 +569,7 @@ impl Node {
     /// `cpu`'s wall-clock estimate at the end of its current kernel-path
     /// busy window: the instant code running *after* already-charged work
     /// actually executes and would read its TSC.
-    fn wall_ns_busy(&self, cpu: CpuId) -> Nanos {
+    pub(crate) fn wall_ns_busy(&self, cpu: CpuId) -> Nanos {
         let backlog = self
             .machine
             .busy_until(cpu)
@@ -765,8 +635,6 @@ impl Node {
             .map_err(|_| AdmissionError::CapacityExceeded)?;
         self.ts[tid] = SchedThread::new_aperiodic();
         self.ts[tid].dispatch_log = DispatchLog::with_capacity(self.dispatch_log_cap);
-        self.ga[tid] = None;
-        self.blocked[tid] = None;
         self.pending_result[tid] = SysResult::None;
         self.live_programs += 1;
         let now = self.wall_ns(cpu);
@@ -799,17 +667,17 @@ impl Node {
 
     /// The group-admission timing records (Figure 10).
     pub fn ga_timings(&self) -> &[GaTiming] {
-        &self.ga_timings
+        &self.gangs.ga_timings
     }
 
     /// Group-join durations (Figure 10a).
     pub fn join_timings(&self) -> &[(ThreadId, Nanos)] {
-        &self.join_timings
+        &self.gangs.join_timings
     }
 
     /// The group registry (inspection).
     pub fn groups(&self) -> &GroupRegistry {
-        &self.groups
+        &self.gangs.groups
     }
 
     /// Create a named group from host context (boot-time setup). Threads
@@ -817,7 +685,7 @@ impl Node {
     /// pre-creating avoids creation-order races when several gangs boot
     /// concurrently.
     pub fn create_group(&mut self, name: &'static str) -> GroupId {
-        self.groups.create(name).expect("group registry full")
+        self.gangs.groups.create(name).expect("group registry full")
     }
 
     /// Per-CPU task queues (inspection).
@@ -1053,18 +921,14 @@ impl Node {
     /// Transition a blocked thread to ready and queue it.
     fn make_ready(&mut self, tid: ThreadId) {
         let cpu = self.threads.expect(tid).cpu;
-        let kind = self.blocked[tid].take();
         self.threads.expect_mut(tid).state = ThreadState::Ready;
         let now = self.wall_ns(cpu);
-        match kind {
-            Some(BlockKind::GaCollective) => {
-                // Group-admission continuations run as aperiodic work.
-                self.sched[cpu].enqueue_nonrt(tid, 0);
-            }
-            _ => {
-                let st = &mut self.ts[tid];
-                self.sched[cpu].enqueue(tid, st, now);
-            }
+        if self.gangs.in_admission(tid) {
+            // Group-admission continuations run as aperiodic work.
+            self.sched[cpu].enqueue_nonrt(tid, 0);
+        } else {
+            let st = &mut self.ts[tid];
+            self.sched[cpu].enqueue(tid, st, now);
         }
         self.note_backlog(cpu);
     }
@@ -1214,7 +1078,7 @@ impl Node {
             }
             // Group-admission continuation takes precedence over the
             // program: the thread is still inside the call.
-            if self.ga[tid].is_some() {
+            if self.gangs.in_admission(tid) {
                 if self.ga_step(cpu, tid) {
                     // Blocked inside the algorithm (or left the CPU).
                     self.local_invoke(cpu, InvokeReason::Block, false);
@@ -1514,18 +1378,6 @@ impl Node {
     // Syscalls
     // ------------------------------------------------------------------
 
-    /// Model a serialized contended operation (a lock or contended RMW on
-    /// a shared line): the caller queues behind earlier holders. `slot` is
-    /// a [`serial_slot`] index. Returns the total time charged.
-    fn serialize_on(&mut self, slot: usize, hold: Cycles) -> Cycles {
-        let now = self.machine.now();
-        let until = &mut self.serial_until[slot];
-        let start = (*until).max(now);
-        let wait = start - now;
-        *until = start + hold;
-        wait + hold
-    }
-
     /// Handle a syscall; returns true if the thread blocked.
     fn handle_syscall(&mut self, cpu: CpuId, tid: ThreadId, sys: SysCall) -> bool {
         match sys {
@@ -1549,7 +1401,7 @@ impl Node {
                 false
             }
             SysCall::SleepNs(ns) => {
-                self.block(tid, BlockKind::Sleep, WaitKind::Sleep);
+                self.block(tid, WaitKind::Sleep);
                 let at = self.machine.now() + self.freq.ns_to_cycles(ns);
                 self.machine
                     .schedule_wakeup(at, tok(TK_SLEEP, tid as u64), Some(cpu));
@@ -1568,85 +1420,30 @@ impl Node {
                 self.local_invoke(cpu, InvokeReason::ConstraintChange, true);
                 false
             }
-            SysCall::GroupCreate { name } => {
-                self.machine.charge(cpu, self.cm.atomic_rmw);
-                let res = self.groups.create(name);
-                self.pending_result[tid] = SysResult::Group(res);
-                false
-            }
-            SysCall::GroupJoin(gid) => {
-                let t0 = self.wall_ns(cpu);
-                let hold = self.machine.draw(self.cm.atomic_rmw_contended);
-                let dur = self.serialize_on(serial_slot(SER_JOIN, gid), hold);
-                self.machine.charge_raw(cpu, dur);
-                let res = self.groups.join(gid, tid).map(|_| gid);
-                let t1 = self.wall_ns(cpu) + self.freq.cycles_to_ns(dur);
-                self.join_timings.push((tid, t1 - t0));
-                self.pending_result[tid] = SysResult::Group(res);
-                false
-            }
-            SysCall::GroupLeave(gid) => {
-                let hold = self.machine.draw(self.cm.atomic_rmw_contended);
-                let dur = self.serialize_on(serial_slot(SER_JOIN, gid), hold);
-                self.machine.charge_raw(cpu, dur);
-                let res = self.groups.leave(gid, tid).map(|_| gid);
-                self.pending_result[tid] = SysResult::Group(res);
-                false
-            }
-            SysCall::GroupSize(gid) => {
-                self.machine.charge(cpu, self.cm.atomic_rmw);
-                let len = self.groups.get(gid).map(|g| g.len() as u64).unwrap_or(0);
-                self.pending_result[tid] = SysResult::Value(len);
-                false
-            }
-            SysCall::GroupBarrier(gid) => self.group_barrier(cpu, tid, gid, BlockKind::Barrier),
-            SysCall::GroupElect(gid) => {
-                self.group_collective(cpu, tid, gid, CollKind::Elect, tid as u64)
-            }
-            SysCall::GroupReduceMax { group, value } => {
-                self.group_collective(cpu, tid, group, CollKind::Reduce, value)
-            }
-            SysCall::GroupBroadcast { group, value } => {
-                self.group_collective(cpu, tid, group, CollKind::Broadcast, value)
-            }
-            SysCall::GroupChangeConstraints { group, constraints } => {
-                let now = self.wall_ns_busy(cpu);
-                self.ga[tid] = Some(GaCtx {
-                    group,
-                    constraints,
-                    phase: GaPhase::Start,
-                    leader: usize::MAX,
-                    my_error: 0,
-                    group_error: 0,
-                    admitted_here: false,
-                    order: 0,
-                    n: 0,
-                    delta_ns: 0,
-                    t_call: now,
-                    t_elect: 0,
-                    local_admit_ns: 0,
-                    t_reduce: 0,
-                });
-                if self.ga_step(cpu, tid) {
-                    self.local_invoke(cpu, InvokeReason::Block, false);
-                }
-                false
-            }
-            SysCall::GroupAdmitTeam { group, constraints } => {
-                if self.group_admit_team(cpu, tid, group, constraints) {
-                    true
-                } else {
+            SysCall::GroupCreate { .. }
+            | SysCall::GroupJoin(_)
+            | SysCall::GroupLeave(_)
+            | SysCall::GroupSize(_)
+            | SysCall::GroupBarrier(_)
+            | SysCall::GroupElect(_)
+            | SysCall::GroupReduceMax { .. }
+            | SysCall::GroupBroadcast { .. }
+            | SysCall::GroupChangeConstraints { .. }
+            | SysCall::GroupAdmitTeam { .. } => {
+                let team = matches!(sys, SysCall::GroupAdmitTeam { .. });
+                let blocked = self.gang_syscall(cpu, tid, sys);
+                if team && !blocked {
                     // The completer ran the whole transaction inline; its
                     // own schedule may have changed class. Re-invoke
                     // exactly as ChangeConstraints does.
                     self.local_invoke(cpu, InvokeReason::ConstraintChange, true);
-                    false
                 }
+                blocked
             }
             SysCall::WaitIrq(irq) => {
                 assert!((irq as usize) < IRQ_LINES, "irq vector out of range");
                 self.machine.charge(cpu, self.cm.atomic_rmw);
-                self.block(tid, BlockKind::Irq, WaitKind::Idle);
+                self.block(tid, WaitKind::Idle);
                 self.irq_waiters[irq as usize].push_back(tid);
                 true
             }
@@ -1670,576 +1467,8 @@ impl Node {
         }
     }
 
-    fn block(&mut self, tid: ThreadId, kind: BlockKind, wait: WaitKind) {
-        self.blocked[tid] = Some(kind);
+    pub(crate) fn block(&mut self, tid: ThreadId, wait: WaitKind) {
         self.threads.expect_mut(tid).state = ThreadState::Waiting(wait);
-    }
-
-    /// Plain group barrier syscall: arrive; completer proceeds, the rest
-    /// wake at their staggered departures.
-    fn group_barrier(&mut self, cpu: CpuId, tid: ThreadId, gid: GroupId, kind: BlockKind) -> bool {
-        let hold = self.machine.draw(self.cm.atomic_rmw_contended);
-        let dur = self.serialize_on(serial_slot(SER_BARRIER, gid), hold);
-        self.machine.charge_raw(cpu, dur);
-        let Ok(group) = self.groups.get_mut(gid) else {
-            self.pending_result[tid] = SysResult::Group(Err(GroupError::NotFound));
-            return false;
-        };
-        let mut rng =
-            nautix_des::DetRng::seed_from(0x5EED ^ self.machine.now() ^ (gid.0 as u64) << 32);
-        match group
-            .barrier
-            .arrive(tid, &mut rng, self.cm.barrier_release_stagger)
-        {
-            BarrierOutcome::Wait => {
-                self.block(tid, kind, WaitKind::Barrier);
-                true
-            }
-            BarrierOutcome::Release(rs) => {
-                self.schedule_barrier_releases(tid, &rs);
-                self.pending_result[tid] = SysResult::None;
-                false
-            }
-        }
-    }
-
-    /// Releases depart from the *end* of the completer's (serialized)
-    /// arrival — the instant its RMW actually lands on the shared line —
-    /// not from the event timestamp at which the charge was issued.
-    fn release_base(&self, completer_cpu: CpuId) -> Cycles {
-        self.machine
-            .busy_until(completer_cpu)
-            .max(self.machine.now())
-    }
-
-    fn schedule_barrier_releases(&mut self, completer: ThreadId, rs: &[nautix_kernel::Release]) {
-        let base = self.release_base(self.threads.expect(completer).cpu);
-        for r in rs {
-            if r.tid == completer {
-                continue;
-            }
-            let cpu = self.threads.expect(r.tid).cpu;
-            self.pending_result[r.tid] = SysResult::None;
-            self.machine
-                .schedule_wakeup(base + r.delay, tok(TK_RELEASE, r.tid as u64), Some(cpu));
-        }
-    }
-
-    fn group_collective(
-        &mut self,
-        cpu: CpuId,
-        tid: ThreadId,
-        gid: GroupId,
-        kind: CollKind,
-        value: u64,
-    ) -> bool {
-        let hold = self.machine.draw(self.cm.atomic_rmw_contended);
-        let dur = self.serialize_on(serial_slot(SER_COLL + kind as usize, gid), hold);
-        self.machine.charge_raw(cpu, dur);
-        let leader = self
-            .groups
-            .get(gid)
-            .ok()
-            .and_then(|g| g.members().first().copied())
-            .unwrap_or(tid);
-        let Ok(group) = self.groups.get_mut(gid) else {
-            self.pending_result[tid] = SysResult::Group(Err(GroupError::NotFound));
-            return false;
-        };
-        let coll = match kind {
-            CollKind::Elect => &mut group.election,
-            CollKind::Reduce => &mut group.reduction,
-            CollKind::Broadcast => &mut group.broadcast,
-        };
-        let decision = match kind {
-            CollKind::Elect => GDecision::Min,
-            CollKind::Reduce => GDecision::Max,
-            CollKind::Broadcast => GDecision::Of(leader),
-        };
-        let mut rng =
-            nautix_des::DetRng::seed_from(0xC0_11EC ^ self.machine.now() ^ (gid.0 as u64) << 32);
-        match coll.arrive(
-            tid,
-            value,
-            decision,
-            &mut rng,
-            self.cm.barrier_release_stagger,
-        ) {
-            CollectiveOutcome::Wait => {
-                self.block(tid, BlockKind::Collective, WaitKind::Group);
-                true
-            }
-            CollectiveOutcome::Complete(rs) => {
-                self.schedule_collective_releases(tid, &rs, BlockKind::Collective);
-                self.pending_result[tid] = SysResult::Value(rs[0].result);
-                false
-            }
-        }
-    }
-
-    fn schedule_collective_releases(
-        &mut self,
-        completer: ThreadId,
-        rs: &[CollectiveRelease],
-        _kind: BlockKind,
-    ) {
-        let base = self.release_base(self.threads.expect(completer).cpu);
-        for r in rs {
-            if r.tid == completer {
-                continue;
-            }
-            let cpu = self.threads.expect(r.tid).cpu;
-            self.pending_result[r.tid] = SysResult::Value(r.result);
-            self.machine
-                .schedule_wakeup(base + r.delay, tok(TK_RELEASE, r.tid as u64), Some(cpu));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Group admission control: Algorithm 1 (§4.3) + phase correction (§4.4)
-    // ------------------------------------------------------------------
-
-    /// Advance `tid`'s group-admission continuation. Returns true if the
-    /// thread blocked.
-    fn ga_step(&mut self, cpu: CpuId, tid: ThreadId) -> bool {
-        loop {
-            let phase = self.ga[tid].as_ref().expect("ga context").phase;
-            match phase {
-                GaPhase::Start => {
-                    // conduct leader election
-                    match self.ga_collective(cpu, tid, GaColl::Elect, tid as u64) {
-                        None => return true,
-                        Some(leader) => {
-                            let now = self.wall_ns_busy(cpu);
-                            let ctx = self.ga[tid].as_mut().unwrap();
-                            ctx.leader = leader as usize;
-                            ctx.t_elect = now;
-                            ctx.phase = GaPhase::AfterElect;
-                        }
-                    }
-                }
-                GaPhase::AfterElect => {
-                    // One-shot side effects: the leader locks the group and
-                    // attaches the constraints; then everyone proceeds to
-                    // the (re-entrant) barrier state.
-                    let ctx = self.ga[tid].as_ref().unwrap().clone();
-                    if ctx.leader == tid {
-                        // lock group; attach constraints to group
-                        self.machine.charge(cpu, self.cm.atomic_rmw);
-                        self.machine.charge(cpu, self.cm.atomic_rmw);
-                        let g = self.groups.get_mut(ctx.group).expect("group vanished");
-                        g.lock(tid).expect("leader lock contention");
-                        g.attached = Some(ctx.constraints);
-                    }
-                    self.ga[tid].as_mut().unwrap().phase = GaPhase::Barrier1;
-                }
-                GaPhase::Barrier1 => {
-                    // execute group barrier
-                    match self.ga_barrier(cpu, tid) {
-                        None => return true,
-                        Some(_) => {
-                            self.ga[tid].as_mut().unwrap().phase = GaPhase::AfterBarrier1;
-                        }
-                    }
-                }
-                GaPhase::AfterBarrier1 => {
-                    // One-shot: conduct local admission control (in thread
-                    // context, with the leader-attached constraints). The
-                    // ledger is touched exactly once per call — re-entry
-                    // happens only in the Reducing state below.
-                    let t0 = self.machine.now();
-                    self.machine.charge(cpu, self.cm.admission_local);
-                    let dur = self.machine.busy_until(cpu).saturating_sub(t0);
-                    let gid = self.ga[tid].as_ref().unwrap().group;
-                    let attached = self
-                        .groups
-                        .get(gid)
-                        .ok()
-                        .and_then(|g| g.attached)
-                        .expect("leader attached constraints");
-                    let old = self.ts[tid].constraints;
-                    let cfg = *self.sched[cpu].config();
-                    self.sched[cpu].load.release(&old);
-                    let candidate = self.sched[cpu].load.admit(&cfg, &attached);
-                    // The probe (when the policy simulated) belongs to the
-                    // candidate's verdict; take it before a rollback
-                    // re-admission can overwrite it.
-                    let probe = self.sched[cpu].load.take_probe();
-                    let err = match candidate {
-                        Ok(()) => {
-                            let ctx = self.ga[tid].as_mut().unwrap();
-                            ctx.admitted_here = true;
-                            ctx.constraints = attached;
-                            0
-                        }
-                        Err(e) => {
-                            self.sched[cpu]
-                                .load
-                                .admit(&cfg, &old)
-                                .expect("re-admit old constraints");
-                            // The rollback's own probe pairs with no
-                            // emitted verdict: drop it.
-                            let _ = self.sched[cpu].load.take_probe();
-                            if old.is_realtime() {
-                                self.sched[cpu].load.note_rollback();
-                            }
-                            admission_error_code(e)
-                        }
-                    };
-                    if let Some(t) = &self.trace {
-                        if err == 0 && old.is_realtime() {
-                            t.emit(Record::ConstraintsReleased {
-                                cpu: cpu as u32,
-                                tid: tid as u32,
-                            });
-                        }
-                        self.sched[cpu].emit_probe(t, probe);
-                        self.sched[cpu].emit_verdict(t, tid, &attached, err == 0);
-                        if err != 0 && old.is_realtime() {
-                            self.sched[cpu].emit_rollback(t, tid, &old);
-                        }
-                    }
-                    {
-                        let ctx = self.ga[tid].as_mut().unwrap();
-                        ctx.my_error = err;
-                        ctx.local_admit_ns = self.freq.cycles_to_ns(dur);
-                        ctx.phase = GaPhase::Reducing;
-                    }
-                }
-                GaPhase::Reducing => {
-                    // execute group reduction over errors
-                    let err = self.ga[tid].as_ref().unwrap().my_error;
-                    match self.ga_collective(cpu, tid, GaColl::Reduce, err) {
-                        None => return true,
-                        Some(group_err) => {
-                            let now = self.wall_ns_busy(cpu);
-                            let ctx = self.ga[tid].as_mut().unwrap();
-                            ctx.group_error = group_err;
-                            ctx.t_reduce = now;
-                            ctx.phase = GaPhase::AfterReduce;
-                        }
-                    }
-                }
-                GaPhase::AfterReduce => {
-                    // One-shot: commit to the final barrier, or roll the
-                    // ledger back and fall back to aperiodic constraints.
-                    let ctx = self.ga[tid].as_ref().unwrap().clone();
-                    if ctx.group_error != 0 {
-                        // if any local admission control failed then
-                        // readmit myself using default constraints
-                        self.machine.charge(cpu, self.cm.admission_local);
-                        if ctx.admitted_here {
-                            self.sched[cpu].load.release(&ctx.constraints);
-                            if let Some(t) = &self.trace {
-                                t.emit(Record::ConstraintsReleased {
-                                    cpu: cpu as u32,
-                                    tid: tid as u32,
-                                });
-                            }
-                        } else {
-                            let prev = self.ts[tid].constraints;
-                            self.sched[cpu].load.release(&prev);
-                            // Keep the oracle's admitted-set mirror in step:
-                            // the rolled-back reservation (restored after
-                            // this member's own rejection) is released too.
-                            if let Some(t) = &self.trace {
-                                if prev.is_realtime() {
-                                    t.emit(Record::ConstraintsReleased {
-                                        cpu: cpu as u32,
-                                        tid: tid as u32,
-                                    });
-                                }
-                            }
-                        }
-                        let fallback = Constraints::default_aperiodic();
-                        let cfg = *self.sched[cpu].config();
-                        self.sched[cpu]
-                            .load
-                            .admit(&cfg, &fallback)
-                            .expect("aperiodic admission cannot fail");
-                        self.ts[tid].constraints = fallback;
-                        self.ts[tid].job_active = false;
-                        self.ga[tid].as_mut().unwrap().phase = GaPhase::FallbackBarrier;
-                    } else {
-                        self.ga[tid].as_mut().unwrap().phase = GaPhase::FinalBarrier;
-                    }
-                }
-                GaPhase::FallbackBarrier => {
-                    // execute group barrier
-                    match self.ga_barrier(cpu, tid) {
-                        None => return true,
-                        Some(_) => {
-                            self.ga[tid].as_mut().unwrap().phase = GaPhase::AfterFallbackBarrier;
-                        }
-                    }
-                }
-                GaPhase::FinalBarrier => {
-                    // execute group barrier and get my release order
-                    match self.ga_barrier(cpu, tid) {
-                        None => return true,
-                        Some(_) => {
-                            self.ga[tid].as_mut().unwrap().phase = GaPhase::AfterFinalBarrier;
-                        }
-                    }
-                }
-                GaPhase::AfterFallbackBarrier => {
-                    let ctx = self.ga[tid].as_ref().unwrap().clone();
-                    if ctx.leader == tid {
-                        let g = self.groups.get_mut(ctx.group).expect("group vanished");
-                        g.attached = None;
-                        g.unlock(tid).expect("leader unlock");
-                    }
-                    self.pending_result[tid] =
-                        SysResult::Admission(Err(AdmissionError::GroupMemberRejected));
-                    self.finish_ga(tid, false);
-                    return false;
-                }
-                GaPhase::AfterFinalBarrier => {
-                    // phase correct my schedule based on my release order
-                    let ctx = self.ga[tid].as_ref().unwrap().clone();
-                    let now = self.wall_ns_busy(cpu);
-                    let corrected = nautix_groups::correct_constraints(
-                        ctx.constraints,
-                        ctx.order,
-                        ctx.n.max(1),
-                        ctx.delta_ns,
-                    );
-                    {
-                        let st = &mut self.ts[tid];
-                        st.constraints = corrected;
-                        st.job_active = false;
-                        st.job_started = false;
-                        st.job_blocked = false;
-                        self.sched[cpu].anchor(st, now);
-                    }
-                    if ctx.leader == tid {
-                        let g = self.groups.get_mut(ctx.group).expect("group vanished");
-                        g.unlock(tid).expect("leader unlock");
-                    }
-                    self.pending_result[tid] = SysResult::Admission(Ok(()));
-                    if self.record_ga_timing {
-                        let c = self.ga[tid].as_ref().unwrap();
-                        self.ga_timings.push(GaTiming {
-                            tid,
-                            n: c.n,
-                            t_call: c.t_call,
-                            t_elect: c.t_elect,
-                            local_admit_ns: c.local_admit_ns,
-                            t_reduce: c.t_reduce,
-                            t_done: now,
-                        });
-                    }
-                    self.finish_ga(tid, true);
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn finish_ga(&mut self, tid: ThreadId, success: bool) {
-        if !success && self.record_ga_timing {
-            let c = self.ga[tid].as_ref().unwrap();
-            let cpu = self.threads.expect(tid).cpu;
-            let now = self.wall_ns_busy(cpu);
-            self.ga_timings.push(GaTiming {
-                tid,
-                n: c.n,
-                t_call: c.t_call,
-                t_elect: c.t_elect,
-                local_admit_ns: c.local_admit_ns,
-                t_reduce: c.t_reduce,
-                t_done: now,
-            });
-        }
-        self.ga[tid] = None;
-    }
-
-    /// A collective arrival inside group admission. Returns the result if
-    /// the thread proceeded, or None if it blocked.
-    fn ga_collective(
-        &mut self,
-        cpu: CpuId,
-        tid: ThreadId,
-        which: GaColl,
-        value: u64,
-    ) -> Option<u64> {
-        // If a previous release delivered the result, consume it.
-        if let SysResult::Value(v) =
-            std::mem::replace(&mut self.pending_result[tid], SysResult::None)
-        {
-            return Some(v);
-        }
-        let gid = self.ga[tid].as_ref().unwrap().group;
-        let hold = self.machine.draw(self.cm.atomic_rmw_contended);
-        let dur = self.serialize_on(serial_slot(SER_GA_COLL + which as usize, gid), hold);
-        self.machine.charge_raw(cpu, dur);
-        let group = self.groups.get_mut(gid).expect("group vanished");
-        let coll = match which {
-            GaColl::Elect => &mut group.election,
-            GaColl::Reduce => &mut group.reduction,
-        };
-        let decision = match which {
-            GaColl::Elect => GDecision::Min,
-            GaColl::Reduce => GDecision::Max,
-        };
-        let mut rng =
-            nautix_des::DetRng::seed_from(0x6A ^ self.machine.now() ^ (gid.0 as u64) << 32);
-        match coll.arrive(
-            tid,
-            value,
-            decision,
-            &mut rng,
-            self.cm.barrier_release_stagger,
-        ) {
-            CollectiveOutcome::Wait => {
-                self.block(tid, BlockKind::GaCollective, WaitKind::Group);
-                None
-            }
-            CollectiveOutcome::Complete(rs) => {
-                self.schedule_collective_releases(tid, &rs, BlockKind::GaCollective);
-                Some(rs[0].result)
-            }
-        }
-    }
-
-    /// A barrier arrival inside group admission. Returns Some(()) when the
-    /// thread proceeded (release order and δ recorded in its context).
-    fn ga_barrier(&mut self, cpu: CpuId, tid: ThreadId) -> Option<()> {
-        if let SysResult::Value(_) =
-            std::mem::replace(&mut self.pending_result[tid], SysResult::None)
-        {
-            return Some(());
-        }
-        let gid = self.ga[tid].as_ref().unwrap().group;
-        let hold = self.machine.draw(self.cm.atomic_rmw_contended);
-        let dur = self.serialize_on(serial_slot(SER_GA_BARRIER, gid), hold);
-        self.machine.charge_raw(cpu, dur);
-        let group = self.groups.get_mut(gid).expect("group vanished");
-        let mut rng =
-            nautix_des::DetRng::seed_from(0xBA44 ^ self.machine.now() ^ (gid.0 as u64) << 32);
-        match group
-            .barrier
-            .arrive(tid, &mut rng, self.cm.barrier_release_stagger)
-        {
-            BarrierOutcome::Wait => {
-                self.block(tid, BlockKind::GaCollective, WaitKind::Barrier);
-                None
-            }
-            BarrierOutcome::Release(rs) => {
-                // Record release order and measured δ for every member.
-                let delays_ns: Vec<Nanos> =
-                    rs.iter().map(|r| self.freq.cycles_to_ns(r.delay)).collect();
-                let delta = if self.phase_correction {
-                    estimate_delta(&delays_ns)
-                } else {
-                    0
-                };
-                let n = rs.len();
-                let base = self.release_base(cpu);
-                for r in &rs {
-                    if let Some(ctx) = self.ga[r.tid].as_mut() {
-                        ctx.order = r.order;
-                        ctx.n = n;
-                        ctx.delta_ns = delta;
-                    }
-                    if r.tid != tid {
-                        let cpu_r = self.threads.expect(r.tid).cpu;
-                        self.pending_result[r.tid] = SysResult::Value(1);
-                        self.machine.schedule_wakeup(
-                            base + r.delay,
-                            tok(TK_RELEASE, r.tid as u64),
-                            Some(cpu_r),
-                        );
-                    }
-                }
-                Some(())
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Batched group admission: one ledger transaction per team
-    // ------------------------------------------------------------------
-
-    /// The `GroupAdmitTeam` rendezvous: members arrive at the group
-    /// barrier; the completer admits or rejects the whole team in one
-    /// ledger transaction ([`Node::admit`]'s team engine) and wakes the
-    /// others with the shared verdict at their staggered departures.
-    /// Algorithm 1's election, per-member local admission, and error
-    /// reduction collapse into the barrier plus the transaction. Returns
-    /// true if the calling thread blocked.
-    fn group_admit_team(
-        &mut self,
-        cpu: CpuId,
-        tid: ThreadId,
-        gid: GroupId,
-        constraints: Constraints,
-    ) -> bool {
-        let hold = self.machine.draw(self.cm.atomic_rmw_contended);
-        let dur = self.serialize_on(serial_slot(SER_GA_BARRIER, gid), hold);
-        self.machine.charge_raw(cpu, dur);
-        let Ok(group) = self.groups.get_mut(gid) else {
-            self.pending_result[tid] = SysResult::Group(Err(GroupError::NotFound));
-            return false;
-        };
-        let mut rng =
-            nautix_des::DetRng::seed_from(0x7EA0 ^ self.machine.now() ^ (gid.0 as u64) << 32);
-        match group
-            .barrier
-            .arrive(tid, &mut rng, self.cm.barrier_release_stagger)
-        {
-            BarrierOutcome::Wait => {
-                self.block(tid, BlockKind::Barrier, WaitKind::Barrier);
-                true
-            }
-            BarrierOutcome::Release(rs) => {
-                // Completer context: the release order is the team's phase
-                // order; the measured departure stagger is δ (§4.4).
-                let mut members = vec![0usize; rs.len()];
-                for r in &rs {
-                    members[r.order] = r.tid;
-                }
-                let delays_ns: Vec<Nanos> =
-                    rs.iter().map(|r| self.freq.cycles_to_ns(r.delay)).collect();
-                let delta = if self.phase_correction {
-                    estimate_delta(&delays_ns)
-                } else {
-                    0
-                };
-                // The transaction runs serially in completer context: one
-                // local-admission charge per member on this CPU.
-                for _ in 0..members.len() {
-                    self.machine.charge(cpu, self.cm.admission_local);
-                }
-                let anchor = self.wall_ns_busy(cpu);
-                let res = self.admit_team_txn(&members, constraints, anchor, delta);
-                if let Some(t) = &self.trace {
-                    t.emit(Record::TeamAdmit {
-                        cpu: cpu as u32,
-                        group: gid.0,
-                        members: members.len() as u32,
-                        accepted: res.is_ok(),
-                    });
-                }
-                // Members share one group-level verdict, like Algorithm 1.
-                let verdict = res.map_err(|_| AdmissionError::GroupMemberRejected);
-                let base = self.release_base(cpu);
-                for r in &rs {
-                    if r.tid == tid {
-                        continue;
-                    }
-                    let cpu_r = self.threads.expect(r.tid).cpu;
-                    self.pending_result[r.tid] = SysResult::Admission(verdict);
-                    self.machine.schedule_wakeup(
-                        base + r.delay,
-                        tok(TK_RELEASE, r.tid as u64),
-                        Some(cpu_r),
-                    );
-                }
-                self.pending_result[tid] = SysResult::Admission(verdict);
-                false
-            }
-        }
     }
 
     /// The unified typed admission entry point: submit an
@@ -2298,120 +1527,6 @@ impl Node {
         let st = &mut self.ts[tid];
         self.sched[cpu].change_constraints(tid, st, constraints, now, true)
     }
-
-    /// The all-or-nothing team transaction shared by [`Node::admit`]
-    /// (team targets) and the `GroupAdmitTeam` syscall. Admits
-    /// `constraints` for each
-    /// member in slot order on that member's CPU ledger; the first
-    /// rejection restores every already-processed member (and the rejected
-    /// member itself) to its previous reservation. On success each
-    /// member's constraints are phase-corrected by slot, its job state
-    /// cleared, and its schedule anchored at the common instant
-    /// `anchor_ns`.
-    fn admit_team_txn(
-        &mut self,
-        members: &[ThreadId],
-        constraints: Constraints,
-        anchor_ns: Nanos,
-        delta_ns: Nanos,
-    ) -> Result<(), AdmissionError> {
-        let n = members.len().max(1);
-        let mut done: Vec<(ThreadId, Constraints)> = Vec::with_capacity(members.len());
-        let mut failed = None;
-        for &m in members {
-            let mcpu = self.threads.expect(m).cpu;
-            let cfg = *self.sched[mcpu].config();
-            let old = self.ts[m].constraints;
-            self.sched[mcpu].load.release(&old);
-            let candidate = self.sched[mcpu].load.admit(&cfg, &constraints);
-            // The probe belongs to this member's verdict; take it before
-            // any rollback re-admission can overwrite it.
-            let probe = self.sched[mcpu].load.take_probe();
-            match candidate {
-                Ok(()) => {
-                    if let Some(t) = &self.trace {
-                        if old.is_realtime() {
-                            t.emit(Record::ConstraintsReleased {
-                                cpu: mcpu as u32,
-                                tid: m as u32,
-                            });
-                        }
-                        self.sched[mcpu].emit_probe(t, probe);
-                        self.sched[mcpu].emit_verdict(t, m, &constraints, true);
-                    }
-                    done.push((m, old));
-                }
-                Err(e) => {
-                    self.sched[mcpu]
-                        .load
-                        .admit(&cfg, &old)
-                        .expect("re-admit old constraints");
-                    // The rollback's own probe pairs with no verdict.
-                    let _ = self.sched[mcpu].load.take_probe();
-                    if old.is_realtime() {
-                        self.sched[mcpu].load.note_rollback();
-                    }
-                    if let Some(t) = &self.trace {
-                        self.sched[mcpu].emit_probe(t, probe);
-                        self.sched[mcpu].emit_verdict(t, m, &constraints, false);
-                        if old.is_realtime() {
-                            self.sched[mcpu].emit_rollback(t, m, &old);
-                        }
-                    }
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = failed {
-            // Unwind: restore every processed member's previous
-            // reservation, newest first.
-            for &(m, old) in done.iter().rev() {
-                let mcpu = self.threads.expect(m).cpu;
-                let cfg = *self.sched[mcpu].config();
-                self.sched[mcpu].load.release(&constraints);
-                self.sched[mcpu]
-                    .load
-                    .admit(&cfg, &old)
-                    .expect("re-admit old constraints");
-                let _ = self.sched[mcpu].load.take_probe();
-                self.sched[mcpu].load.note_rollback();
-                if let Some(t) = &self.trace {
-                    if constraints.is_realtime() || old.is_realtime() {
-                        self.sched[mcpu].emit_rollback(t, m, &old);
-                    }
-                }
-            }
-            return Err(e);
-        }
-        // Commit: phase-correct by slot, clear job state, anchor at the
-        // common instant. The ledger keys on (period, slice), which the
-        // correction leaves untouched — only phases move.
-        for (i, &(m, _)) in done.iter().enumerate() {
-            let mcpu = self.threads.expect(m).cpu;
-            let corrected = nautix_groups::correct_constraints(constraints, i, n, delta_ns);
-            let st = &mut self.ts[m];
-            st.constraints = corrected;
-            st.job_active = false;
-            st.job_started = false;
-            st.job_blocked = false;
-            self.sched[mcpu].anchor(st, anchor_ns);
-        }
-        Ok(())
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CollKind {
-    Elect = 0,
-    Reduce = 1,
-    Broadcast = 2,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GaColl {
-    Elect = 0,
-    Reduce = 1,
 }
 
 #[cfg(test)]

@@ -157,3 +157,70 @@ fn group_size_and_leave() {
     let rs = results.borrow();
     assert_eq!(rs.as_slice(), &[SysResult::Value(2)]);
 }
+
+#[test]
+fn every_group_syscall_on_an_unknown_group_returns_instead_of_panicking() {
+    use nautix_kernel::{Constraints, GroupError};
+    let ghost = GroupId(41);
+    let periodic = Constraints::Periodic {
+        phase: 0,
+        period: 1_000_000,
+        slice: 100_000,
+    };
+    let not_found = SysResult::Group(Err(GroupError::NotFound));
+    let table = [
+        (SysCall::GroupJoin(ghost), not_found),
+        (SysCall::GroupLeave(ghost), not_found),
+        (SysCall::GroupSize(ghost), SysResult::Value(0)),
+        (SysCall::GroupBarrier(ghost), not_found),
+        (SysCall::GroupElect(ghost), not_found),
+        (
+            SysCall::GroupReduceMax {
+                group: ghost,
+                value: 7,
+            },
+            not_found,
+        ),
+        (
+            SysCall::GroupBroadcast {
+                group: ghost,
+                value: 7,
+            },
+            not_found,
+        ),
+        (
+            SysCall::GroupChangeConstraints {
+                group: ghost,
+                constraints: periodic,
+            },
+            not_found,
+        ),
+        (
+            SysCall::GroupAdmitTeam {
+                group: ghost,
+                constraints: periodic,
+            },
+            not_found,
+        ),
+    ];
+    for (call, expected) in table {
+        let seen = Rc::new(RefCell::new(None));
+        let s2 = seen.clone();
+        let c2 = call.clone();
+        let mut node = node(2);
+        let prog = FnProgram::new(move |cx, k| match k {
+            0 => Action::Call(c2.clone()),
+            1 => {
+                *s2.borrow_mut() = Some(cx.result);
+                // The thread runs on, still aperiodic, and exits normally.
+                Action::Compute(10_000)
+            }
+            _ => Action::Exit,
+        });
+        let tid = node.spawn_on(1, "lost", Box::new(prog)).unwrap();
+        node.run_until_quiescent();
+        assert_eq!(*seen.borrow(), Some(expected), "{call:?}");
+        assert_eq!(node.live_programs(), 0, "{call:?}: thread never exited");
+        assert!(!node.thread_state(tid).is_rt(), "{call:?}");
+    }
+}

@@ -162,7 +162,6 @@ fn group_admission_gang_schedules_and_phase_corrects() {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(9).with_seed(5);
     cfg.dispatch_log_cap = 64;
-    cfg.record_ga_timing = true;
     let mut node = Node::new(cfg);
     let gid = nautix_kernel::GroupId(0);
     let mut tids = Vec::new();

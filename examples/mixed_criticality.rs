@@ -17,7 +17,6 @@ use nautix::prelude::*;
 fn main() {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(8).with_seed(23);
-    cfg.record_ga_timing = true;
     let mut node = Node::new(cfg);
     let gid = GroupId(0);
 
