@@ -23,15 +23,17 @@ use nautix_rt::HarnessConfig;
 use nautix_stats::{HubOptions, StatsHub};
 
 /// `--replay <file>`: re-run one recorded trial and print its snapshot.
-/// Exits 0 on a clean replay, 2 on any read/parse error (an armed
-/// oracle flagging the replayed trial panics, as it did when recorded —
-/// that is the expected way to reproduce a flagged anomaly).
+/// Exits 0 on a clean replay, 2 on a file that cannot be read, does not
+/// parse, or describes a node that cannot boot (an armed oracle flagging
+/// the replayed trial panics, as it did when recorded — that is the
+/// expected way to reproduce a flagged anomaly).
 fn run_replay(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("replay: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let sc = Scenario::from_replay_string(&text).unwrap_or_else(|e| {
+    let parsed = Scenario::from_replay_string(&text).and_then(Scenario::check_bootable);
+    let sc = parsed.unwrap_or_else(|e| {
         eprintln!("replay: {path}: {e}");
         std::process::exit(2);
     });

@@ -46,4 +46,4 @@ pub mod topology;
 
 pub use common::{banner, f, out_dir, write_csv, Scale};
 pub use harness::{run_trials, set_stats_stream, BenchReport, HarnessStats, TrialSet};
-pub use scenario::{Scenario, TrialOutcome, Workload, REPLAY_HEADER, REPLAY_VERSION};
+pub use scenario::{Scenario, TrialOutcome, Workload, REPLAY_HEADER};

@@ -11,13 +11,15 @@
 //! pooled or fresh, reproduces the original trial's event count and
 //! stats snapshot byte for byte.
 //!
-//! Scenarios serialize through a strict, versioned, serde-free text codec
+//! Scenarios serialize through the workspace's one strict text codec
 //! ([`Scenario::to_replay_string`] / [`Scenario::from_replay_string`]):
-//! fixed header, one `key value` line per field in a fixed order, `end`
-//! terminator. Parsing never default-fills — unknown versions, missing or
-//! reordered keys, truncated fault plans, and malformed values are all
-//! hard errors, so a stale or corrupted replay file cannot silently
-//! reproduce a *different* trial.
+//! the line framing of [`nautix_stats::text`] — [`REPLAY_HEADER`], one
+//! `key value` line per field in a fixed order, `end` — around values
+//! spelled by [`nautix_des::text`]. Unknown versions, missing or reordered
+//! keys, truncated fault plans, `+5` for `5` are all hard errors, so a
+//! stale, corrupted or hand-edited replay file cannot silently reproduce
+//! a *different* trial: two accepted files are the same trial iff they
+//! are the same bytes.
 //!
 //! The sweep harnesses ([`crate::missrate`], [`crate::fault_sweep`]) run
 //! every trial through [`Scenario::run_recorded`], which additionally
@@ -29,29 +31,26 @@
 
 use crate::harness::{stream_delta, NodePool};
 use nautix_cluster::{ClusterConfig, ClusterOutcome, Fleet, PlacementStrategy};
+use nautix_des::text::{field, split, Value};
 use nautix_des::Nanos;
-use nautix_hw::{
-    CpuId, FaultPlan, FaultStats, MachineConfig, Platform, SmiConfig, TimerMode, Topology,
-};
+use nautix_hw::{CpuId, FaultPlan, FaultStats, MachineConfig, Platform};
 use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
 use nautix_rt::{
-    AdmissionPolicy, DegradePolicy, DegradeStats, HarnessConfig, LayerSpec, LayerTable, Node,
-    NodeConfig, SchedConfig, SchedMode, StealPolicy,
+    DegradePolicy, DegradeStats, HarnessConfig, LayerSpec, LayerTable, Node, NodeConfig,
+    SchedConfig,
 };
+use nautix_stats::text::{Reader, Writer};
 use nautix_stats::StatsSnapshot;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Codec version. Bump when fields are added, removed, or reordered; a
-/// parser only ever accepts its own version. v2 added the `cluster`
-/// workload tag; v3 added the `sched.layers` table, the
-/// `node.sabotage_layer` arming flag, and the `layer_mix` workload tag;
-/// v4 dropped `machine.queue` and `sched.engine` (neither is configuration
-/// any more: the machine picks its queue from its width, and admission has
-/// one engine).
-pub const REPLAY_VERSION: u32 = 4;
-
-/// Header line of the replay codec.
+/// Header line of the replay codec; the string is the version. Bump it
+/// when fields are added, removed, or reordered: a parser only ever
+/// accepts its own. v2 added the `cluster` workload tag; v3 added the
+/// `sched.layers` table, the `node.sabotage_layer` arming flag, and the
+/// `layer_mix` workload tag; v4 dropped `machine.queue` and `sched.engine`
+/// (neither is configuration any more: the machine picks its queue from
+/// its width, and admission has one engine).
 pub const REPLAY_HEADER: &str = "nautix-replay v4";
 
 /// What the trial runs on the configured node.
@@ -121,81 +120,71 @@ pub enum Workload {
     },
 }
 
-impl Workload {
-    /// Canonical `tag:field:field:field` encoding.
-    pub fn encode(&self) -> String {
-        match *self {
+/// `<tag>:<a>:<b>:<c>` — `missrate`/`competing` carry period, slice and
+/// jobs; `fault_mix`/`layer_mix` period, slice percent and jobs; `cluster`
+/// shards, tenants and the strategy name.
+impl Value for Workload {
+    fn encode(&self) -> String {
+        let (tag, a, b, c) = match *self {
             Workload::MissRate {
                 period_ns,
                 slice_ns,
                 jobs,
-            } => format!("missrate:{period_ns}:{slice_ns}:{jobs}"),
+            } => ("missrate", period_ns, slice_ns, jobs.encode()),
             Workload::FaultMix {
                 period_ns,
                 slice_pct,
                 jobs,
-            } => format!("fault_mix:{period_ns}:{slice_pct}:{jobs}"),
+            } => ("fault_mix", period_ns, slice_pct, jobs.encode()),
             Workload::Competing {
                 period_ns,
                 slice_ns,
                 jobs,
-            } => format!("competing:{period_ns}:{slice_ns}:{jobs}"),
+            } => ("competing", period_ns, slice_ns, jobs.encode()),
             Workload::Cluster {
                 shards,
                 tenants,
                 strategy,
-            } => format!("cluster:{shards}:{tenants}:{}", strategy.name()),
+            } => ("cluster", shards as u64, tenants, strategy.encode()),
             Workload::LayerMix {
                 period_ns,
                 slice_pct,
                 jobs,
-            } => format!("layer_mix:{period_ns}:{slice_pct}:{jobs}"),
-        }
+            } => ("layer_mix", period_ns, slice_pct, jobs.encode()),
+        };
+        format!("{tag}:{a}:{b}:{c}")
     }
 
-    /// Strict inverse of [`Workload::encode`].
-    pub fn decode(s: &str) -> Result<Workload, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() != 4 {
-            return Err(format!(
-                "workload: expected `<tag>:<period>:<slice>:<jobs>`, got `{s}`"
-            ));
-        }
-        let n = |v: &str, what: &str| -> Result<u64, String> {
-            v.parse()
-                .map_err(|_| format!("workload {what}: `{v}` is not a u64"))
-        };
-        match parts[0] {
-            "missrate" => Ok(Workload::MissRate {
-                period_ns: n(parts[1], "period")?,
-                slice_ns: n(parts[2], "slice")?,
-                jobs: n(parts[3], "jobs")?,
-            }),
-            "fault_mix" => Ok(Workload::FaultMix {
-                period_ns: n(parts[1], "period")?,
-                slice_pct: n(parts[2], "slice_pct")?,
-                jobs: n(parts[3], "jobs")?,
-            }),
-            "competing" => Ok(Workload::Competing {
-                period_ns: n(parts[1], "period")?,
-                slice_ns: n(parts[2], "slice")?,
-                jobs: n(parts[3], "jobs")?,
-            }),
-            "cluster" => Ok(Workload::Cluster {
-                shards: n(parts[1], "shards")?
-                    .try_into()
-                    .map_err(|_| "workload shards: does not fit usize".to_string())?,
-                tenants: n(parts[2], "tenants")?,
-                strategy: PlacementStrategy::parse(parts[3])
-                    .map_err(|e| format!("workload strategy: {e}"))?,
-            }),
-            "layer_mix" => Ok(Workload::LayerMix {
-                period_ns: n(parts[1], "period")?,
-                slice_pct: n(parts[2], "slice_pct")?,
-                jobs: n(parts[3], "jobs")?,
-            }),
-            tag => Err(format!("workload: unknown tag `{tag}`")),
-        }
+    fn parse(s: &str) -> Result<Workload, String> {
+        let [tag, a, b, c] = split(s, ':', "workload")?;
+        Ok(match tag {
+            "missrate" => Workload::MissRate {
+                period_ns: field(a, "workload period")?,
+                slice_ns: field(b, "workload slice")?,
+                jobs: field(c, "workload jobs")?,
+            },
+            "fault_mix" => Workload::FaultMix {
+                period_ns: field(a, "workload period")?,
+                slice_pct: field(b, "workload slice_pct")?,
+                jobs: field(c, "workload jobs")?,
+            },
+            "competing" => Workload::Competing {
+                period_ns: field(a, "workload period")?,
+                slice_ns: field(b, "workload slice")?,
+                jobs: field(c, "workload jobs")?,
+            },
+            "cluster" => Workload::Cluster {
+                shards: field(a, "workload shards")?,
+                tenants: field(b, "workload tenants")?,
+                strategy: field(c, "workload strategy")?,
+            },
+            "layer_mix" => Workload::LayerMix {
+                period_ns: field(a, "workload period")?,
+                slice_pct: field(b, "workload slice_pct")?,
+                jobs: field(c, "workload jobs")?,
+            },
+            _ => return Err(format!("workload: unknown tag `{tag}`")),
+        })
     }
 }
 
@@ -255,9 +244,9 @@ pub struct TrialOutcome {
 impl Scenario {
     /// The Figures 6–9 trial (see [`crate::missrate`]): admission
     /// disabled so infeasible constraints can be mapped, floors lowered to
-    /// admit µs-scale probes, 2 CPUs. Queue backend and topology come from
-    /// the ambient environment exactly as the sweep's machines do — the
-    /// recorded scenario pins whatever was in effect.
+    /// admit µs-scale probes, 2 CPUs. The topology comes from the ambient
+    /// environment (`NAUTIX_TOPOLOGY`) exactly as the sweep's machines'
+    /// does — the recorded scenario pins whatever was in effect.
     pub fn missrate(
         platform: Platform,
         period_ns: Nanos,
@@ -687,216 +676,10 @@ impl Scenario {
 
     /// Canonical text encoding: version header, `key value` lines in
     /// fixed order, `end`. Two scenarios are equal iff their replay
-    /// strings are byte-identical.
+    /// strings are byte-identical. Every struct is destructured without
+    /// `..`, so a new field without a line here does not compile.
     pub fn to_replay_string(&self) -> String {
-        let m = &self.machine;
-        let s = &self.sched;
-        let mut t = String::with_capacity(1024);
-        t.push_str(REPLAY_HEADER);
-        t.push('\n');
-        let mut kv = |k: &str, v: String| {
-            t.push_str(k);
-            t.push(' ');
-            t.push_str(&v);
-            t.push('\n');
-        };
-        kv("name", self.name.clone());
-        kv("machine.platform", m.platform.encode().to_string());
-        kv("machine.cpus", m.n_cpus.to_string());
-        kv("machine.timer_mode", m.timer_mode.encode());
-        kv("machine.tsc_writable", onoff(m.tsc_writable));
-        kv("machine.boot_skew_max", m.boot_skew_max.to_string());
-        kv("machine.smi", m.smi.encode());
-        kv("machine.faults", m.faults.encode());
-        kv("machine.topology", m.topology.label());
-        kv("machine.seed", m.seed.to_string());
-        kv("sched.util_limit_ppm", s.util_limit_ppm.to_string());
-        kv(
-            "sched.sporadic_reserve_ppm",
-            s.sporadic_reserve_ppm.to_string(),
-        );
-        kv(
-            "sched.aperiodic_reserve_ppm",
-            s.aperiodic_reserve_ppm.to_string(),
-        );
-        kv(
-            "sched.aperiodic_quantum_ns",
-            s.aperiodic_quantum_ns.to_string(),
-        );
-        kv("sched.granularity_ns", s.granularity_ns.to_string());
-        kv("sched.min_period_ns", s.min_period_ns.to_string());
-        kv("sched.min_slice_ns", s.min_slice_ns.to_string());
-        kv("sched.policy", encode_policy(s.policy));
-        kv(
-            "sched.mode",
-            match s.mode {
-                SchedMode::Eager => "eager".into(),
-                SchedMode::Lazy => "lazy".into(),
-            },
-        );
-        kv("sched.lazy_margin_ns", s.lazy_margin_ns.to_string());
-        kv("sched.admission_enabled", onoff(s.admission_enabled));
-        kv("sched.work_stealing", onoff(s.work_stealing));
-        kv(
-            "sched.steal",
-            match s.steal {
-                StealPolicy::LlcFirst => "llc_first".into(),
-                StealPolicy::Uniform => "uniform".into(),
-            },
-        );
-        kv(
-            "sched.degrade",
-            format!(
-                "{}:{}:{}:{}",
-                onoff(s.degrade.enabled),
-                s.degrade.miss_threshold,
-                s.degrade.widen_pct,
-                s.degrade.max_widen
-            ),
-        );
-        kv("sched.layers", s.layers.encode());
-        kv(
-            "node.laden",
-            self.laden
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        kv("node.calib_rounds", self.calib_rounds.to_string());
-        kv("node.max_threads", self.max_threads.to_string());
-        kv("node.steal_poll_ns", self.steal_poll_ns.to_string());
-        kv("node.phase_correction", onoff(self.phase_correction));
-        kv("node.oracles", onoff(self.oracles));
-        kv(
-            "node.sabotage_fifo",
-            match self.sabotage_fifo {
-                None => "none".into(),
-                Some(cpu) => cpu.to_string(),
-            },
-        );
-        kv(
-            "node.sabotage_layer",
-            match self.sabotage_layer {
-                None => "none".into(),
-                Some(cpu) => cpu.to_string(),
-            },
-        );
-        kv("workload", self.workload.encode());
-        t.push_str("end\n");
-        t
-    }
-
-    /// Strict parse of [`Scenario::to_replay_string`] output. Errors on a
-    /// wrong version, a missing / reordered key, any malformed value
-    /// (including a truncated fault plan or a bad topology string),
-    /// truncation before `end`, or trailing garbage.
-    pub fn from_replay_string(text: &str) -> Result<Scenario, String> {
-        let mut p = Parser::new(text)?;
-        let name = p.take("name")?.to_string();
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-        {
-            return Err(format!(
-                "name: `{name}` must be non-empty [A-Za-z0-9._-] (it becomes a file stem)"
-            ));
-        }
-        let platform = Platform::decode(p.take("machine.platform")?)?;
-        let n_cpus: usize = p.num("machine.cpus")?;
-        if n_cpus == 0 {
-            return Err("machine.cpus: must be >= 1".into());
-        }
-        let timer_mode = TimerMode::decode(p.take("machine.timer_mode")?)?;
-        let tsc_writable = parse_onoff(p.take("machine.tsc_writable")?, "machine.tsc_writable")?;
-        let boot_skew_max = p.num("machine.boot_skew_max")?;
-        let smi = SmiConfig::decode(p.take("machine.smi")?)?;
-        let faults = FaultPlan::decode(p.take("machine.faults")?)?;
-        let topology = Topology::parse(p.take("machine.topology")?)
-            .map_err(|e| format!("machine.topology: {e}"))?;
-        let seed = p.num("machine.seed")?;
-        let machine = MachineConfig {
-            platform,
-            n_cpus,
-            timer_mode,
-            tsc_writable,
-            boot_skew_max,
-            smi,
-            faults,
-            topology,
-            seed,
-        };
-        let sched = SchedConfig {
-            util_limit_ppm: p.num("sched.util_limit_ppm")?,
-            sporadic_reserve_ppm: p.num("sched.sporadic_reserve_ppm")?,
-            aperiodic_reserve_ppm: p.num("sched.aperiodic_reserve_ppm")?,
-            aperiodic_quantum_ns: p.num("sched.aperiodic_quantum_ns")?,
-            granularity_ns: p.num("sched.granularity_ns")?,
-            min_period_ns: p.num("sched.min_period_ns")?,
-            min_slice_ns: p.num("sched.min_slice_ns")?,
-            policy: decode_policy(p.take("sched.policy")?)?,
-            mode: match p.take("sched.mode")? {
-                "eager" => SchedMode::Eager,
-                "lazy" => SchedMode::Lazy,
-                other => {
-                    return Err(format!(
-                        "sched.mode: expected `eager` or `lazy`, got `{other}`"
-                    ))
-                }
-            },
-            lazy_margin_ns: p.num("sched.lazy_margin_ns")?,
-            admission_enabled: parse_onoff(
-                p.take("sched.admission_enabled")?,
-                "sched.admission_enabled",
-            )?,
-            work_stealing: parse_onoff(p.take("sched.work_stealing")?, "sched.work_stealing")?,
-            steal: match p.take("sched.steal")? {
-                "llc_first" => StealPolicy::LlcFirst,
-                "uniform" => StealPolicy::Uniform,
-                other => {
-                    return Err(format!(
-                        "sched.steal: expected `llc_first` or `uniform`, got `{other}`"
-                    ))
-                }
-            },
-            degrade: decode_degrade(p.take("sched.degrade")?)?,
-            layers: LayerTable::decode(p.take("sched.layers")?)
-                .map_err(|e| format!("sched.layers: {e}"))?,
-        };
-        let laden_raw = p.take("node.laden")?;
-        let laden = if laden_raw.is_empty() {
-            Vec::new()
-        } else {
-            laden_raw
-                .split(',')
-                .map(|c| {
-                    c.parse::<CpuId>()
-                        .map_err(|_| format!("node.laden: `{c}` is not a CPU index"))
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        let calib_rounds = p.num("node.calib_rounds")?;
-        let max_threads = p.num("node.max_threads")?;
-        let steal_poll_ns = p.num("node.steal_poll_ns")?;
-        let phase_correction =
-            parse_onoff(p.take("node.phase_correction")?, "node.phase_correction")?;
-        let oracles = parse_onoff(p.take("node.oracles")?, "node.oracles")?;
-        let sabotage_fifo = match p.take("node.sabotage_fifo")? {
-            "none" => None,
-            v => Some(v.parse::<CpuId>().map_err(|_| {
-                format!("node.sabotage_fifo: expected `none` or a CPU index, got `{v}`")
-            })?),
-        };
-        let sabotage_layer = match p.take("node.sabotage_layer")? {
-            "none" => None,
-            v => Some(v.parse::<CpuId>().map_err(|_| {
-                format!("node.sabotage_layer: expected `none` or a CPU index, got `{v}`")
-            })?),
-        };
-        let workload = Workload::decode(p.take("workload")?)?;
-        p.finish()?;
-        Ok(Scenario {
+        let Scenario {
             name,
             machine,
             sched,
@@ -909,8 +692,188 @@ impl Scenario {
             sabotage_fifo,
             sabotage_layer,
             workload,
-        })
+        } = self;
+        let MachineConfig {
+            platform,
+            n_cpus,
+            timer_mode,
+            tsc_writable,
+            boot_skew_max,
+            smi,
+            faults,
+            topology,
+            seed,
+        } = machine;
+        let SchedConfig {
+            util_limit_ppm,
+            sporadic_reserve_ppm,
+            aperiodic_reserve_ppm,
+            aperiodic_quantum_ns,
+            granularity_ns,
+            min_period_ns,
+            min_slice_ns,
+            policy,
+            mode,
+            lazy_margin_ns,
+            admission_enabled,
+            work_stealing,
+            steal,
+            degrade,
+            layers,
+        } = sched;
+        let mut w = Writer::new(REPLAY_HEADER);
+        w.kv("name", name);
+        w.kv("machine.platform", platform.encode());
+        w.kv("machine.cpus", &n_cpus.encode());
+        w.kv("machine.timer_mode", &timer_mode.encode());
+        w.kv("machine.tsc_writable", &tsc_writable.encode());
+        w.kv("machine.boot_skew_max", &boot_skew_max.encode());
+        w.kv("machine.smi", &smi.encode());
+        w.kv("machine.faults", &faults.encode());
+        w.kv("machine.topology", &topology.encode());
+        w.kv("machine.seed", &seed.encode());
+        w.kv("sched.util_limit_ppm", &util_limit_ppm.encode());
+        w.kv("sched.sporadic_reserve_ppm", &sporadic_reserve_ppm.encode());
+        w.kv(
+            "sched.aperiodic_reserve_ppm",
+            &aperiodic_reserve_ppm.encode(),
+        );
+        w.kv("sched.aperiodic_quantum_ns", &aperiodic_quantum_ns.encode());
+        w.kv("sched.granularity_ns", &granularity_ns.encode());
+        w.kv("sched.min_period_ns", &min_period_ns.encode());
+        w.kv("sched.min_slice_ns", &min_slice_ns.encode());
+        w.kv("sched.policy", &policy.encode());
+        w.kv("sched.mode", &mode.encode());
+        w.kv("sched.lazy_margin_ns", &lazy_margin_ns.encode());
+        w.kv("sched.admission_enabled", &admission_enabled.encode());
+        w.kv("sched.work_stealing", &work_stealing.encode());
+        w.kv("sched.steal", &steal.encode());
+        w.kv("sched.degrade", &degrade.encode());
+        w.kv("sched.layers", &layers.encode());
+        w.kv("node.laden", &laden.encode());
+        w.kv("node.calib_rounds", &calib_rounds.encode());
+        w.kv("node.max_threads", &max_threads.encode());
+        w.kv("node.steal_poll_ns", &steal_poll_ns.encode());
+        w.kv("node.phase_correction", &phase_correction.encode());
+        w.kv("node.oracles", &oracles.encode());
+        w.kv("node.sabotage_fifo", &sabotage_fifo.encode());
+        w.kv("node.sabotage_layer", &sabotage_layer.encode());
+        w.kv("workload", &workload.encode());
+        w.finish("end")
     }
+
+    /// Strict parse of [`Scenario::to_replay_string`] output. Errors on a
+    /// wrong version, a missing / reordered key, any malformed or
+    /// non-canonical value (a truncated fault plan, `02` for `2`),
+    /// truncation before `end`, or anything after it. Struct literals
+    /// throughout — never a `Default` base — so a new field without a line
+    /// here does not compile. What parses is well-formed, not necessarily
+    /// bootable: see [`Scenario::check_bootable`].
+    pub fn from_replay_string(text: &str) -> Result<Scenario, String> {
+        let mut r = Reader::new(text, "replay", REPLAY_HEADER)?;
+        let name = r.take("name")?.to_string();
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
+        {
+            return Err(format!(
+                "name: `{name}` must be non-empty [A-Za-z0-9._-] (it becomes a file stem)"
+            ));
+        }
+        let machine = MachineConfig {
+            platform: get(&mut r, "machine.platform")?,
+            n_cpus: get(&mut r, "machine.cpus")?,
+            timer_mode: get(&mut r, "machine.timer_mode")?,
+            tsc_writable: get(&mut r, "machine.tsc_writable")?,
+            boot_skew_max: get(&mut r, "machine.boot_skew_max")?,
+            smi: get(&mut r, "machine.smi")?,
+            faults: get(&mut r, "machine.faults")?,
+            topology: get(&mut r, "machine.topology")?,
+            seed: get(&mut r, "machine.seed")?,
+        };
+        if machine.n_cpus == 0 {
+            return Err("machine.cpus: must be >= 1".into());
+        }
+        let sched = SchedConfig {
+            util_limit_ppm: get(&mut r, "sched.util_limit_ppm")?,
+            sporadic_reserve_ppm: get(&mut r, "sched.sporadic_reserve_ppm")?,
+            aperiodic_reserve_ppm: get(&mut r, "sched.aperiodic_reserve_ppm")?,
+            aperiodic_quantum_ns: get(&mut r, "sched.aperiodic_quantum_ns")?,
+            granularity_ns: get(&mut r, "sched.granularity_ns")?,
+            min_period_ns: get(&mut r, "sched.min_period_ns")?,
+            min_slice_ns: get(&mut r, "sched.min_slice_ns")?,
+            policy: get(&mut r, "sched.policy")?,
+            mode: get(&mut r, "sched.mode")?,
+            lazy_margin_ns: get(&mut r, "sched.lazy_margin_ns")?,
+            admission_enabled: get(&mut r, "sched.admission_enabled")?,
+            work_stealing: get(&mut r, "sched.work_stealing")?,
+            steal: get(&mut r, "sched.steal")?,
+            degrade: get(&mut r, "sched.degrade")?,
+            layers: get(&mut r, "sched.layers")?,
+        };
+        let sc = Scenario {
+            name,
+            machine,
+            sched,
+            laden: get(&mut r, "node.laden")?,
+            calib_rounds: get(&mut r, "node.calib_rounds")?,
+            max_threads: get(&mut r, "node.max_threads")?,
+            steal_poll_ns: get(&mut r, "node.steal_poll_ns")?,
+            phase_correction: get(&mut r, "node.phase_correction")?,
+            oracles: get(&mut r, "node.oracles")?,
+            sabotage_fifo: get(&mut r, "node.sabotage_fifo")?,
+            sabotage_layer: get(&mut r, "node.sabotage_layer")?,
+            workload: get(&mut r, "workload")?,
+        };
+        r.finish("end")?;
+        Ok(sc)
+    }
+
+    /// This scenario, if a node built from it can boot and spawn its
+    /// workload; each error names the replay key to fix. The codec checks
+    /// spelling, not sense — it round-trips three laden CPUs on a 2-CPU
+    /// rig faithfully — so whatever runs a file from outside (`repro_all
+    /// --replay`, the corpus loader) asks this first and gets an error
+    /// where the simulator would panic.
+    pub fn check_bootable(self) -> Result<Scenario, String> {
+        let cpus = self.machine.n_cpus;
+        let (top_cpu, threads) = match self.workload {
+            Workload::Cluster { .. } => (0, 0),
+            Workload::MissRate { .. } => (1, 1),
+            Workload::Competing { .. } | Workload::LayerMix { .. } => (1, 2),
+            Workload::FaultMix { .. } => (2, 2),
+        };
+        if cpus <= top_cpu {
+            return Err(format!(
+                "machine.cpus: {cpus}, but the workload spawns on CPU {top_cpu}"
+            ));
+        }
+        if self.laden.is_empty() {
+            return Err("node.laden: empty, but some CPU must take device interrupts".into());
+        }
+        for (key, listed) in [
+            ("node.laden", self.laden.as_slice()),
+            ("node.sabotage_fifo", self.sabotage_fifo.as_slice()),
+            ("node.sabotage_layer", self.sabotage_layer.as_slice()),
+        ] {
+            if let Some(cpu) = listed.iter().find(|&&c| c >= cpus) {
+                return Err(format!("{key}: no CPU {cpu} on a {cpus}-CPU machine"));
+            }
+        }
+        if self.max_threads < cpus + threads {
+            return Err(format!(
+                "node.max_threads: {} cannot hold {cpus} idle threads and the workload's {threads}",
+                self.max_threads
+            ));
+        }
+        Ok(self)
+    }
+}
+
+/// Read one field's line; an error names its key.
+fn get<T: Value>(r: &mut Reader, key: &str) -> Result<T, String> {
+    T::decode(r.take(key)?).map_err(|e| format!("{key}: {e}"))
 }
 
 /// Collect the trial outcome from a finished node. `tid` is the probe.
@@ -944,129 +907,6 @@ fn cluster_trial(out: &ClusterOutcome) -> TrialOutcome {
         miss_std_ns: 0.0,
         faults: FaultStats::default(),
         degrade: DegradeStats::default(),
-    }
-}
-
-fn onoff(b: bool) -> String {
-    if b { "on" } else { "off" }.into()
-}
-
-fn parse_onoff(s: &str, what: &str) -> Result<bool, String> {
-    match s {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!("{what}: expected `on` or `off`, got `{s}`")),
-    }
-}
-
-fn encode_policy(p: AdmissionPolicy) -> String {
-    match p {
-        AdmissionPolicy::EdfBound => "edf_bound".into(),
-        AdmissionPolicy::RmBound => "rm_bound".into(),
-        AdmissionPolicy::HyperperiodSim {
-            overhead_ns,
-            window_cap_ns,
-        } => format!("hyperperiod_sim:{overhead_ns}:{window_cap_ns}"),
-    }
-}
-
-fn decode_policy(s: &str) -> Result<AdmissionPolicy, String> {
-    match s {
-        "edf_bound" => return Ok(AdmissionPolicy::EdfBound),
-        "rm_bound" => return Ok(AdmissionPolicy::RmBound),
-        _ => {}
-    }
-    let parts: Vec<&str> = s.split(':').collect();
-    if parts.len() == 3 && parts[0] == "hyperperiod_sim" {
-        let n = |v: &str, what: &str| -> Result<u64, String> {
-            v.parse()
-                .map_err(|_| format!("sched.policy {what}: `{v}` is not a u64"))
-        };
-        return Ok(AdmissionPolicy::HyperperiodSim {
-            overhead_ns: n(parts[1], "overhead")?,
-            window_cap_ns: n(parts[2], "window cap")?,
-        });
-    }
-    Err(format!(
-        "sched.policy: expected `edf_bound`, `rm_bound` or `hyperperiod_sim:<o>:<w>`, got `{s}`"
-    ))
-}
-
-fn decode_degrade(s: &str) -> Result<DegradePolicy, String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    if parts.len() != 4 {
-        return Err(format!(
-            "sched.degrade: expected `on|off:<threshold>:<widen_pct>:<max_widen>`, got `{s}`"
-        ));
-    }
-    let n = |v: &str, what: &str| -> Result<u32, String> {
-        v.parse()
-            .map_err(|_| format!("sched.degrade {what}: `{v}` is not a u32"))
-    };
-    Ok(DegradePolicy {
-        enabled: parse_onoff(parts[0], "sched.degrade")?,
-        miss_threshold: n(parts[1], "threshold")?,
-        widen_pct: n(parts[2], "widen_pct")?,
-        max_widen: n(parts[3], "max_widen")?,
-    })
-}
-
-/// Ordered `key value` line reader shared by the strict parse path.
-struct Parser<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Result<Parser<'a>, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty replay text")?;
-        if header != REPLAY_HEADER {
-            return Err(format!(
-                "unknown replay version: expected `{REPLAY_HEADER}`, got `{header}`"
-            ));
-        }
-        Ok(Parser { lines })
-    }
-
-    /// The value of the next line, which must carry exactly `key`.
-    fn take(&mut self, key: &str) -> Result<&'a str, String> {
-        let (i, line) = self
-            .lines
-            .next()
-            .ok_or_else(|| format!("truncated replay: missing `{key}`"))?;
-        let (k, v) = line
-            .split_once(' ')
-            .ok_or_else(|| format!("line {}: expected `{key} <value>`, got `{line}`", i + 1))?;
-        if k != key {
-            return Err(format!(
-                "line {}: expected key `{key}`, got `{k}` (keys are ordered)",
-                i + 1
-            ));
-        }
-        Ok(v)
-    }
-
-    /// [`Parser::take`] plus a numeric parse.
-    fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
-        let v = self.take(key)?;
-        v.parse()
-            .map_err(|_| format!("{key}: `{v}` is not a valid number"))
-    }
-
-    /// Require the `end` line and nothing but blank lines after it.
-    fn finish(mut self) -> Result<(), String> {
-        match self.lines.next() {
-            Some((_, "end")) => {}
-            Some((i, line)) => return Err(format!("line {}: expected `end`, got `{line}`", i + 1)),
-            None => return Err("truncated replay: missing `end`".into()),
-        }
-        if let Some((i, line)) = self.lines.find(|(_, l)| !l.trim().is_empty()) {
-            return Err(format!(
-                "line {}: trailing garbage after `end`: `{line}`",
-                i + 1
-            ));
-        }
-        Ok(())
     }
 }
 

@@ -93,7 +93,8 @@ fn load(name: &str) -> Scenario {
     let sc = Scenario::from_replay_string(&text)
         .unwrap_or_else(|e| panic!("corpus file {path:?} does not parse: {e}"));
     assert_eq!(sc.name, name, "corpus file name must match its scenario");
-    sc
+    sc.check_bootable()
+        .unwrap_or_else(|e| panic!("corpus file {path:?} cannot boot: {e}"))
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! every structural or value defect below must produce a parse error.
 
 use nautix_bench::{Scenario, Workload};
+use nautix_des::text::Value;
 use nautix_hw::Platform;
 
 fn valid() -> String {
@@ -112,6 +113,13 @@ fn bad_enums_and_numbers_are_rejected() {
         ("workload", "workload missrate:10:20"),
         ("workload", "workload bsp:1:2:3"),
         ("name", "name ../escape"),
+        // Spellings `str::parse`, a case fold or the `1x1` alias used to
+        // let through: each replayed fine and re-encoded to other bytes.
+        ("machine.seed", "machine.seed +5"),
+        ("machine.cpus", "machine.cpus 02"),
+        ("node.calib_rounds", "node.calib_rounds 016"),
+        ("machine.topology", "machine.topology 1X1"),
+        ("machine.topology", "machine.topology 1x1"),
     ] {
         let t = with_line(&valid(), key, bad);
         assert!(

@@ -5,6 +5,7 @@
 
 use nautix_bench::harness::{run_trials_pooled, NodePool};
 use nautix_bench::{Scenario, TrialOutcome, Workload};
+use nautix_des::text::Value;
 use nautix_hw::{Cost, FaultPlan, MachineConfig, Platform, SmiConfig, TimerMode, Topology};
 use nautix_rt::{AdmissionPolicy, DegradePolicy, HarnessConfig, SchedMode, StealPolicy};
 use proptest::prelude::*;

@@ -24,6 +24,7 @@
 //!   the comparison baseline from the paper's related work.
 
 use crate::tenant::TenantRequest;
+use nautix_des::text::{tag, Value};
 use nautix_des::DetRng;
 
 /// One shard as a policy sees it: cached ledger load and occupancy. Views
@@ -95,19 +96,6 @@ impl PlacementStrategy {
         }
     }
 
-    /// Strict inverse of [`PlacementStrategy::name`].
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "first_fit" => Ok(PlacementStrategy::FirstFit),
-            "best_fit" => Ok(PlacementStrategy::BestFit),
-            "po2" => Ok(PlacementStrategy::PowerOfTwo),
-            "rt_gang" => Ok(PlacementStrategy::RtGang),
-            other => Err(format!(
-                "unknown placement strategy `{other}` (expected first_fit/best_fit/po2/rt_gang)"
-            )),
-        }
-    }
-
     /// Instantiate the policy. `seed` feeds the power-of-two sampler; the
     /// deterministic strategies ignore it.
     pub fn build(self, seed: u64) -> Box<dyn PlacementPolicy> {
@@ -119,6 +107,18 @@ impl PlacementStrategy {
             }),
             PlacementStrategy::RtGang => Box::new(RtGang),
         }
+    }
+}
+
+/// [`PlacementStrategy::name`], as a replay file's `workload cluster:…`
+/// carries it.
+impl Value for PlacementStrategy {
+    fn encode(&self) -> String {
+        self.name().into()
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        tag(s, "placement strategy", &Self::ALL)
     }
 }
 

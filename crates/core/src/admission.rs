@@ -234,66 +234,6 @@ impl LayerTable {
     pub fn cap_ns(&self, layer: usize) -> Nanos {
         (self.replenish_ns as u128 * self.spec(layer).total_ppm() as u128 / PPM as u128) as Nanos
     }
-
-    /// Canonical text form,
-    /// `<g0>:<b0>[,<g1>:<b1>...];<replenish_ns>;<mp>,<ms>,<ma>` — shared
-    /// by the replay codec (`sched.layers`) and the `NAUTIX_LAYERS`
-    /// harness variable. [`LayerTable::decode`] round-trips it exactly.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        for l in 0..self.count() {
-            if l > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{}",
-                self.specs[l].guarantee_ppm, self.specs[l].burst_ppm
-            ));
-        }
-        out.push_str(&format!(
-            ";{};{},{},{}",
-            self.replenish_ns, self.map_periodic, self.map_sporadic, self.map_aperiodic
-        ));
-        out
-    }
-
-    /// Strict parse of the canonical text form; every structural or
-    /// validation failure is an error (no defaults, no salvage).
-    pub fn decode(text: &str) -> Result<Self, String> {
-        let parts: Vec<&str> = text.split(';').collect();
-        if parts.len() != 3 {
-            return Err(format!(
-                "layer table `{text}`: want `<g:b>[,...];<replenish_ns>;<mp>,<ms>,<ma>`"
-            ));
-        }
-        let mut specs = Vec::new();
-        for spec in parts[0].split(',') {
-            let (g, b) = spec.split_once(':').ok_or_else(|| {
-                format!("layer spec `{spec}`: want `<guarantee_ppm>:<burst_ppm>`")
-            })?;
-            specs.push(LayerSpec {
-                guarantee_ppm: g
-                    .parse()
-                    .map_err(|e| format!("layer guarantee `{g}`: {e}"))?,
-                burst_ppm: b.parse().map_err(|e| format!("layer burst `{b}`: {e}"))?,
-            });
-        }
-        let replenish_ns: Nanos = parts[1]
-            .parse()
-            .map_err(|e| format!("layer replenish `{}`: {e}", parts[1]))?;
-        let map: Vec<&str> = parts[2].split(',').collect();
-        if map.len() != 3 {
-            return Err(format!("layer map `{}`: want `<mp>,<ms>,<ma>`", parts[2]));
-        }
-        let mut idx = [0u8; 3];
-        for (slot, m) in idx.iter_mut().zip(&map) {
-            *slot = m
-                .parse()
-                .map_err(|e| format!("layer map index `{m}`: {e}"))?;
-        }
-        LayerTable::build(&specs, replenish_ns, idx)
-            .map_err(|e| format!("layer table `{text}`: {e}"))
-    }
 }
 
 /// Process-wide admission-engine tallies, accumulated live from every
@@ -993,6 +933,7 @@ fn hyperperiod(periods: impl Iterator<Item = Nanos>) -> Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nautix_des::text::Value;
 
     fn cfg() -> SchedConfig {
         SchedConfig::default()

@@ -15,6 +15,7 @@
 //! flat machine.
 
 use crate::admission::LayerTable;
+use nautix_des::text::Value;
 use nautix_hw::{FaultPlan, Topology};
 use std::path::PathBuf;
 
@@ -28,8 +29,7 @@ fn env_path(var: &str) -> Option<PathBuf> {
 
 /// Strict worker-count parser behind `NAUTIX_THREADS`.
 pub fn parse_threads(s: &str) -> Result<usize, String> {
-    s.trim()
-        .parse::<usize>()
+    usize::decode(s.trim())
         .ok()
         .filter(|&n| n >= 1)
         .ok_or_else(|| format!("must be an integer >= 1, got `{s}`"))
@@ -46,13 +46,9 @@ pub fn parse_switch(s: &str) -> Result<bool, String> {
     }
 }
 
-/// Strict layer-table parser behind `NAUTIX_LAYERS`: the canonical
-/// [`LayerTable`] text form,
-/// `<g0>:<b0>[,<g1>:<b1>...];<replenish_ns>;<mp>,<ms>,<ma>` (ppm
-/// guarantees/bursts, a wall-ns replenish window, and the
-/// periodic/sporadic/aperiodic class→layer map). Validation failures
-/// (guarantees summing past 1_000_000, dangling map indices, a zero
-/// window) are errors, same as syntax.
+/// Strict layer-table parser behind `NAUTIX_LAYERS`: the [`LayerTable`]
+/// text form (its [`Value`] impl) with surrounding blanks forgiven.
+/// Validation failures are errors, same as syntax.
 pub fn parse_layers(s: &str) -> Result<LayerTable, String> {
     LayerTable::decode(s.trim())
 }
@@ -90,10 +86,11 @@ impl FaultIntensity {
 
 /// How a harness run is configured: worker threads for parallel trials,
 /// whether every constructed node arms the online invariant oracles, the
-/// fault-injection intensity for experiments that opt in, the topology
-/// shape the run's nodes get unless a bench pins it explicitly, and the
-/// observability hooks (replay-emission directory, stats-stream path)
-/// that used to be scattered raw `std::env` reads.
+/// fault-injection intensity for experiments that opt in, and where the
+/// live stats hub streams. `NAUTIX_TOPOLOGY`, `NAUTIX_LAYERS` and
+/// `NAUTIX_REPLAY_DIR` are read where they act (`MachineConfig`
+/// construction, node boot, trial recording) and are deliberately not
+/// fields: a field nothing reads lets a test set it and get the default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessConfig {
     /// Host worker threads for the parallel trial harness.
@@ -105,31 +102,19 @@ pub struct HarnessConfig {
     /// reproduction never applies this implicitly — an enabled intensity
     /// changes results only where a harness passes it into a machine.
     pub faults: FaultIntensity,
-    /// Topology shape for machines this run builds (`NAUTIX_TOPOLOGY`).
-    pub topology: Topology,
-    /// Layer-table override applied to every node this run builds
-    /// (`NAUTIX_LAYERS`); `None` keeps each node's configured table.
-    pub layers: Option<LayerTable>,
-    /// Where armed-oracle anomalies emit `.replay` files
-    /// (`NAUTIX_REPLAY_DIR`); `None` disables emission.
-    pub replay_dir: Option<PathBuf>,
     /// Where the live stats hub publishes frames (`NAUTIX_STATS_STREAM`);
     /// `None` disables streaming.
     pub stats_stream: Option<PathBuf>,
 }
 
 impl HarnessConfig {
-    /// Serial, oracle-free, fault-free, flat machines: the
-    /// explicit-configuration baseline for tests, independent of the
-    /// process environment.
+    /// Serial, oracle-free, fault-free, no stream: the
+    /// explicit-configuration baseline for tests.
     pub fn serial() -> Self {
         HarnessConfig {
             threads: 1,
             oracles: false,
             faults: FaultIntensity::OFF,
-            topology: Topology::flat(),
-            layers: None,
-            replay_dir: None,
             stats_stream: None,
         }
     }
@@ -148,11 +133,11 @@ impl HarnessConfig {
     ///   available parallelism,
     /// * `NAUTIX_ORACLES` — `1`/`true`/`yes`/`on` arms the oracles,
     /// * `NAUTIX_FAULTS` — fault intensity as a float (`0` disables),
-    /// * `NAUTIX_TOPOLOGY` — `flat` or `<packages>x<llcs>` (e.g. `2x4`),
-    /// * `NAUTIX_LAYERS` — layer-table override in the canonical
-    ///   `<g:b>[,...];<replenish_ns>;<mp>,<ms>,<ma>` form,
-    /// * `NAUTIX_REPLAY_DIR` — directory for anomaly `.replay` emission,
-    /// * `NAUTIX_STATS_STREAM` — file path for live stats frames.
+    /// * `NAUTIX_STATS_STREAM` — file path for live stats frames,
+    ///
+    /// and validates the three that are read where they act:
+    /// `NAUTIX_TOPOLOGY` (`flat` or `<packages>x<llcs>`), `NAUTIX_LAYERS`
+    /// (see [`parse_layers`]), `NAUTIX_REPLAY_DIR` (a directory).
     ///
     /// A set-but-malformed value for any knob is a **hard error** — the
     /// run dies at the entry point instead of silently benchmarking the
@@ -171,14 +156,14 @@ impl HarnessConfig {
             Ok(v) => parse_fault_intensity(&v).unwrap_or_else(|e| panic!("NAUTIX_FAULTS: {e}")),
             Err(_) => FaultIntensity::OFF,
         };
+        // Each of these hard-errors on a malformed value.
+        Topology::from_env();
+        Self::layers_from_env();
+        Self::replay_dir_from_env();
         HarnessConfig {
             threads,
             oracles: Self::oracles_from_env(),
             faults,
-            // Already hard-errors on a malformed value.
-            topology: Topology::from_env(),
-            layers: Self::layers_from_env(),
-            replay_dir: Self::replay_dir_from_env(),
             stats_stream: env_path("NAUTIX_STATS_STREAM"),
         }
     }
@@ -194,7 +179,7 @@ impl HarnessConfig {
         }
     }
 
-    /// [`HarnessConfig::from_env`]'s `layers` field alone.
+    /// The `NAUTIX_LAYERS` override, read at every node boot.
     pub fn layers_from_env() -> Option<LayerTable> {
         match std::env::var("NAUTIX_LAYERS") {
             Ok(v) => Some(parse_layers(&v).unwrap_or_else(|e| panic!("NAUTIX_LAYERS: {e}"))),
@@ -202,7 +187,7 @@ impl HarnessConfig {
         }
     }
 
-    /// [`HarnessConfig::from_env`]'s `replay_dir` field alone.
+    /// The `NAUTIX_REPLAY_DIR` emission directory, read per recorded trial.
     pub fn replay_dir_from_env() -> Option<PathBuf> {
         env_path("NAUTIX_REPLAY_DIR")
     }
@@ -225,9 +210,6 @@ mod tests {
         assert_eq!(c.threads, 1);
         assert!(!c.oracles);
         assert!(!c.faults.enabled());
-        assert!(c.topology.is_flat());
-        assert_eq!(c.layers, None);
-        assert_eq!(c.replay_dir, None);
         assert_eq!(c.stats_stream, None);
         assert_eq!(c.faults.plan(Freq::phi()), FaultPlan::disabled());
         assert_eq!(HarnessConfig::default(), c);

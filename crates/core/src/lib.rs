@@ -22,6 +22,7 @@ pub mod local;
 pub mod node;
 pub mod oracle;
 pub mod pool;
+mod replay;
 pub mod request;
 pub mod stats;
 pub mod timeline;

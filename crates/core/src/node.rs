@@ -2,9 +2,9 @@
 //!
 //! "The global scheduler is the distributed system comprising the local
 //! schedulers and their interactions" (§3). [`Node`] owns the machine
-//! model, the kernel substrate (thread table, buddy allocator, task
-//! queues, interrupt steering) and one [`LocalScheduler`] per CPU, and
-//! drives them from the machine's event stream:
+//! model, the kernel substrate (thread table, task queues, interrupt
+//! steering) and one [`LocalScheduler`] per CPU, and drives them from the
+//! machine's event stream:
 //!
 //! * timer interrupts and kick IPIs invoke the local scheduler,
 //! * operation completions resume thread programs,
@@ -48,7 +48,7 @@ use nautix_groups::GroupRegistry;
 use nautix_hw::{shifted_victim, CostModel, CpuId, Machine, MachineConfig, MachineEvent, TopoMap};
 use nautix_kernel::{
     Action, AdmissionError, Constraints, GroupId, Program, ResumeCx, Steering, SysCall, SysResult,
-    TaskQueues, Thread, ThreadId, ThreadState, ThreadTable, WaitKind, Zone, ZoneAllocator,
+    TaskQueues, Thread, ThreadId, ThreadState, ThreadTable, WaitKind,
 };
 use nautix_trace::{Record, Sink, TraceHandle};
 use std::cell::RefCell;
@@ -198,7 +198,6 @@ pub struct Node {
     /// gang coordination's state ([`crate::gang`]).
     pub(crate) gangs: Gangs,
     steering: Steering,
-    alloc: ZoneAllocator,
     tasks: Vec<TaskQueues>,
     pub(crate) pending_result: Vec<SysResult>,
     cur_op: Vec<Option<(ThreadId, Cycles)>>,
@@ -260,7 +259,6 @@ impl Node {
             sync: TimeSync::perfect(0),
             gangs: Gangs::default(),
             steering: Steering::with_topology(cfg.laden.clone(), topo),
-            alloc: ZoneAllocator::knl_scaled(),
             tasks: Vec::new(),
             pending_result: Vec::new(),
             cur_op: Vec::new(),
@@ -292,7 +290,6 @@ impl Node {
     pub fn reset(&mut self, cfg: NodeConfig) {
         self.machine.reset(cfg.machine.clone());
         self.steering = Steering::with_topology(cfg.laden.clone(), self.machine.topology());
-        self.alloc = ZoneAllocator::knl_scaled();
         self.boot(&cfg);
     }
 
@@ -333,9 +330,7 @@ impl Node {
                     bound: true,
                     state: ThreadState::Running,
                     program: Box::new(nautix_kernel::IdleLoop::new(1)),
-                    cycles_used: 0,
                     is_idle: true,
-                    stack: None,
                 })
                 .unwrap_or_else(|_| panic!("thread table too small for idle threads"));
             if cpu < self.sched.len() {
@@ -579,8 +574,7 @@ impl Node {
 
     /// Spawn a thread **bound** to `cpu` with the default aperiodic
     /// constraints (all threads begin life aperiodic, §3.1). Bound threads
-    /// are never migrated by the work stealer. The thread's stack comes
-    /// from the buddy allocator's preferred zone (§2).
+    /// are never migrated by the work stealer.
     pub fn spawn_on(
         &mut self,
         cpu: CpuId,
@@ -616,10 +610,6 @@ impl Node {
                 while self.reap(c) > 0 {}
             }
         }
-        let stack = self
-            .alloc
-            .alloc(16 * 1024, Zone::HighBandwidth)
-            .map(|(a, _)| a);
         let tid = self
             .threads
             .spawn(Thread {
@@ -628,9 +618,7 @@ impl Node {
                 bound,
                 state: ThreadState::Ready,
                 program,
-                cycles_used: 0,
                 is_idle: false,
-                stack,
             })
             .map_err(|_| AdmissionError::CapacityExceeded)?;
         self.ts[tid] = SchedThread::new_aperiodic();
@@ -794,7 +782,6 @@ impl Node {
             let (_, total) = self.take_op(cpu).expect("op bookkeeping lost");
             let executed = total - remaining;
             self.sched[cpu].account(&mut self.ts[tid], executed);
-            self.threads.expect_mut(tid).cycles_used += executed;
             if !self.threads.expect(tid).is_idle {
                 self.ts[tid].pending_compute = Some(remaining);
             }
@@ -885,7 +872,6 @@ impl Node {
         let (op_tid, total) = self.take_op(cpu).expect("op bookkeeping lost");
         debug_assert_eq!(op_tid, tid);
         self.sched[cpu].account(&mut self.ts[tid], total);
-        self.threads.expect_mut(tid).cycles_used += total;
         self.dispatch(cpu);
     }
 
@@ -1350,10 +1336,6 @@ impl Node {
         self.sched[cpu].dequeue(tid);
         self.note_backlog(cpu);
         self.threads.expect_mut(tid).state = ThreadState::Exited;
-        if let Some(stack) = self.threads.expect(tid).stack {
-            self.alloc.free(stack);
-            self.threads.expect_mut(tid).stack = None;
-        }
         self.zombies[cpu].push(tid);
         self.live_programs -= 1;
     }

@@ -1,6 +1,5 @@
 //! Thread-pool maintenance: exited threads are reaped by the idle path
-//! and their slots (and stacks) recycled, so churn far beyond the table
-//! capacity works.
+//! and their slots recycled, so churn far beyond the table capacity works.
 
 use nautix_hw::MachineConfig;
 use nautix_kernel::{Action, Script};
@@ -36,8 +35,8 @@ fn stacks_are_returned_to_the_allocator() {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(82);
     let mut node = Node::new(cfg);
-    // Each 16 KiB stack comes from the scaled 16 MiB HBM zone: ~1000 fit.
-    // 3000 sequential threads only work if stacks are freed on exit.
+    // The default table holds 1024 threads: 3000 sequential ones only
+    // work if every exit gives its slot back.
     for wave in 0..300 {
         for i in 0..10 {
             node.spawn_on(

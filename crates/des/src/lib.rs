@@ -16,6 +16,7 @@
 pub mod event;
 pub mod rng;
 pub mod stats;
+pub mod text;
 pub mod time;
 pub mod wheel;
 

@@ -1,50 +1,41 @@
 //! Replay-codec fragments for hardware configuration types.
 //!
 //! The bench layer's scenario record/replay format serializes a full
-//! `MachineConfig`; the field encodings for the hardware-owned pieces —
-//! [`Cost`], [`FaultPattern`], [`FaultPlan`], [`SmiConfig`],
-//! [`TimerMode`], [`Platform`] — live here, next to the types they
-//! describe, so adding a field to a type and forgetting its codec arm is
-//! a compile error in this file rather than a silent drift in `bench`.
-//!
-//! Codec rules (shared with the scenario format): encodings are canonical
-//! (one spelling per value), colon-separated within a fragment,
-//! semicolon-separated across [`FaultPlan`] fields, and decoding is
-//! strict — wrong arity, unknown tags, or malformed numbers are hard
-//! errors, never default-fills.
+//! `MachineConfig`; the spellings of the hardware-owned pieces live here,
+//! next to the types they describe, so adding a field to a type and
+//! forgetting its codec arm is a compile error in this file rather than a
+//! silent drift in `bench`: every `parse` builds a struct literal and
+//! every `encode` destructures without `..`. The rules are [`Value`]'s.
+//! Fragments are colon-separated inside, semicolon-separated across
+//! [`FaultPlan`] fields.
 
 use crate::apic::TimerMode;
 use crate::cost::Cost;
 use crate::fault::{FaultPattern, FaultPlan};
 use crate::machine::Platform;
 use crate::smi::{SmiConfig, SmiPattern};
+use crate::topology::Topology;
+use nautix_des::text::{field, split, tag, Value};
 
-fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("{what}: `{s}` is not a valid number"))
-}
-
-impl Cost {
-    /// Canonical `base:jitter` encoding.
-    pub fn encode(&self) -> String {
-        format!("{}:{}", self.base, self.jitter)
+/// `base:jitter`.
+impl Value for Cost {
+    fn encode(&self) -> String {
+        let Cost { base, jitter } = self;
+        format!("{base}:{jitter}")
     }
 
-    /// Strict inverse of [`Cost::encode`].
-    pub fn decode(s: &str) -> Result<Cost, String> {
-        let (base, jitter) = s
-            .split_once(':')
-            .ok_or_else(|| format!("cost: expected `base:jitter`, got `{s}`"))?;
+    fn parse(s: &str) -> Result<Cost, String> {
+        let [base, jitter] = split(s, ':', "cost")?;
         Ok(Cost {
-            base: num(base, "cost base")?,
-            jitter: num(jitter, "cost jitter")?,
+            base: field(base, "cost base")?,
+            jitter: field(jitter, "cost jitter")?,
         })
     }
 }
 
-impl FaultPattern {
-    /// `off` | `periodic:<interval>` | `poisson:<mean>`.
-    pub fn encode(&self) -> String {
+/// `off` | `periodic:<interval>` | `poisson:<mean>`.
+impl Value for FaultPattern {
+    fn encode(&self) -> String {
         match *self {
             FaultPattern::Disabled => "off".into(),
             FaultPattern::Periodic { interval } => format!("periodic:{interval}"),
@@ -52,15 +43,14 @@ impl FaultPattern {
         }
     }
 
-    /// Strict inverse of [`FaultPattern::encode`].
-    pub fn decode(s: &str) -> Result<FaultPattern, String> {
+    fn parse(s: &str) -> Result<FaultPattern, String> {
         match s.split_once(':') {
             None if s == "off" => Ok(FaultPattern::Disabled),
             Some(("periodic", v)) => Ok(FaultPattern::Periodic {
-                interval: num(v, "periodic interval")?,
+                interval: field(v, "periodic interval")?,
             }),
             Some(("poisson", v)) => Ok(FaultPattern::Poisson {
-                mean_interval: num(v, "poisson mean")?,
+                mean_interval: field(v, "poisson mean")?,
             }),
             _ => Err(format!(
                 "fault pattern: expected `off`, `periodic:<n>` or `poisson:<n>`, got `{s}`"
@@ -69,70 +59,54 @@ impl FaultPattern {
     }
 }
 
-impl SmiConfig {
-    /// `off` | `periodic:<interval>:<base>:<jitter>` |
-    /// `poisson:<mean>:<base>:<jitter>` (duration folded in, since a
-    /// disabled injector has no meaningful duration).
-    pub fn encode(&self) -> String {
-        match self.pattern {
-            SmiPattern::Disabled => "off".into(),
-            SmiPattern::Periodic { interval } => {
-                format!(
-                    "periodic:{interval}:{}:{}",
-                    self.duration.base, self.duration.jitter
-                )
-            }
-            SmiPattern::Poisson { mean_interval } => {
-                format!(
-                    "poisson:{mean_interval}:{}:{}",
-                    self.duration.base, self.duration.jitter
-                )
-            }
-        }
+/// `off` | `periodic:<interval>:<base>:<jitter>` |
+/// `poisson:<mean>:<base>:<jitter>` (duration folded in, since a
+/// disabled injector has no meaningful duration).
+impl Value for SmiConfig {
+    fn encode(&self) -> String {
+        let SmiConfig { pattern, duration } = self;
+        let (tag, n) = match *pattern {
+            SmiPattern::Disabled => return "off".into(),
+            SmiPattern::Periodic { interval } => ("periodic", interval),
+            SmiPattern::Poisson { mean_interval } => ("poisson", mean_interval),
+        };
+        format!("{tag}:{n}:{}", duration.encode())
     }
 
-    /// Strict inverse of [`SmiConfig::encode`].
-    pub fn decode(s: &str) -> Result<SmiConfig, String> {
+    fn parse(s: &str) -> Result<SmiConfig, String> {
         if s == "off" {
             return Ok(SmiConfig::disabled());
         }
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() != 4 {
-            return Err(format!(
-                "smi: expected `off` or `<tag>:<n>:<base>:<jitter>`, got `{s}`"
-            ));
-        }
-        let n: u64 = num(parts[1], "smi interval")?;
-        let pattern = match parts[0] {
-            "periodic" => SmiPattern::Periodic { interval: n },
-            "poisson" => SmiPattern::Poisson { mean_interval: n },
-            tag => return Err(format!("smi: unknown pattern tag `{tag}`")),
-        };
+        let [tag, n, base, jitter] = split(s, ':', "smi")?;
+        let n = field(n, "smi interval")?;
         Ok(SmiConfig {
-            pattern,
+            pattern: match tag {
+                "periodic" => SmiPattern::Periodic { interval: n },
+                "poisson" => SmiPattern::Poisson { mean_interval: n },
+                _ => return Err(format!("smi: unknown pattern tag `{tag}`")),
+            },
             duration: Cost {
-                base: num(parts[2], "smi duration base")?,
-                jitter: num(parts[3], "smi duration jitter")?,
+                base: field(base, "smi duration base")?,
+                jitter: field(jitter, "smi duration jitter")?,
             },
         })
     }
 }
 
-impl TimerMode {
-    /// `oneshot:<tick_cycles>` | `tsc_deadline`.
-    pub fn encode(&self) -> String {
+/// `oneshot:<tick_cycles>` | `tsc_deadline`.
+impl Value for TimerMode {
+    fn encode(&self) -> String {
         match *self {
             TimerMode::OneShot { tick_cycles } => format!("oneshot:{tick_cycles}"),
             TimerMode::TscDeadline => "tsc_deadline".into(),
         }
     }
 
-    /// Strict inverse of [`TimerMode::encode`].
-    pub fn decode(s: &str) -> Result<TimerMode, String> {
+    fn parse(s: &str) -> Result<TimerMode, String> {
         match s.split_once(':') {
             None if s == "tsc_deadline" => Ok(TimerMode::TscDeadline),
             Some(("oneshot", v)) => Ok(TimerMode::OneShot {
-                tick_cycles: num(v, "oneshot tick")?,
+                tick_cycles: field(v, "oneshot tick")?,
             }),
             _ => Err(format!(
                 "timer mode: expected `oneshot:<tick>` or `tsc_deadline`, got `{s}`"
@@ -142,78 +116,93 @@ impl TimerMode {
 }
 
 impl Platform {
-    /// `phi` | `r415`.
+    /// `phi` | `r415`: the tag, also used in file and scenario names.
     pub fn encode(&self) -> &'static str {
         match self {
             Platform::Phi => "phi",
             Platform::R415 => "r415",
         }
     }
+}
 
-    /// Strict inverse of [`Platform::encode`].
-    pub fn decode(s: &str) -> Result<Platform, String> {
-        match s {
-            "phi" => Ok(Platform::Phi),
-            "r415" => Ok(Platform::R415),
-            _ => Err(format!("platform: expected `phi` or `r415`, got `{s}`")),
-        }
+impl Value for Platform {
+    fn encode(&self) -> String {
+        Platform::encode(self).into()
+    }
+
+    fn parse(s: &str) -> Result<Platform, String> {
+        tag(s, "platform", &[Platform::Phi, Platform::R415])
     }
 }
 
-/// Field count of the enabled [`FaultPlan`] encoding. Bump alongside any
-/// struct change; the decoder rejects any other arity.
-const FAULT_PLAN_FIELDS: usize = 12;
+/// [`Topology::label`]. The human-facing [`Topology::parse`] also takes
+/// `1x1`, capitals and padding; [`Value::decode`] only the label itself.
+impl Value for Topology {
+    fn encode(&self) -> String {
+        self.label()
+    }
 
-impl FaultPlan {
-    /// `off` for the inert plan, otherwise all twelve fields in struct
-    /// order, semicolon-separated.
-    pub fn encode(&self) -> String {
+    fn parse(s: &str) -> Result<Topology, String> {
+        Topology::parse(s)
+    }
+}
+
+/// `off` for the inert plan, otherwise all twelve fields in struct order,
+/// semicolon-separated: a truncated plan is a wrong field count.
+impl Value for FaultPlan {
+    fn encode(&self) -> String {
         if *self == FaultPlan::disabled() {
             return "off".into();
         }
+        let FaultPlan {
+            kick_drop_ppm,
+            kick_delay_ppm,
+            kick_delay_extra,
+            timer_overshoot_ppm,
+            timer_overshoot_extra,
+            freq_dip,
+            freq_dip_duration,
+            freq_dip_loss_pct,
+            spurious_irq,
+            spurious_irq_line,
+            cpu_stall,
+            cpu_stall_duration,
+        } = self;
         [
-            self.kick_drop_ppm.to_string(),
-            self.kick_delay_ppm.to_string(),
-            self.kick_delay_extra.encode(),
-            self.timer_overshoot_ppm.to_string(),
-            self.timer_overshoot_extra.encode(),
-            self.freq_dip.encode(),
-            self.freq_dip_duration.encode(),
-            self.freq_dip_loss_pct.to_string(),
-            self.spurious_irq.encode(),
-            self.spurious_irq_line.to_string(),
-            self.cpu_stall.encode(),
-            self.cpu_stall_duration.encode(),
+            kick_drop_ppm.encode(),
+            kick_delay_ppm.encode(),
+            kick_delay_extra.encode(),
+            timer_overshoot_ppm.encode(),
+            timer_overshoot_extra.encode(),
+            freq_dip.encode(),
+            freq_dip_duration.encode(),
+            freq_dip_loss_pct.encode(),
+            spurious_irq.encode(),
+            spurious_irq_line.encode(),
+            cpu_stall.encode(),
+            cpu_stall_duration.encode(),
         ]
         .join(";")
     }
 
-    /// Strict inverse of [`FaultPlan::encode`]: wrong field count (a
-    /// truncated plan) or any malformed field is an error.
-    pub fn decode(s: &str) -> Result<FaultPlan, String> {
+    fn parse(s: &str) -> Result<FaultPlan, String> {
         if s == "off" {
             return Ok(FaultPlan::disabled());
         }
-        let parts: Vec<&str> = s.split(';').collect();
-        if parts.len() != FAULT_PLAN_FIELDS {
-            return Err(format!(
-                "fault plan: expected `off` or {FAULT_PLAN_FIELDS} `;`-separated fields, got {} in `{s}`",
-                parts.len()
-            ));
-        }
+        let p: [&str; 12] = split(s, ';', "fault plan")?;
         Ok(FaultPlan {
-            kick_drop_ppm: num(parts[0], "kick_drop_ppm")?,
-            kick_delay_ppm: num(parts[1], "kick_delay_ppm")?,
-            kick_delay_extra: Cost::decode(parts[2])?,
-            timer_overshoot_ppm: num(parts[3], "timer_overshoot_ppm")?,
-            timer_overshoot_extra: Cost::decode(parts[4])?,
-            freq_dip: FaultPattern::decode(parts[5])?,
-            freq_dip_duration: Cost::decode(parts[6])?,
-            freq_dip_loss_pct: num(parts[7], "freq_dip_loss_pct")?,
-            spurious_irq: FaultPattern::decode(parts[8])?,
-            spurious_irq_line: num(parts[9], "spurious_irq_line")?,
-            cpu_stall: FaultPattern::decode(parts[10])?,
-            cpu_stall_duration: Cost::decode(parts[11])?,
+            kick_drop_ppm: field(p[0], "kick_drop_ppm")?,
+            kick_delay_ppm: field(p[1], "kick_delay_ppm")?,
+            kick_delay_extra: field(p[2], "kick_delay_extra")?,
+            timer_overshoot_ppm: field(p[3], "timer_overshoot_ppm")?,
+            timer_overshoot_extra: field(p[4], "timer_overshoot_extra")?,
+            freq_dip: field(p[5], "freq_dip")?,
+            freq_dip_duration: field(p[6], "freq_dip_duration")?,
+            freq_dip_loss_pct: field(p[7], "freq_dip_loss_pct")?,
+            spurious_irq: field(p[8], "spurious_irq")?,
+            spurious_irq_line: field(p[9], "spurious_irq_line")?,
+            cpu_stall: field(p[10], "cpu_stall")?,
+            cpu_stall_duration: field(p[11], "cpu_stall_duration")?,
         })
     }
 }

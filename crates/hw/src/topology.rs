@@ -26,6 +26,7 @@
 //! values are a hard error, never a silent default.
 
 use crate::machine::CpuId;
+use nautix_des::text::Value;
 
 /// Hop-distance class between two CPUs, coarsest first. The cost model
 /// keys distance-dependent costs (kick-IPI latency, steal probes and
@@ -90,14 +91,16 @@ impl Topology {
         }
     }
 
-    /// Parse a topology spec: `flat` (or `1x1`) and `<packages>x<llcs>`.
+    /// Parse a topology spec as a person writes it in `NAUTIX_TOPOLOGY`:
+    /// `flat` (or `1x1`) and `<packages>x<llcs>`, padding and capitals
+    /// forgiven. (A replay file must spell it as [`Topology::label`] does.)
     pub fn parse(s: &str) -> Result<Topology, String> {
         let t = s.trim().to_ascii_lowercase();
         if t == "flat" {
             return Ok(Topology::flat());
         }
         let parse_part = |p: &str, what: &str| -> Result<u32, String> {
-            p.parse::<u32>()
+            u32::decode(p)
                 .ok()
                 .filter(|&v| v >= 1)
                 .ok_or_else(|| format!("bad {what} `{p}` in topology `{s}`"))

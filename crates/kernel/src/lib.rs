@@ -4,20 +4,19 @@
 //! designed to support HRT construction": streamlined threads, fixed-size
 //! scheduler state, explicit buddy-system NUMA memory management, bounded
 //! interrupt handlers, and fully steerable interrupts (§2). This crate is
-//! that substrate, rebuilt for the simulated node:
+//! that substrate, rebuilt for the simulated node (memory management is
+//! not modeled: nothing in the simulation charges for it):
 //!
 //! * [`thread`] — the fixed-capacity thread table with reaping/reanimation,
 //! * [`program`] — resumable thread bodies and the kernel service ABI,
 //! * [`constraints`] — the Liu-model timing-constraint descriptors (§3.1),
 //! * [`queue`] — fixed-size priority and round-robin queues (§3.3),
-//! * [`alloc`] — buddy allocators with NUMA zones (§2),
 //! * [`sync`] — the spin barrier with modeled release staggering (§4.4),
 //! * [`task`] — lightweight size-tagged tasks (§3.1),
 //! * [`steering`] — interrupt steering and segregation (§3.5).
 //!
 //! The hard real-time scheduler itself lives in `nautix-rt`.
 
-pub mod alloc;
 pub mod constraints;
 pub mod ids;
 pub mod program;
@@ -27,7 +26,6 @@ pub mod sync;
 pub mod task;
 pub mod thread;
 
-pub use alloc::{BuddyAllocator, Zone, ZoneAllocator};
 pub use constraints::{
     task_set_signature, AdmissionError, ConstraintError, Constraints, ConstraintsBuilder, Priority,
 };

@@ -1,14 +1,12 @@
 //! The node-wide thread table.
 //!
-//! Nautilus threads are kernel threads with explicitly managed stacks and
-//! a compile-time bound on the total count (§3.3: "the maximum number of
-//! threads in the whole system is determined at compile time"). The table
-//! here mirrors that: a fixed-capacity slab with an explicit free list
-//! (thread reaping / reanimation — the paper's thread-pool maintenance),
-//! never reallocating.
+//! Nautilus threads are kernel threads with a compile-time bound on the
+//! total count (§3.3: "the maximum number of threads in the whole system
+//! is determined at compile time"). The table here mirrors that: a
+//! fixed-capacity slab with an explicit free list (thread reaping /
+//! reanimation — the paper's thread-pool maintenance), never reallocating.
 
 use crate::program::{Program, ThreadId};
-use nautix_des::Cycles;
 use nautix_hw::CpuId;
 
 /// Default system-wide thread bound, like Nautilus's compile-time maximum.
@@ -55,13 +53,8 @@ pub struct Thread {
     pub state: ThreadState,
     /// The resumable body.
     pub program: Box<dyn Program>,
-    /// Cycles of CPU actually consumed (thread-local accounting).
-    pub cycles_used: Cycles,
     /// Whether this is the per-CPU idle thread.
     pub is_idle: bool,
-    /// Address of the stack allocation backing this thread, if the node
-    /// allocated one from the buddy system.
-    pub stack: Option<usize>,
 }
 
 impl std::fmt::Debug for Thread {
@@ -143,21 +136,19 @@ impl ThreadTable {
         Ok(tid)
     }
 
-    /// Reclaim an exited thread's slot (reaping). Returns its stack
-    /// allocation, if any, for the caller to free.
-    pub fn reap(&mut self, tid: ThreadId) -> Option<usize> {
-        let slot = self.slots.get_mut(tid)?;
-        match slot {
-            Some(t) if t.state == ThreadState::Exited => {
-                let stack = t.stack;
-                *slot = None;
-                self.free.push(tid);
-                self.live -= 1;
-                self.reaped += 1;
-                stack
-            }
-            _ => None,
+    /// Reclaim an exited thread's slot (reaping). Returns whether the slot
+    /// was reclaimed: a live or already-free slot is left alone.
+    pub fn reap(&mut self, tid: ThreadId) -> bool {
+        let exited = self
+            .get(tid)
+            .is_some_and(|t| t.state == ThreadState::Exited);
+        if exited {
+            self.slots[tid] = None;
+            self.free.push(tid);
+            self.live -= 1;
+            self.reaped += 1;
         }
+        exited
     }
 
     /// Borrow a thread.
@@ -201,9 +192,7 @@ mod tests {
             bound: true,
             state: ThreadState::Ready,
             program: Box::new(IdleLoop::new(100)),
-            cycles_used: 0,
             is_idle: false,
-            stack: None,
         }
     }
 
@@ -232,8 +221,7 @@ mod tests {
         let a = t.spawn(mk("a")).unwrap();
         t.spawn(mk("b")).unwrap();
         t.expect_mut(a).state = ThreadState::Exited;
-        t.expect_mut(a).stack = Some(0xBEEF);
-        assert_eq!(t.reap(a), Some(0xBEEF));
+        assert!(t.reap(a));
         assert_eq!(t.live(), 1);
         let c = t.spawn(mk("c")).unwrap();
         assert_eq!(c, a, "slot should be reused");
@@ -245,7 +233,7 @@ mod tests {
     fn reap_refuses_non_exited_threads() {
         let mut t = ThreadTable::new(2);
         let a = t.spawn(mk("a")).unwrap();
-        assert_eq!(t.reap(a), None);
+        assert!(!t.reap(a));
         assert_eq!(t.live(), 1);
         assert!(t.get(a).is_some());
     }

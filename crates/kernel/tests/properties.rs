@@ -1,6 +1,6 @@
 //! Property-based tests of the kernel substrate's invariants.
 
-use nautix_kernel::{BuddyAllocator, FixedHeap, RrQueue};
+use nautix_kernel::{FixedHeap, RrQueue};
 use proptest::prelude::*;
 use std::collections::BinaryHeap;
 
@@ -74,55 +74,6 @@ proptest! {
         for class in 0..4 {
             let idx: Vec<usize> = got.iter().filter(|&&(p, _)| p == class).map(|&(_, v)| v).collect();
             prop_assert!(idx.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    /// Buddy allocator: live allocations never overlap, and freeing
-    /// everything returns the arena to a single pristine block.
-    #[test]
-    fn buddy_no_overlap_and_full_coalesce(
-        sizes in prop::collection::vec(1usize..5000, 1..40),
-    ) {
-        let mut b = BuddyAllocator::new(0, 4, 18); // 256 KiB arena
-        let mut live: Vec<(usize, usize)> = Vec::new();
-        for &sz in &sizes {
-            if let Some(addr) = b.alloc(sz) {
-                let len = sz.next_power_of_two().max(16);
-                for &(a, l) in &live {
-                    prop_assert!(addr + len <= a || a + l <= addr,
-                        "allocations [{},{}) and [{},{}) overlap",
-                        addr, addr + len, a, a + l);
-                }
-                live.push((addr, len));
-            }
-        }
-        for (a, _) in live {
-            b.free(a);
-        }
-        prop_assert!(b.is_pristine());
-    }
-
-    /// Buddy accounting: used() equals the sum of the block sizes of
-    /// outstanding allocations, and never exceeds capacity.
-    #[test]
-    fn buddy_accounting_is_exact(
-        ops in prop::collection::vec((1usize..3000, prop::bool::ANY), 1..60),
-    ) {
-        let mut b = BuddyAllocator::new(0, 4, 16);
-        let mut live: Vec<(usize, usize)> = Vec::new();
-        let mut expected_used = 0usize;
-        for &(sz, free_one) in &ops {
-            if free_one && !live.is_empty() {
-                let (addr, len) = live.pop().unwrap();
-                b.free(addr);
-                expected_used -= len;
-            } else if let Some(addr) = b.alloc(sz) {
-                let len = sz.next_power_of_two().max(16);
-                live.push((addr, len));
-                expected_used += len;
-            }
-            prop_assert_eq!(b.used(), expected_used);
-            prop_assert!(b.used() <= b.capacity());
         }
     }
 }

@@ -25,7 +25,8 @@
 //! Observation only: nothing in this module feeds back into a simulation.
 //! A run with streaming enabled is byte-identical to one without.
 
-use crate::snapshot::StatsSnapshot;
+use crate::snapshot::{StatsSnapshot, SNAPSHOT_HEADER};
+use crate::text::{parse_u64, Reader, Writer};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -251,85 +252,46 @@ impl Frame {
         }
     }
 
-    /// Canonical text encoding (versioned, strict; mirrors the snapshot
-    /// codec's rules).
+    /// Canonical text encoding, a [`crate::text`] document:
+    /// [`FRAME_HEADER`], `elapsed_nanos`, the snapshot document nested
+    /// whole, one `shard <index> <trials> <events> <wall_nanos>` line per
+    /// shard in index order, `eof`.
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str(FRAME_HEADER);
-        s.push('\n');
-        s.push_str(&format!("elapsed_nanos {}\n", self.elapsed_nanos));
-        s.push_str(&self.snapshot.to_text());
+        let mut w = Writer::new(FRAME_HEADER);
+        w.kv("elapsed_nanos", &self.elapsed_nanos.to_string());
+        w.line(SNAPSHOT_HEADER);
+        self.snapshot.write(&mut w);
+        w.line("end");
         for (i, sh) in self.shards.iter().enumerate() {
-            s.push_str(&format!(
-                "shard {i} {} {} {}\n",
-                sh.trials, sh.events, sh.wall_nanos
-            ));
+            let row = format!("{i} {} {} {}", sh.trials, sh.events, sh.wall_nanos);
+            w.kv("shard", &row);
         }
-        s.push_str("eof\n");
-        s
+        w.finish("eof")
     }
 
     /// Strict parse of [`Frame::to_text`] output.
     pub fn from_text(text: &str) -> Result<Frame, String> {
-        let mut rest = text;
-        let mut take_line = |what: &str| -> Result<&str, String> {
-            let (line, tail) = rest
-                .split_once('\n')
-                .ok_or_else(|| format!("truncated frame: missing {what}"))?;
-            rest = tail;
-            Ok(line)
-        };
-        let header = take_line("header")?;
-        if header != FRAME_HEADER {
-            return Err(format!(
-                "unknown stream version: expected `{FRAME_HEADER}`, got `{header}`"
-            ));
-        }
-        let elapsed = take_line("elapsed_nanos")?;
-        let elapsed_nanos = elapsed
-            .strip_prefix("elapsed_nanos ")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad elapsed_nanos line: `{elapsed}`"))?;
-        // The embedded snapshot runs up to and including its `end` line.
-        let end = rest
-            .find("\nend\n")
-            .map(|i| i + "\nend\n".len())
-            .ok_or("truncated frame: snapshot missing `end`")?;
-        let snapshot = StatsSnapshot::from_text(&rest[..end])?;
-        rest = &rest[end..];
+        let mut r = Reader::new(text, "stream", FRAME_HEADER)?;
+        let elapsed_nanos = r.u64("elapsed_nanos")?;
+        r.literal(SNAPSHOT_HEADER)?;
+        let snapshot = StatsSnapshot::read(&mut r)?;
+        r.literal("end")?;
         let mut shards = Vec::new();
-        loop {
-            let (line, tail) = rest
-                .split_once('\n')
-                .ok_or("truncated frame: missing `eof`")?;
-            rest = tail;
-            if line == "eof" {
-                break;
-            }
-            let mut it = line.split(' ');
-            let parse = |v: Option<&str>| -> Result<u64, String> {
-                v.and_then(|x| x.parse().ok())
-                    .ok_or_else(|| format!("bad shard line: `{line}`"))
+        while let Some(row) = r.take_if("shard") {
+            let cells: Option<Vec<u64>> = row.split(' ').map(parse_u64).collect();
+            let Some(&[index, trials, events, wall_nanos]) = cells.as_deref() else {
+                return Err(format!("bad shard line: `shard {row}`"));
             };
-            if it.next() != Some("shard") {
-                return Err(format!("expected `shard` or `eof`, got `{line}`"));
-            }
-            let idx = parse(it.next())? as usize;
-            if idx != shards.len() {
-                return Err(format!("shard lines out of order at `{line}`"));
+            if index != shards.len() as u64 {
+                return Err(format!("shard lines out of order at `shard {row}`"));
             }
             shards.push(ShardStat {
-                trials: parse(it.next())?,
-                events: parse(it.next())?,
-                wall_nanos: parse(it.next())?,
+                trials,
+                events,
+                wall_nanos,
             });
-            if it.next().is_some() {
-                return Err(format!("bad shard line: `{line}`"));
-            }
         }
-        if !rest.trim().is_empty() {
-            return Err("trailing garbage after `eof`".into());
-        }
+        r.finish("eof")?;
         Ok(Frame {
             elapsed_nanos,
             snapshot,

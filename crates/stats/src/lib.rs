@@ -18,6 +18,7 @@
 
 pub mod hub;
 pub mod snapshot;
+pub mod text;
 
 pub use hub::{Frame, HubOptions, HubReport, Sampler, ShardStat, StatsHub, StatsTx};
-pub use snapshot::{StatsSnapshot, SNAPSHOT_HEADER, SNAPSHOT_VERSION};
+pub use snapshot::{StatsSnapshot, SNAPSHOT_HEADER};

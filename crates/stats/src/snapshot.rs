@@ -9,20 +9,18 @@
 //! arrival order, which is what lets harness workers stream deltas over a
 //! channel without perturbing determinism.
 //!
-//! Snapshots serialize through a strict, versioned, serde-free text codec
-//! ([`StatsSnapshot::to_text`] / [`StatsSnapshot::from_text`]): a fixed
-//! header naming the format version, one `key value` line per counter in a
-//! fixed order, and a trailing `end` line. Parsing is exact — wrong
-//! version, missing keys, reordered keys, truncation, or trailing garbage
-//! are all hard errors, never default-filled. The fixed order makes the
-//! encoding canonical: two snapshots are equal iff their texts are
-//! byte-identical, which the replay regression corpus relies on.
+//! Snapshots serialize as a [`crate::text`] document
+//! ([`StatsSnapshot::to_text`] / [`StatsSnapshot::from_text`]):
+//! [`SNAPSHOT_HEADER`], one `key value` line per counter in
+//! [`StatsSnapshot::FIELDS`] order, `end`. Two snapshots are equal iff
+//! their texts are byte-identical, which the replay regression corpus
+//! relies on.
 
-/// Codec version. Bump when fields are added, removed, or reordered; a
-/// parser only ever accepts its own version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+use crate::text::{Reader, Writer};
 
-/// Header line of the snapshot codec.
+/// Header line of the snapshot codec; the string is the version. Bump it
+/// when fields are added, removed, or reordered: a parser only ever
+/// accepts its own.
 pub const SNAPSHOT_HEADER: &str = "nautix-stats v3";
 
 macro_rules! snapshot_fields {
@@ -38,16 +36,24 @@ macro_rules! snapshot_fields {
             /// Field names in canonical codec order.
             pub const FIELDS: &'static [&'static str] = &[ $( stringify!($name), )* ];
 
-            /// `(name, value)` pairs in canonical codec order.
-            pub fn fields(&self) -> Vec<(&'static str, u64)> {
-                vec![ $( (stringify!($name), self.$name), )* ]
-            }
-
             /// Component-wise sum: fold `delta` into this snapshot.
             pub fn merge(&mut self, delta: &StatsSnapshot) {
                 $( self.$name += delta.$name; )*
             }
 
+            /// The counter lines of the text form, without header or
+            /// terminator: [`crate::Frame`] nests them.
+            pub(crate) fn write(&self, w: &mut Writer) {
+                $( w.kv(stringify!($name), &self.$name.to_string()); )*
+            }
+
+            /// Strict inverse of `write`. A struct literal, so every field
+            /// is read or this does not compile.
+            pub(crate) fn read(r: &mut Reader) -> Result<StatsSnapshot, String> {
+                Ok(StatsSnapshot { $( $name: r.u64(stringify!($name))?, )* })
+            }
+
+            #[cfg(test)]
             fn set(&mut self, name: &str, value: u64) {
                 match name {
                     $( stringify!($name) => self.$name = value, )*
@@ -217,62 +223,18 @@ impl StatsSnapshot {
     /// Canonical text encoding: version header, `key value` lines in
     /// [`StatsSnapshot::FIELDS`] order, `end`.
     pub fn to_text(&self) -> String {
-        let mut s = String::with_capacity(64 + Self::FIELDS.len() * 24);
-        s.push_str(SNAPSHOT_HEADER);
-        s.push('\n');
-        for (name, value) in self.fields() {
-            s.push_str(name);
-            s.push(' ');
-            s.push_str(&value.to_string());
-            s.push('\n');
-        }
-        s.push_str("end\n");
-        s
+        let mut w = Writer::new(SNAPSHOT_HEADER);
+        self.write(&mut w);
+        w.finish("end")
     }
 
     /// Strict parse of [`StatsSnapshot::to_text`] output. Errors on a
     /// wrong version, a missing / reordered / duplicated key, a malformed
     /// value, truncation before `end`, or trailing non-empty lines.
     pub fn from_text(text: &str) -> Result<StatsSnapshot, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty snapshot text")?;
-        if header != SNAPSHOT_HEADER {
-            return Err(format!(
-                "unknown snapshot version: expected `{SNAPSHOT_HEADER}`, got `{header}`"
-            ));
-        }
-        let mut snap = StatsSnapshot::default();
-        for field in Self::FIELDS {
-            let (i, line) = lines
-                .next()
-                .ok_or_else(|| format!("truncated snapshot: missing `{field}`"))?;
-            let (key, value) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("line {}: expected `{field} <u64>`, got `{line}`", i + 1))?;
-            if key != *field {
-                return Err(format!(
-                    "line {}: expected key `{field}`, got `{key}` (keys are ordered)",
-                    i + 1
-                ));
-            }
-            let value: u64 = value
-                .parse()
-                .map_err(|_| format!("line {}: `{field}` value `{value}` is not a u64", i + 1))?;
-            snap.set(field, value);
-        }
-        match lines.next() {
-            Some((_, "end")) => {}
-            Some((i, line)) => {
-                return Err(format!("line {}: expected `end`, got `{line}`", i + 1));
-            }
-            None => return Err("truncated snapshot: missing `end`".into()),
-        }
-        if let Some((i, line)) = lines.find(|(_, l)| !l.trim().is_empty()) {
-            return Err(format!(
-                "line {}: trailing garbage after `end`: `{line}`",
-                i + 1
-            ));
-        }
+        let mut r = Reader::new(text, "snapshot", SNAPSHOT_HEADER)?;
+        let snap = StatsSnapshot::read(&mut r)?;
+        r.finish("end")?;
         Ok(snap)
     }
 }
