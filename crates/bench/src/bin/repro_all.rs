@@ -1,13 +1,15 @@
-//! Run the figure table (`nautix_bench::experiments::TABLE`): every figure
-//! reproduction, the §1 isolation experiment and every ablation, each
-//! writing its CSV under `results/` (override with `NAUTIX_RESULTS`), then
-//! print the paper-vs-measured summary and write it beside them as
+//! Run the experiment table (`nautix_bench::experiments::TABLE`): every
+//! figure reproduction, the §1 isolation experiment, every ablation and
+//! the four sweeps beyond the paper (`ext_*`), each writing its CSV under
+//! `results/` (override with `NAUTIX_RESULTS`), then print the
+//! paper-vs-measured summary and write it beside them as
 //! `paper_vs_measured.txt`.
 //!
 //! `repro_all [--paper] [name…]`: `--paper` selects the paper-scale sweeps
-//! (seconds; the default quick scale takes well under one), and naming
-//! table entries runs only those. An unknown flag or name exits 2 before
-//! anything runs.
+//! (half a minute; the default quick scale takes about a second), and
+//! naming table entries runs only those. An unknown flag or name exits 2
+//! before anything runs; a result that breaks a claim its entry checks
+//! (`Run::failed`) exits 1 after everything has run and been written.
 //!
 //! Two extra modes:
 //!
@@ -191,4 +193,10 @@ fn main() {
         experiments::SUMMARY_FILE,
         t0.elapsed().as_secs_f64()
     );
+    for (what, detail) in &run.failed {
+        eprintln!("FAIL: {what}: {detail}");
+    }
+    if run.exit_status() != 0 {
+        std::process::exit(1);
+    }
 }

@@ -1,14 +1,14 @@
 //! Cluster-scale admission throughput experiment.
 //!
 //! Sweeps the synthetic multi-tenant stream over every placement
-//! strategy at growing tenant counts and reports, per cell: admission
-//! decisions per second (the service's headline throughput metric),
-//! packing quality against the fluid oracle, and the hyperperiod-sim
-//! memo hit rate under churn. All cells share one stream seed, so every
-//! strategy faces the *identical* arrival/departure sequence and the
-//! comparison is apples to apples.
+//! strategy at growing tenant counts and reports, per cell: packing
+//! quality against the fluid oracle and the hyperperiod-sim memo hit rate
+//! under churn. All cells share one stream seed, so every strategy faces
+//! the *identical* arrival/departure sequence and the comparison is
+//! apples to apples. Host throughput (decisions per second) is not a
+//! result: `benchmark/`'s `cluster_churn` workload measures it.
 //!
-//! The binary (`cluster_bench`) prints the table and writes
+//! The `ext_cluster` entry of [`crate::experiments::TABLE`] writes
 //! `results/cluster.csv`; `--paper` scales the sweep to a 16-shard fleet
 //! and one million tenant gangs per strategy.
 
@@ -47,10 +47,6 @@ pub struct ClusterPoint {
     pub quality: f64,
     /// Hyperperiod-simulation memo hit rate over the run's churn.
     pub sim_hit_rate: f64,
-    /// Wall-clock seconds for this cell (shard boot included).
-    pub wall_secs: f64,
-    /// `decisions / wall_secs`.
-    pub decisions_per_sec: f64,
 }
 
 /// The sweep grid for a scale: `(shards, cpus, tenant_counts)`.
@@ -65,8 +61,7 @@ pub fn grid(scale: Scale) -> (usize, usize, Vec<u64>) {
 /// `shards`-by-`cpus` fleet, fanned across `hc.threads` workers. Every
 /// cell derives from the same `seed`, so results are a pure function of
 /// `(shards, cpus, cells, seed)` — thread count and worker fleet reuse
-/// cannot change them. Wall-time fields are measured, not simulated, and
-/// are excluded from any determinism comparison.
+/// cannot change them.
 pub fn run_cells(
     hc: &HarnessConfig,
     shards: usize,
@@ -97,21 +92,10 @@ pub fn run_cells(
             oracle_util_ppm: out.oracle_util_ppm,
             quality: out.quality(),
             sim_hit_rate: out.sim_hit_rate(),
-            wall_secs: 0.0,
-            decisions_per_sec: 0.0,
         };
         (point, out.events)
     });
-    let mut points = set.results;
-    for (point, &wall) in points.iter_mut().zip(&set.stats.trial_wall_secs) {
-        point.wall_secs = wall;
-        point.decisions_per_sec = if wall > 0.0 {
-            point.decisions as f64 / wall
-        } else {
-            0.0
-        };
-    }
-    (points, set.stats)
+    (set.results, set.stats)
 }
 
 /// The full sweep for a scale: every strategy crossed with the scale's
@@ -133,17 +117,6 @@ pub fn run_with_stats(
 mod tests {
     use super::*;
 
-    fn strip_wall(points: &[ClusterPoint]) -> Vec<ClusterPoint> {
-        points
-            .iter()
-            .map(|p| ClusterPoint {
-                wall_secs: 0.0,
-                decisions_per_sec: 0.0,
-                ..p.clone()
-            })
-            .collect()
-    }
-
     #[test]
     fn sweep_is_thread_count_invariant_and_accounts_cleanly() {
         let cells = vec![
@@ -153,7 +126,7 @@ mod tests {
         ];
         let (serial, _) = run_cells(&HarnessConfig::with_threads(1), 3, 4, cells.clone(), 77);
         let (fanned, _) = run_cells(&HarnessConfig::with_threads(3), 3, 4, cells, 77);
-        assert_eq!(strip_wall(&serial), strip_wall(&fanned));
+        assert_eq!(serial, fanned);
         for p in &serial {
             assert_eq!(p.decisions, p.tenants);
             assert_eq!(p.placed + p.rejected, p.decisions);

@@ -16,7 +16,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse a sweep binary's arguments (program name excluded): `--paper`
+    /// Parse `repro_all`'s arguments (program name excluded): `--paper`
     /// selects [`Scale::Paper`], any other `-flag` is an error, and
     /// everything else is returned as positional arguments for the caller
     /// to judge. Nothing is ignored: a mistyped flag must not run the
@@ -34,23 +34,6 @@ impl Scale {
             }
         }
         Ok((scale, positional))
-    }
-
-    /// The scale of a binary that takes `[--paper]` and nothing else.
-    /// Exits 2 on any other argument.
-    pub fn from_args() -> Scale {
-        let mut argv = std::env::args();
-        let prog = argv.next().unwrap_or_default();
-        let args: Vec<String> = argv.collect();
-        let parsed =
-            Scale::parse_args(&args).and_then(|(scale, positional)| match positional.first() {
-                None => Ok(scale),
-                Some(p) => Err(format!("unexpected argument `{p}`")),
-            });
-        parsed.unwrap_or_else(|e| {
-            eprintln!("{e}\nusage: {prog} [--paper]");
-            std::process::exit(2);
-        })
     }
 }
 

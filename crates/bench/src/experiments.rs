@@ -1,20 +1,22 @@
-//! The figure table: every paper experiment as one entry, run by
-//! `repro_all`.
+//! The experiment table: every paper experiment and every sweep beyond
+//! the paper (`ext_*`) as one entry, run by `repro_all`.
 //!
 //! An [`Experiment`] runs once through the library functions of its
 //! module, writes its CSV file(s) in the schema committed under
 //! `results/`, and pushes its paper-vs-measured row(s) — and, for the
-//! harness-instrumented sweeps, its [`crate::HarnessStats`] section(s) — onto the
-//! [`Run`] it is handed. [`TABLE`] is the only writer of those files, so a
-//! CSV's schema and an experiment's parameters are each stated once.
-//! [`run`] executes a selection and writes the rows, which are a pure
-//! function of the code, to [`SUMMARY_FILE`].
+//! paper's harness-instrumented sweeps, its [`crate::HarnessStats`]
+//! section(s) — onto the [`Run`] it is handed; an entry whose result makes
+//! a deterministic claim also pushes every cell that breaks it onto
+//! [`Run::failed`]. [`TABLE`] is the only writer of the files under
+//! `results/`, so a CSV's schema and an experiment's parameters are each
+//! stated once. [`run`] executes a selection and writes the rows, which
+//! are a pure function of the code, to [`SUMMARY_FILE`].
 
 use crate::harness::BenchReport;
 use crate::throttle::Granularity;
 use crate::{
-    ablations, banner, barrier_removal, f, fig03, fig04, fig05, fig10, groupsync, isolation,
-    missrate, throttle, write_csv, Scale,
+    ablations, banner, barrier_removal, cluster_bench, f, fault_sweep, fig03, fig04, fig05, fig10,
+    groupsync, isolation, layers, missrate, throttle, topology, write_csv, Scale,
 };
 use nautix_hw::Platform;
 use nautix_rt::HarnessConfig;
@@ -48,8 +50,11 @@ pub struct Run<'a> {
     pub out: &'a Path,
     /// Paper-vs-measured rows so far: `(what, paper, measured)`.
     pub summary: Vec<(String, String, String)>,
-    /// Instrumented sections so far.
+    /// Instrumented sections of the paper reproduction so far.
     pub report: BenchReport,
+    /// Checks that failed so far: `(what, detail)`. A result that breaks
+    /// a claim the code makes about it is a wrong result.
+    pub failed: Vec<(String, String)>,
 }
 
 impl Run<'_> {
@@ -65,6 +70,18 @@ impl Run<'_> {
         self.summary.push((what.into(), paper.into(), measured));
     }
 
+    /// Record `what` as failed unless `holds`.
+    fn check(&mut self, holds: bool, what: &str, detail: String) {
+        if !holds {
+            self.failed.push((what.to_string(), detail));
+        }
+    }
+
+    /// `repro_all`'s exit status after the run: 1 when a check failed.
+    pub fn exit_status(&self) -> i32 {
+        i32::from(!self.failed.is_empty())
+    }
+
     /// The rows as `repro_all` prints them and [`SUMMARY_FILE`] holds them.
     pub fn summary_text(&self) -> String {
         let mut s = String::new();
@@ -75,8 +92,9 @@ impl Run<'_> {
     }
 }
 
-/// Every paper experiment, in the order `repro_all` runs and reports them.
-pub static TABLE: [Experiment; 19] = [
+/// Every experiment, in the order `repro_all` runs and reports them: the
+/// paper's, then the sweeps beyond it.
+pub static TABLE: [Experiment; 23] = [
     Experiment {
         name: "fig03_timesync",
         title: "Figure 3: TSC synchronization across CPUs (Phi)",
@@ -191,6 +209,30 @@ pub static TABLE: [Experiment; 19] = [
         csvs: &["abl_timer_mode.csv"],
         run: abl_timer_mode,
     },
+    Experiment {
+        name: "ext_cluster",
+        title: "Extension: cluster admission service, placement strategies vs the fluid oracle",
+        csvs: &["cluster.csv"],
+        run: ext_cluster,
+    },
+    Experiment {
+        name: "ext_faults",
+        title: "Extension: fault injection lanes and degradation responses",
+        csvs: &["fault_sweep.csv"],
+        run: ext_faults,
+    },
+    Experiment {
+        name: "ext_layers",
+        title: "Extension: layered scheduling, per-layer bandwidth control vs plain EDF",
+        csvs: &["layers.csv"],
+        run: ext_layers,
+    },
+    Experiment {
+        name: "ext_topology",
+        title: "Extension: topology scale sweep, flat vs 2x4, LLC-first vs uniform stealing",
+        csvs: &["topology.csv"],
+        run: ext_topology,
+    },
 ];
 
 /// `repro_all`'s command line, `[--paper] [name…]` (program name
@@ -228,6 +270,7 @@ pub fn run<'a>(
         out,
         summary: Vec::new(),
         report: BenchReport::new(),
+        failed: Vec::new(),
     };
     for e in entries {
         banner(e.title);
@@ -779,6 +822,272 @@ fn abl_timer_mode(run: &mut Run<'_>) {
     );
 }
 
+// The `ext_*` rows print their harness sections but keep them out of
+// `run.report`: its totals are the paper reproduction's pinned event count.
+
+fn ext_cluster(run: &mut Run<'_>) {
+    let (pts, stats) = cluster_bench::run_with_stats(run.hc, run.scale, 0xC1);
+    println!("ext_cluster: {stats}");
+    run.csv(
+        "cluster.csv",
+        &[
+            "strategy",
+            "shards",
+            "cpus",
+            "tenants",
+            "decisions",
+            "placed",
+            "rejected",
+            "departures",
+            "probes",
+            "placed_util_ppm",
+            "oracle_util_ppm",
+            "quality",
+            "sim_hit_rate",
+        ],
+        pts.iter().map(|p| {
+            vec![
+                p.strategy.to_string(),
+                p.shards.to_string(),
+                p.cpus.to_string(),
+                p.tenants.to_string(),
+                p.decisions.to_string(),
+                p.placed.to_string(),
+                p.rejected.to_string(),
+                p.departures.to_string(),
+                p.probes.to_string(),
+                p.placed_util_ppm.to_string(),
+                p.oracle_util_ppm.to_string(),
+                f(p.quality),
+                f(p.sim_hit_rate),
+            ]
+        }),
+    );
+    // Each strategy's largest cell.
+    let tenants = pts.iter().map(|p| p.tenants).max().unwrap_or(0);
+    let at_scale: Vec<String> = pts
+        .iter()
+        .filter(|p| p.tenants == tenants)
+        .map(|p| format!("{} {}", p.strategy, f(p.quality)))
+        .collect();
+    run.row(
+        "Extension: cluster admission (DESIGN §6g)",
+        "beyond the paper; rt_gang is RT-Gang's one-gang-at-a-time policy as the baseline",
+        format!(
+            "packing quality vs fluid oracle at {tenants} tenants: {}",
+            at_scale.join(", ")
+        ),
+    );
+}
+
+fn ext_faults(run: &mut Run<'_>) {
+    let (pts, stats) = fault_sweep::sweep_with_stats(run.hc, run.scale, 77);
+    println!("ext_faults: {stats}");
+    run.csv(
+        "fault_sweep.csv",
+        &[
+            "intensity",
+            "period_us",
+            "slice_pct",
+            "jobs",
+            "miss_rate",
+            "kicks_dropped",
+            "kicks_delayed",
+            "timer_overshoots",
+            "freq_dips",
+            "spurious_irqs",
+            "cpu_stalls",
+            "faults_total",
+            "sporadic_demotions",
+            "periodic_widenings",
+            "periodic_demotions",
+        ],
+        pts.iter().map(|p| {
+            vec![
+                f(p.intensity),
+                p.period_us.to_string(),
+                p.slice_pct.to_string(),
+                p.jobs.to_string(),
+                f(p.miss_rate),
+                p.faults.kicks_dropped.to_string(),
+                p.faults.kicks_delayed.to_string(),
+                p.faults.timer_overshoots.to_string(),
+                p.faults.freq_dips.to_string(),
+                p.faults.spurious_irqs.to_string(),
+                p.faults.cpu_stalls.to_string(),
+                p.faults.total().to_string(),
+                p.degrade.sporadic_demotions.to_string(),
+                p.degrade.periodic_widenings.to_string(),
+                p.degrade.periodic_demotions.to_string(),
+            ]
+        }),
+    );
+    // How injection load translates into misses and degradation responses.
+    let rollup: Vec<String> = fault_sweep::INTENSITIES
+        .iter()
+        .map(|&i| {
+            let cells: Vec<_> = pts.iter().filter(|p| p.intensity == i).collect();
+            let miss = cells.iter().map(|p| p.miss_rate).sum::<f64>() / cells.len() as f64;
+            let faults: u64 = cells.iter().map(|p| p.faults.total()).sum();
+            let responses: u64 = cells.iter().map(|p| p.degrade.total()).sum();
+            format!("{} -> {} / {faults} / {responses}", f(i), f(miss))
+        })
+        .collect();
+    run.row(
+        "Extension: fault injection under graceful degradation (DESIGN §6c)",
+        "beyond the paper; intensity 0 is fault-free and miss-free",
+        format!(
+            "intensity -> mean miss rate / faults injected / degradation responses: {}",
+            rollup.join("; ")
+        ),
+    );
+}
+
+fn ext_layers(run: &mut Run<'_>) {
+    let (pts, stats) = layers::sweep(run.hc, run.scale, 23);
+    println!("ext_layers: {stats}");
+    run.csv(
+        "layers.csv",
+        &[
+            "rt_pct",
+            "bg_guarantee_ppm",
+            "bg_share_layered",
+            "bg_share_unlayered",
+            "rt_miss_layered",
+            "rt_miss_unlayered",
+            "throttles",
+            "replenishes",
+        ],
+        pts.iter().map(|p| {
+            vec![
+                p.rt_pct.to_string(),
+                p.bg_guarantee_ppm.to_string(),
+                f(p.bg_share_layered),
+                f(p.bg_share_unlayered),
+                f(p.rt_miss_layered),
+                f(p.rt_miss_unlayered),
+                p.throttles.to_string(),
+                p.replenishes.to_string(),
+            ]
+        }),
+    );
+    for p in &pts {
+        let cell = format!("rt {}% bg {} ppm", p.rt_pct, p.bg_guarantee_ppm);
+        let cap = p.bg_guarantee_ppm as f64 / 1e6 + layers::SHARE_SLACK;
+        run.check(
+            p.bg_share_layered <= cap,
+            "ext_layers: the background hog stays within its guarantee",
+            format!("{cell}: share {}, cap {}", f(p.bg_share_layered), f(cap)),
+        );
+        run.check(
+            p.rt_miss_layered == p.rt_miss_unlayered,
+            "ext_layers: layering leaves the RT miss rate unchanged",
+            format!(
+                "{cell}: {} layered vs {} unlayered",
+                f(p.rt_miss_layered),
+                f(p.rt_miss_unlayered)
+            ),
+        );
+    }
+    // The hog's share as a multiple of its guarantee, worst cell.
+    let worst = |share: fn(&layers::LayerPoint) -> f64| {
+        pts.iter()
+            .map(|p| share(p) * 1e6 / p.bg_guarantee_ppm as f64)
+            .fold(0.0, f64::max)
+    };
+    run.row(
+        "Extension: layered bandwidth control (DESIGN §6h)",
+        "beyond the paper; the hog is held to its guarantee and the RT probe cannot tell",
+        format!(
+            "hog share at most {}x its guarantee layered, up to {}x unlayered; \
+             RT miss rate equal in {} of {} cells",
+            f(worst(|p| p.bg_share_layered)),
+            f(worst(|p| p.bg_share_unlayered)),
+            pts.iter()
+                .filter(|p| p.rt_miss_layered == p.rt_miss_unlayered)
+                .count(),
+            pts.len()
+        ),
+    );
+}
+
+fn ext_topology(run: &mut Run<'_>) {
+    let (pts, sections) = topology::sweep_with_stats(run.hc, run.scale, 11);
+    for (name, stats) in &sections {
+        println!("{name}: {stats}");
+    }
+    run.csv(
+        "topology.csv",
+        &[
+            "workload",
+            "n_cpus",
+            "topology",
+            "events",
+            "makespan_ms",
+            "miss_rate",
+            "spread_mean_cycles",
+            "steals",
+            "steal_llc",
+            "steal_pkg",
+            "steal_xpkg",
+            "locality_hit_rate",
+            "ipi_llc",
+            "ipi_pkg",
+            "ipi_xpkg",
+            "cross_pkg_kick_frac",
+        ],
+        pts.iter().map(|p| {
+            vec![
+                p.workload.to_string(),
+                p.n_cpus.to_string(),
+                p.topology.clone(),
+                p.events.to_string(),
+                f(p.makespan_ms),
+                f(p.miss_rate),
+                f(p.spread_mean_cycles),
+                p.steals.to_string(),
+                p.steals_by_distance[0].to_string(),
+                p.steals_by_distance[1].to_string(),
+                p.steals_by_distance[2].to_string(),
+                f(p.locality_hit_rate()),
+                p.ipis_by_distance[0].to_string(),
+                p.ipis_by_distance[1].to_string(),
+                p.ipis_by_distance[2].to_string(),
+                f(p.cross_package_kick_fraction()),
+            ]
+        }),
+    );
+    // The headline A/B at every tree cell, the largest reported. Both
+    // storm sections run the same cells in the same order.
+    let storm = |workload: &'static str| {
+        pts.iter()
+            .filter(move |p| p.workload == workload && p.topology != "flat")
+    };
+    let mut largest = String::new();
+    for (llc, uni) in storm("steal_llcfirst").zip(storm("steal_uniform")) {
+        assert_eq!((llc.n_cpus, &llc.topology), (uni.n_cpus, &uni.topology));
+        largest = format!(
+            "{} CPUs {}: steal locality {} LLC-first vs {} uniform; storm makespan {} vs {} ms",
+            llc.n_cpus,
+            llc.topology,
+            f(llc.locality_hit_rate()),
+            f(uni.locality_hit_rate()),
+            f(llc.makespan_ms),
+            f(uni.makespan_ms)
+        );
+        run.check(
+            llc.locality_hit_rate() > uni.locality_hit_rate(),
+            "ext_topology: LLC-first stealing beats uniform on steal locality",
+            largest.clone(),
+        );
+    }
+    run.row(
+        "Extension: topology-aware stealing (DESIGN §6e)",
+        "beyond the paper; LLC-first victim selection keeps steals local on a tree machine",
+        largest,
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,5 +1114,28 @@ mod tests {
         let err = parse_args(&args(&["fig06_missrate_phi", "fig08_misstime_phi"])).unwrap_err();
         assert!(err.contains("`fig08_misstime_phi`"), "{err}");
         assert!(TABLE.iter().all(|e| err.contains(e.name)), "{err}");
+    }
+
+    #[test]
+    fn a_failed_check_comes_back_on_the_run_and_exits_1() {
+        fn broken(run: &mut Run<'_>) {
+            run.check(true, "holds", String::new());
+            run.check(false, "synthetic claim", "cell 7: 2 vs 1".to_string());
+        }
+        let entry = Experiment {
+            name: "synthetic",
+            title: "a claim that does not hold",
+            csvs: &[],
+            run: broken,
+        };
+        let out = std::env::temp_dir().join(format!("nautix_check_{}", std::process::id()));
+        std::fs::create_dir_all(&out).unwrap();
+        let hc = HarnessConfig::serial();
+        let failing = run(&hc, Scale::Quick, &out, &[&entry]);
+        let want = ("synthetic claim".to_string(), "cell 7: 2 vs 1".to_string());
+        assert_eq!(failing.failed, [want]);
+        assert_eq!(failing.exit_status(), 1);
+        assert_eq!(run(&hc, Scale::Quick, &out, &[]).exit_status(), 0);
+        std::fs::remove_dir_all(&out).unwrap();
     }
 }

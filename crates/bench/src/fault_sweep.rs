@@ -42,18 +42,11 @@ pub struct FaultPoint {
     pub events: u64,
 }
 
-/// The intensities every sweep visits; `hc.faults`, when enabled and not
-/// already present, is appended so `NAUTIX_FAULTS` extends the grid.
-pub fn intensities(hc: &HarnessConfig) -> Vec<f64> {
-    let mut v = vec![0.0, 0.25, 0.5, 1.0];
-    if hc.faults.enabled() && !v.contains(&hc.faults.0) {
-        v.push(hc.faults.0);
-    }
-    v
-}
+/// The intensities every sweep visits.
+pub const INTENSITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
 
 /// The (intensity, period_ns, slice_pct, jobs) grid for a scale.
-pub fn trial_grid(hc: &HarnessConfig, scale: Scale) -> Vec<(f64, Nanos, u64, u64)> {
+pub fn trial_grid(scale: Scale) -> Vec<(f64, Nanos, u64, u64)> {
     // Every point is feasible fault-free (the intensity-0 column must run
     // miss-free, or an armed oracle would flag a violated admission
     // guarantee); the short-period points leave only a few µs of slack,
@@ -64,7 +57,7 @@ pub fn trial_grid(hc: &HarnessConfig, scale: Scale) -> Vec<(f64, Nanos, u64, u64
         Scale::Paper => (vec![1000, 100, 50, 30], vec![30, 50, 60], 400),
     };
     let mut grid = Vec::new();
-    for &i in &intensities(hc) {
+    for i in INTENSITIES {
         for &p in &periods_us {
             for &pct in &pcts {
                 grid.push((i, p * 1000, pct, jobs));
@@ -129,7 +122,7 @@ pub fn sweep_with_stats(
 ) -> (Vec<FaultPoint>, HarnessStats) {
     let set = run_trials_pooled(
         hc,
-        trial_grid(hc, scale),
+        trial_grid(scale),
         |pool, &(intensity, period_ns, slice_pct, jobs)| {
             let p = measure_point_pooled(pool, intensity, period_ns, slice_pct, jobs, seed);
             (p, p.events)

@@ -1,4 +1,4 @@
-//! Layered bandwidth-control sweep (`layer_bench`).
+//! Layered bandwidth-control sweep (the `ext_layers` entry).
 //!
 //! The experiment behind `results/layers.csv`: an RT probe and an
 //! always-runnable background hog share one CPU, once under the default

@@ -1,12 +1,13 @@
 //! Figure-by-figure reproduction harnesses for the HPDC'18 evaluation.
 //!
-//! Every figure in §5–§6 has a module here exposing its experiment as a
-//! library function (so tests can run it at reduced scale) and an entry in
-//! [`experiments::TABLE`] that runs it once, writes its CSV under
-//! `results/` (override with `NAUTIX_RESULTS`) and reports its
-//! paper-vs-measured row. `repro_all [--paper] [entry…]` runs the table,
-//! or the named entries; the default is a quick configuration that
-//! finishes in under a second, `--paper` the paper-scale one.
+//! Every figure in §5–§6, and every sweep beyond the paper, has a module
+//! here exposing its experiment as a library function (so tests can run it
+//! at reduced scale) and an entry in [`experiments::TABLE`] that runs it
+//! once, writes its CSV under `results/` (override with `NAUTIX_RESULTS`)
+//! and reports its paper-vs-measured row. `repro_all [--paper] [entry…]`,
+//! the only experiment binary, runs the table or the named entries; the
+//! default is a quick configuration that finishes in about a second,
+//! `--paper` the paper-scale one.
 //!
 //! | Figure | Module | Entry |
 //! |--------|--------|-------|
@@ -21,9 +22,10 @@
 //! | 15, 16 | [`barrier_removal`] | `fig15_16_barrier` |
 //! | ablations | [`ablations`] | `abl_*` |
 //! | isolation (§1 claim) | [`isolation`] | `exp_isolation` |
-//!
-//! The sweeps beyond the paper (`cluster_bench`, `topology_bench`,
-//! `layer_bench`, `fault_sweep`) keep a binary each.
+//! | beyond the paper: cluster admission | [`cluster_bench`] | `ext_cluster` |
+//! | beyond the paper: fault injection | [`fault_sweep`] | `ext_faults` |
+//! | beyond the paper: bandwidth layers | [`layers`] | `ext_layers` |
+//! | beyond the paper: machine topology | [`topology`] | `ext_topology` |
 
 pub mod ablations;
 pub mod barrier_removal;

@@ -849,6 +849,11 @@ impl Scenario {
                 "machine.cpus: {cpus}, but the workload spawns on CPU {top_cpu}"
             ));
         }
+        if self.sched.granularity_ns == 0 {
+            return Err(
+                "sched.granularity_ns: must be >= 1 (admission takes remainders by it)".into(),
+            );
+        }
         if self.laden.is_empty() {
             return Err("node.laden: empty, but some CPU must take device interrupts".into());
         }

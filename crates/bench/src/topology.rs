@@ -345,7 +345,7 @@ pub fn sweep_with_stats(
         let ev = p.events;
         (p, ev)
     });
-    // One section per steal policy so `topology_bench` prints a directly
+    // One section per steal policy so `ext_topology` prints a directly
     // comparable events/s for the LlcFirst-vs-Uniform A/B.
     let storm_llc = run_trials(hc, cells.clone(), |&(n, t)| {
         let tasks = pile_factor * (n / 8).max(1);

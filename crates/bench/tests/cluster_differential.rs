@@ -85,9 +85,8 @@ proptest! {
     }
 }
 
-/// The CI smoke cell: `cluster_bench`'s quick sweep opens with this exact
-/// configuration, so the pin here and the workflow's grep agree by
-/// construction. Regenerate both only for intentional behavior changes.
+/// The opening cell of `ext_cluster`'s quick sweep. Regenerate the pin
+/// only for intentional behavior changes.
 #[test]
 fn quick_scale_decision_split_is_pinned() {
     let cfg = ClusterConfig::new(4, 8, 1_000, PlacementStrategy::FirstFit).with_seed(0xC1);

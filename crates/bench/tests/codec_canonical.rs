@@ -2,7 +2,7 @@
 //!
 //! One property over the four text entry points —
 //! `Scenario::from_replay_string`, `StatsSnapshot::from_text`,
-//! `Frame::from_text`, `parse_layers`: take a valid text, damage it one to
+//! `Frame::from_text`, `LayerTable::decode`: take a valid text, damage it one to
 //! three times (delete, duplicate or swap a line; overwrite a value, or one
 //! field of a `:;,`-separated fragment, with a near-miss from the
 //! dictionary), and parse. The parser must not panic, and if it says `Ok`,
@@ -15,7 +15,7 @@ use nautix_bench::Scenario;
 use nautix_cluster::PlacementStrategy;
 use nautix_des::text::Value;
 use nautix_hw::{Platform, SmiConfig, Topology};
-use nautix_rt::{parse_layers, AdmissionPolicy};
+use nautix_rt::{AdmissionPolicy, LayerTable};
 use nautix_stats::{Frame, ShardStat, StatsSnapshot};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -199,9 +199,8 @@ proptest! {
 
     #[test]
     fn accepted_layer_table_is_canonical(seed in 0u64..u64::MAX) {
-        // `parse_layers` reads an environment variable, so blanks around
-        // the table are forgiven (and the mutator's line ending is one);
-        // between them, only the canonical spelling.
+        // The table is a fragment, not a document: one line, whose ending
+        // is the mutator's.
         let mut rng = TestRng::seed_from(seed);
         accepted_mutants_are_canonical(
             &[
@@ -209,8 +208,8 @@ proptest! {
                 "600000:50000,250000:0,100000:0;10000000;0,1,2\n".to_string(),
             ],
             &mut rng,
-            |s| parse_layers(s).map(|t| (t, s.to_string())),
-            |(t, s)| s.replacen(s.trim(), &t.encode(), 1),
+            |s| LayerTable::decode(s.strip_suffix('\n').unwrap_or(s)),
+            |t| format!("{}\n", t.encode()),
         );
     }
 }

@@ -83,8 +83,8 @@ fn the_whole_figure_table_writes_the_same_bytes_at_one_and_four_threads() {
     };
     let (files1, events1) = run(1);
     let (files4, events4) = run(4);
-    // 21 CSVs and paper_vs_measured.txt.
-    assert_eq!(files1.len(), 22);
+    // 25 CSVs and paper_vs_measured.txt.
+    assert_eq!(files1.len(), 26);
     assert!(files1.keys().eq(files4.keys()), "file sets differ");
     for (name, bytes) in &files1 {
         assert!(

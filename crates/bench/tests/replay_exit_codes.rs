@@ -2,9 +2,11 @@
 //! offending key — it never reaches the simulator, where the same file
 //! used to die on an index, an `expect` or an `assert!` (exit 101).
 //!
-//! Four of the files are well-formed and canonical but describe a node
-//! that cannot boot (`Scenario::check_bootable`); the fifth spells a
-//! number the way `str::parse` tolerates and the codec does not.
+//! Five of the files are well-formed and canonical but describe a node
+//! that cannot boot (`Scenario::check_bootable`); three give a tick, a
+//! mean or an interval of zero, which is not a value of its type; the
+//! last spells a number the way `str::parse` tolerates and the codec does
+//! not.
 
 use std::process::Command;
 
@@ -30,6 +32,26 @@ fn unbootable_and_non_canonical_files_exit_2_naming_the_key() {
             "node.max_threads 1024",
             "node.max_threads 0",
             "node.max_threads",
+        ),
+        (
+            "sched.granularity_ns 1",
+            "sched.granularity_ns 0",
+            "sched.granularity_ns",
+        ),
+        (
+            "machine.timer_mode oneshot:26",
+            "machine.timer_mode oneshot:0",
+            "machine.timer_mode",
+        ),
+        (
+            "machine.smi off",
+            "machine.smi poisson:0:100:200",
+            "machine.smi",
+        ),
+        (
+            "machine.faults off",
+            "machine.faults 0;0;0:0;0;0:0;poisson:0;0:0;0;off;0;off;0:0",
+            "machine.faults",
         ),
         ("machine.seed 5", "machine.seed +5", "machine.seed"),
     ]

@@ -1290,6 +1290,7 @@ mod tests {
         }
         for bad in [
             "",
+            "1000000:0",
             "1000000:0;10000000",
             "1000000:0;10000000;0,0,0;extra",
             "1000000;10000000;0,0,0",
@@ -1299,6 +1300,7 @@ mod tests {
             "1000000:0;0;0,0,0",
             "1000000:0;10000000;0,0",
             "1000000:0;10000000;0,0,1",
+            "500000:0;10000000;0,0,3",
             "600000:0,400001:0;10000000;0,1,1",
         ] {
             assert!(LayerTable::decode(bad).is_err(), "`{bad}` must not parse");

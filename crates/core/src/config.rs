@@ -14,9 +14,8 @@
 //! `NAUTIX_TOPOLOGY=2×4` must kill the run, not quietly benchmark the
 //! flat machine.
 
-use crate::admission::LayerTable;
 use nautix_des::text::Value;
-use nautix_hw::{FaultPlan, Topology};
+use nautix_hw::Topology;
 use std::path::PathBuf;
 
 /// A set-but-empty path variable is almost certainly a broken shell
@@ -46,51 +45,12 @@ pub fn parse_switch(s: &str) -> Result<bool, String> {
     }
 }
 
-/// Strict layer-table parser behind `NAUTIX_LAYERS`: the [`LayerTable`]
-/// text form (its [`Value`] impl) with surrounding blanks forgiven.
-/// Validation failures are errors, same as syntax.
-pub fn parse_layers(s: &str) -> Result<LayerTable, String> {
-    LayerTable::decode(s.trim())
-}
-
-/// Strict intensity parser behind `NAUTIX_FAULTS` (`0` disables).
-pub fn parse_fault_intensity(s: &str) -> Result<FaultIntensity, String> {
-    s.trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .map(FaultIntensity)
-        .ok_or_else(|| format!("must be a finite float >= 0, got `{s}`"))
-}
-
-/// Fault-injection intensity, the scalar knob of
-/// [`FaultPlan::noisy`]. `0.0` means no injection; the conversion to a
-/// concrete [`FaultPlan`] is deferred until a platform frequency is known.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultIntensity(pub f64);
-
-impl FaultIntensity {
-    /// No fault injection.
-    pub const OFF: FaultIntensity = FaultIntensity(0.0);
-
-    /// Whether any injection is requested.
-    pub fn enabled(self) -> bool {
-        self.0 > 0.0
-    }
-
-    /// The concrete plan for a machine running at `freq`.
-    pub fn plan(self, freq: nautix_des::Freq) -> FaultPlan {
-        FaultPlan::noisy(freq, self.0)
-    }
-}
-
 /// How a harness run is configured: worker threads for parallel trials,
-/// whether every constructed node arms the online invariant oracles, the
-/// fault-injection intensity for experiments that opt in, and where the
-/// live stats hub streams. `NAUTIX_TOPOLOGY`, `NAUTIX_LAYERS` and
+/// whether every constructed node arms the online invariant oracles, and
+/// where the live stats hub streams. `NAUTIX_TOPOLOGY` and
 /// `NAUTIX_REPLAY_DIR` are read where they act (`MachineConfig`
-/// construction, node boot, trial recording) and are deliberately not
-/// fields: a field nothing reads lets a test set it and get the default.
+/// construction, trial recording) and are deliberately not fields: a
+/// field nothing reads lets a test set it and get the default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessConfig {
     /// Host worker threads for the parallel trial harness.
@@ -98,23 +58,18 @@ pub struct HarnessConfig {
     /// Arm the online invariant oracles on every node (panic on the first
     /// invariant violation).
     pub oracles: bool,
-    /// Fault-injection intensity for experiments that opt in. The paper
-    /// reproduction never applies this implicitly — an enabled intensity
-    /// changes results only where a harness passes it into a machine.
-    pub faults: FaultIntensity,
     /// Where the live stats hub publishes frames (`NAUTIX_STATS_STREAM`);
     /// `None` disables streaming.
     pub stats_stream: Option<PathBuf>,
 }
 
 impl HarnessConfig {
-    /// Serial, oracle-free, fault-free, no stream: the
-    /// explicit-configuration baseline for tests.
+    /// Serial, oracle-free, no stream: the explicit-configuration
+    /// baseline for tests.
     pub fn serial() -> Self {
         HarnessConfig {
             threads: 1,
             oracles: false,
-            faults: FaultIntensity::OFF,
             stats_stream: None,
         }
     }
@@ -132,12 +87,11 @@ impl HarnessConfig {
     /// * `NAUTIX_THREADS` — worker count (≥ 1); defaults to the host's
     ///   available parallelism,
     /// * `NAUTIX_ORACLES` — `1`/`true`/`yes`/`on` arms the oracles,
-    /// * `NAUTIX_FAULTS` — fault intensity as a float (`0` disables),
     /// * `NAUTIX_STATS_STREAM` — file path for live stats frames,
     ///
-    /// and validates the three that are read where they act:
-    /// `NAUTIX_TOPOLOGY` (`flat` or `<packages>x<llcs>`), `NAUTIX_LAYERS`
-    /// (see [`parse_layers`]), `NAUTIX_REPLAY_DIR` (a directory).
+    /// and validates the two that are read where they act:
+    /// `NAUTIX_TOPOLOGY` (`flat` or `<packages>x<llcs>`) and
+    /// `NAUTIX_REPLAY_DIR` (a directory).
     ///
     /// A set-but-malformed value for any knob is a **hard error** — the
     /// run dies at the entry point instead of silently benchmarking the
@@ -152,18 +106,12 @@ impl HarnessConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
         };
-        let faults = match std::env::var("NAUTIX_FAULTS") {
-            Ok(v) => parse_fault_intensity(&v).unwrap_or_else(|e| panic!("NAUTIX_FAULTS: {e}")),
-            Err(_) => FaultIntensity::OFF,
-        };
         // Each of these hard-errors on a malformed value.
         Topology::from_env();
-        Self::layers_from_env();
         Self::replay_dir_from_env();
         HarnessConfig {
             threads,
             oracles: Self::oracles_from_env(),
-            faults,
             stats_stream: env_path("NAUTIX_STATS_STREAM"),
         }
     }
@@ -176,14 +124,6 @@ impl HarnessConfig {
         match std::env::var("NAUTIX_ORACLES") {
             Ok(v) => parse_switch(&v).unwrap_or_else(|e| panic!("NAUTIX_ORACLES: {e}")),
             Err(_) => false,
-        }
-    }
-
-    /// The `NAUTIX_LAYERS` override, read at every node boot.
-    pub fn layers_from_env() -> Option<LayerTable> {
-        match std::env::var("NAUTIX_LAYERS") {
-            Ok(v) => Some(parse_layers(&v).unwrap_or_else(|e| panic!("NAUTIX_LAYERS: {e}"))),
-            Err(_) => None,
         }
     }
 
@@ -202,16 +142,13 @@ impl Default for HarnessConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nautix_des::Freq;
 
     #[test]
     fn serial_baseline_is_inert() {
         let c = HarnessConfig::serial();
         assert_eq!(c.threads, 1);
         assert!(!c.oracles);
-        assert!(!c.faults.enabled());
         assert_eq!(c.stats_stream, None);
-        assert_eq!(c.faults.plan(Freq::phi()), FaultPlan::disabled());
         assert_eq!(HarnessConfig::default(), c);
     }
 
@@ -241,38 +178,5 @@ mod tests {
         assert_eq!(parse_switch("off"), Ok(false));
         assert!(parse_switch("enable").is_err());
         assert!(parse_switch("2").is_err());
-    }
-
-    #[test]
-    fn fault_parser_rejects_junk_and_negatives() {
-        assert_eq!(parse_fault_intensity("0"), Ok(FaultIntensity::OFF));
-        assert_eq!(parse_fault_intensity("0.5"), Ok(FaultIntensity(0.5)));
-        assert!(parse_fault_intensity("-1").is_err());
-        assert!(parse_fault_intensity("NaN").is_err());
-        assert!(parse_fault_intensity("lots").is_err());
-    }
-
-    #[test]
-    fn layers_parser_is_strict() {
-        assert_eq!(
-            parse_layers(" 1000000:0;10000000;0,0,0 "),
-            Ok(LayerTable::default())
-        );
-        let t = parse_layers("600000:50000,250000:0,100000:0;10000000;0,1,2").unwrap();
-        assert_eq!(t.count(), 3);
-        assert_eq!(t.map_aperiodic(), 2);
-        // Syntax and validation failures are both hard errors.
-        assert!(parse_layers("").is_err());
-        assert!(parse_layers("1000000:0").is_err());
-        assert!(parse_layers("600000:0,400001:0;10000000;0,1,1").is_err());
-        assert!(parse_layers("500000:0;10000000;0,0,3").is_err());
-        assert!(parse_layers("500000:0;0;0,0,0").is_err());
-    }
-
-    #[test]
-    fn intensity_converts_to_noisy_plan() {
-        let i = FaultIntensity(0.5);
-        assert!(i.enabled());
-        assert_eq!(i.plan(Freq::phi()), FaultPlan::noisy(Freq::phi(), 0.5));
     }
 }

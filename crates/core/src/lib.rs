@@ -32,9 +32,7 @@ pub use admission::{
     admission_global_stats, AdmissionPolicy, CpuLoad, DegradePolicy, LayerConfigError, LayerSpec,
     LayerTable, SchedConfig, SchedMode, SimCache, SimProbe, StealPolicy, MAX_LAYERS, PPM,
 };
-pub use config::{
-    parse_fault_intensity, parse_layers, parse_switch, parse_threads, FaultIntensity, HarnessConfig,
-};
+pub use config::{parse_switch, parse_threads, HarnessConfig};
 pub use cyclic::{
     compile as compile_cyclic, CyclicError, CyclicExecutive, CyclicSchedule, CyclicTask,
 };

@@ -140,17 +140,6 @@ fn tok_payload(t: u64) -> u64 {
     t & ((1u64 << 56) - 1)
 }
 
-/// Apply the environment's scheduler override to a boot or reset
-/// configuration, reading only that one variable (this runs per trial):
-/// `NAUTIX_LAYERS` replaces the boot-time layer table for the whole run
-/// (quick-start bandwidth experiments need no code).
-fn env_sched_overrides(mut sched: SchedConfig) -> SchedConfig {
-    if let Some(layers) = HarnessConfig::layers_from_env() {
-        sched.layers = layers;
-    }
-    sched
-}
-
 /// What one widening stage of a steal attempt concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StageOutcome {
@@ -299,7 +288,7 @@ impl Node {
     /// `ThreadId`s and every subsequent event land the same on a pooled
     /// node as on a fresh one.
     fn boot(&mut self, cfg: &NodeConfig) {
-        let sched = env_sched_overrides(cfg.sched);
+        let sched = cfg.sched;
         let n = self.machine.n_cpus();
         self.freq = self.machine.freq();
         self.cm = *self.machine.cost_model();
@@ -951,7 +940,7 @@ impl Node {
             }
             // Stamp the dispatch where the paper does: when the switch
             // actually happens, path costs (and their jitter) included.
-            if d.next != self.sched[cpu].idle {
+            if self.dispatch_log_cap != 0 && d.next != self.sched[cpu].idle {
                 let t = self.wall_ns_busy(cpu);
                 self.ts[d.next].dispatch_log.record(t);
             }

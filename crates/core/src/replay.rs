@@ -1,7 +1,7 @@
 //! Replay-codec fragments for scheduler configuration types: the
 //! counterpart of `nautix_hw`'s `replay.rs` for the types this crate owns,
-//! as the scenario format's `sched.*` lines (and, for the layer table,
-//! `NAUTIX_LAYERS`) carry them. The rules are [`Value`]'s.
+//! as the scenario format's `sched.*` lines carry them. The rules are
+//! [`Value`]'s.
 
 use crate::admission::{
     AdmissionPolicy, DegradePolicy, LayerSpec, LayerTable, SchedMode, StealPolicy,

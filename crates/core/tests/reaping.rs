@@ -31,7 +31,7 @@ fn thread_churn_beyond_table_capacity() {
 }
 
 #[test]
-fn stacks_are_returned_to_the_allocator() {
+fn exited_thread_slots_are_recycled() {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(82);
     let mut node = Node::new(cfg);

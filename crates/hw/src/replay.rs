@@ -16,6 +16,17 @@ use crate::machine::Platform;
 use crate::smi::{SmiConfig, SmiPattern};
 use crate::topology::Topology;
 use nautix_des::text::{field, split, tag, Value};
+use nautix_des::Cycles;
+
+/// A timer tick, an interval or a mean inter-arrival time: zero is not a
+/// value of the type (the simulator divides by a tick and draws
+/// exponentials of a mean).
+fn nonzero(s: &str, what: &str) -> Result<Cycles, String> {
+    match field(s, what)? {
+        0 => Err(format!("{what}: must be >= 1")),
+        n => Ok(n),
+    }
+}
 
 /// `base:jitter`.
 impl Value for Cost {
@@ -47,10 +58,10 @@ impl Value for FaultPattern {
         match s.split_once(':') {
             None if s == "off" => Ok(FaultPattern::Disabled),
             Some(("periodic", v)) => Ok(FaultPattern::Periodic {
-                interval: field(v, "periodic interval")?,
+                interval: nonzero(v, "periodic interval")?,
             }),
             Some(("poisson", v)) => Ok(FaultPattern::Poisson {
-                mean_interval: field(v, "poisson mean")?,
+                mean_interval: nonzero(v, "poisson mean")?,
             }),
             _ => Err(format!(
                 "fault pattern: expected `off`, `periodic:<n>` or `poisson:<n>`, got `{s}`"
@@ -78,7 +89,7 @@ impl Value for SmiConfig {
             return Ok(SmiConfig::disabled());
         }
         let [tag, n, base, jitter] = split(s, ':', "smi")?;
-        let n = field(n, "smi interval")?;
+        let n = nonzero(n, "smi interval")?;
         Ok(SmiConfig {
             pattern: match tag {
                 "periodic" => SmiPattern::Periodic { interval: n },
@@ -106,7 +117,7 @@ impl Value for TimerMode {
         match s.split_once(':') {
             None if s == "tsc_deadline" => Ok(TimerMode::TscDeadline),
             Some(("oneshot", v)) => Ok(TimerMode::OneShot {
-                tick_cycles: field(v, "oneshot tick")?,
+                tick_cycles: nonzero(v, "oneshot tick")?,
             }),
             _ => Err(format!(
                 "timer mode: expected `oneshot:<tick>` or `tsc_deadline`, got `{s}`"
@@ -228,6 +239,8 @@ mod tests {
         assert!(Cost::decode("a:b").is_err());
         assert!(FaultPattern::decode("sometimes:4").is_err());
         assert!(FaultPattern::decode("periodic").is_err());
+        assert!(FaultPattern::decode("periodic:0").is_err());
+        assert!(FaultPattern::decode("poisson:0").is_err());
     }
 
     #[test]
@@ -251,6 +264,8 @@ mod tests {
         assert!(SmiConfig::decode("periodic:5").is_err());
         assert!(SmiConfig::decode("storm:1:2:3").is_err());
         assert!(TimerMode::decode("oneshot").is_err());
+        assert!(TimerMode::decode("oneshot:0").is_err());
+        assert!(SmiConfig::decode("poisson:0:100:200").is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The figure table is the only writer of the paper CSVs under `results/`:
-//! every entry writes exactly the files it declares, in the schema of the
-//! committed file of the same name. A second writer with a drifted schema
-//! (the removed `fig06_missrate_phi` binary wrote four columns over the
-//! committed five) fails here.
+//! The experiment table is the only writer of `results/`: every entry
+//! writes exactly the files it declares, in the schema of the committed
+//! file of the same name, and no committed file goes undeclared. A second
+//! writer with a drifted schema (the removed `fig06_missrate_phi` binary
+//! wrote four columns over the committed five) fails here.
 
 use nautix_bench::experiments::{self, SUMMARY_FILE, TABLE};
 use nautix_bench::Scale;
@@ -16,6 +16,13 @@ fn header(path: &Path) -> String {
     text.lines().next().unwrap_or_default().to_string()
 }
 
+fn dir_entries(dir: &Path) -> BTreeSet<String> {
+    fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {dir:?}: {e}"))
+        .map(|f| f.unwrap().file_name().into_string().unwrap())
+        .collect()
+}
+
 #[test]
 fn entry_names_and_files_are_unique() {
     let names: BTreeSet<&str> = TABLE.iter().map(|e| e.name).collect();
@@ -23,6 +30,15 @@ fn entry_names_and_files_are_unique() {
     let files: Vec<&str> = TABLE.iter().flat_map(|e| e.csvs).copied().collect();
     let unique: BTreeSet<&str> = files.iter().copied().collect();
     assert_eq!(unique.len(), files.len(), "two entries declare one file");
+    // Every committed file has its writer in the table, so CI's
+    // `repro_all --paper && git diff --exit-code results/` gates all of them.
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let declared: BTreeSet<String> = files
+        .iter()
+        .chain([&SUMMARY_FILE])
+        .map(|f| f.to_string())
+        .collect();
+    assert_eq!(dir_entries(&committed), declared, "results/ vs TABLE");
 }
 
 #[test]
@@ -36,10 +52,7 @@ fn every_entry_writes_exactly_its_declared_files_in_the_committed_schema() {
         let run = experiments::run(&hc, Scale::Quick, &dir, &[e]);
         assert!(!run.summary.is_empty(), "{}: no summary row", e.name);
 
-        let written: BTreeSet<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|f| f.unwrap().file_name().into_string().unwrap())
-            .collect();
+        let written = dir_entries(&dir);
         let declared: BTreeSet<String> = e
             .csvs
             .iter()
