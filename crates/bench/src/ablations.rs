@@ -15,8 +15,10 @@
 
 use crate::harness::{run_trials, HarnessStats};
 use nautix_des::{Nanos, Summary};
-use nautix_hw::{Cost, MachineConfig, SmiConfig, SmiPattern, TimerMode};
-use nautix_kernel::{Action, Constraints, FnProgram, Program, SysCall, SysResult};
+use nautix_hw::{Cost, FaultPattern, MachineConfig, SmiConfig, TimerMode};
+use nautix_kernel::{
+    constrained_loop, Action, Constraints, FnProgram, Program, SysCall, SysResult,
+};
 use nautix_rt::{
     compile_cyclic, AdmissionPolicy, CpuLoad, CyclicExecutive, CyclicTask, HarnessConfig, Node,
     NodeConfig, SchedConfig, SchedMode,
@@ -44,7 +46,7 @@ pub fn miss_rate_under_smi_instrumented(
     let mut machine = MachineConfig::phi().with_cpus(2).with_seed(seed);
     if let Some(us) = smi_mean_interval_us {
         machine = machine.with_smi(SmiConfig {
-            pattern: SmiPattern::Poisson {
+            pattern: FaultPattern::Poisson {
                 mean_interval: freq.us_to_cycles(us),
             },
             duration: Cost::new(freq.us_to_cycles(100), freq.us_to_cycles(20)),
@@ -60,15 +62,7 @@ pub fn miss_rate_under_smi_instrumented(
     // small margin: the tighter the limit, the less slack absorbs SMIs.
     let period: Nanos = 1_000_000;
     let slice = period * (util_limit_ppm.saturating_sub(40_000)) / 1_000_000;
-    let prog = FnProgram::new(move |_cx, n| {
-        if n == 0 {
-            Action::Call(SysCall::ChangeConstraints(
-                Constraints::periodic(period, slice).build(),
-            ))
-        } else {
-            Action::Compute(200_000)
-        }
-    });
+    let prog = constrained_loop(Constraints::periodic(period, slice).build(), 200_000);
     let tid = node.spawn_on(1, "probe", Box::new(prog)).unwrap();
     node.run_for_ns(300_000_000);
     let rate = node.thread_state(tid).stats.miss_rate();
@@ -128,15 +122,7 @@ pub fn steering_effect(steer_to_rt_cpu: bool, seed: u64) -> f64 {
     } else {
         node.steer_irq(1, 0);
     }
-    let prog = FnProgram::new(|_cx, n| {
-        if n == 0 {
-            Action::Call(SysCall::ChangeConstraints(
-                Constraints::periodic(100_000, 30_000).build(),
-            ))
-        } else {
-            Action::Compute(100_000)
-        }
-    });
+    let prog = constrained_loop(Constraints::periodic(100_000, 30_000).build(), 100_000);
     let tid = node.spawn_on(1, "rt", Box::new(prog)).unwrap();
     // A chatty device: one interrupt every ~20 µs.
     for _ in 0..2000 {
@@ -164,15 +150,7 @@ pub fn timer_mode_precision(mode: TimerMode, seed: u64) -> f64 {
     cfg.dispatch_log_cap = 4096;
     let mut node = Node::new(cfg);
     let period: Nanos = 50_000;
-    let prog = FnProgram::new(move |_cx, n| {
-        if n == 0 {
-            Action::Call(SysCall::ChangeConstraints(
-                Constraints::periodic(period, 10_000).build(),
-            ))
-        } else {
-            Action::Compute(100_000)
-        }
-    });
+    let prog = constrained_loop(Constraints::periodic(period, 10_000).build(), 100_000);
     let tid = node.spawn_on(1, "rt", Box::new(prog)).unwrap();
     node.run_for_ns(100_000_000);
     let times = node.thread_state(tid).dispatch_log.times();
@@ -318,15 +296,8 @@ pub fn cyclic_vs_edf(horizon_ns: Nanos, seed: u64) -> (SchemeCounts, SchemeCount
     let tids: Vec<_> = CYCLIC_SET
         .iter()
         .map(|&t| {
-            let prog = FnProgram::new(move |_cx, n| {
-                if n == 0 {
-                    Action::Call(SysCall::ChangeConstraints(
-                        Constraints::periodic(t.period, t.wcet).build(),
-                    ))
-                } else {
-                    Action::Compute(1_000_000)
-                }
-            });
+            let requested = Constraints::periodic(t.period, t.wcet).build();
+            let prog = constrained_loop(requested, 1_000_000);
             edf.spawn_on(1, "edf", Box::new(prog)).unwrap()
         })
         .collect();

@@ -14,9 +14,8 @@
 
 use crate::harness::{run_trials, stream_delta, HarnessStats};
 use crate::Scale;
-use nautix_cluster::{ClusterConfig, Fleet, PlacementStrategy};
+use nautix_cluster::{ClusterConfig, PlacementStrategy};
 use nautix_rt::HarnessConfig;
-use std::cell::RefCell;
 
 /// One (strategy, tenant-count) cell of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,10 +72,7 @@ pub fn run_cells(
         let cfg = ClusterConfig::new(shards, cpus, tenants, strategy).with_seed(seed);
         // Per-worker fleet: shard nodes are rebuilt (reset) per cell, so
         // pooled arenas are reused without leaking state between cells.
-        thread_local! {
-            static FLEET: RefCell<Fleet> = RefCell::new(Fleet::new());
-        }
-        let out = FLEET.with(|f| nautix_cluster::run(&cfg, &mut f.borrow_mut()));
+        let out = nautix_cluster::run_pooled(&cfg);
         stream_delta(&out.snapshot);
         let point = ClusterPoint {
             strategy: strategy.name(),

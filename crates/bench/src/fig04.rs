@@ -9,7 +9,7 @@
 use crate::common::Scale;
 use nautix_hw::scope::PinAnalysis;
 use nautix_hw::MachineConfig;
-use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
+use nautix_kernel::{constrained_loop, Constraints};
 use nautix_rt::{Node, NodeConfig};
 
 /// The three analyzed traces.
@@ -31,15 +31,7 @@ pub fn run(scale: Scale, seed: u64) -> Fig04 {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(seed);
     let mut node = Node::new(cfg);
-    let prog = FnProgram::new(|_cx, n| {
-        if n == 0 {
-            Action::Call(SysCall::ChangeConstraints(
-                Constraints::periodic(100_000, 50_000).build(),
-            ))
-        } else {
-            Action::Compute(13_000)
-        }
-    });
+    let prog = constrained_loop(Constraints::periodic(100_000, 50_000).build(), 13_000);
     let tid = node.spawn_on(1, "test", Box::new(prog)).unwrap();
     node.gpio_watch(tid);
     let horizon_ns = match scale {

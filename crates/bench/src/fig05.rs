@@ -8,7 +8,7 @@
 
 use crate::common::Scale;
 use nautix_hw::{MachineConfig, Platform};
-use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
+use nautix_kernel::{constrained_loop, Constraints};
 use nautix_rt::{Node, NodeConfig, OverheadBreakdown};
 
 /// One platform's breakdown.
@@ -49,15 +49,7 @@ fn measure(platform: Platform, scale: Scale, seed: u64) -> PlatformOverheads {
     );
     cfg.record_overheads = true;
     let mut node = Node::new(cfg);
-    let prog = FnProgram::new(|_cx, n| {
-        if n == 0 {
-            Action::Call(SysCall::ChangeConstraints(
-                Constraints::periodic(100_000, 50_000).build(),
-            ))
-        } else {
-            Action::Compute(1_000_000)
-        }
-    });
+    let prog = constrained_loop(Constraints::periodic(100_000, 50_000).build(), 1_000_000);
     node.spawn_on(1, "probe", Box::new(prog)).unwrap();
     let horizon = match scale {
         Scale::Quick => 20_000_000,

@@ -19,7 +19,7 @@
 
 use nautix_des::Nanos;
 use nautix_hw::MachineConfig;
-use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
+use nautix_kernel::{constrained_loop, Action, Constraints, FnProgram};
 use nautix_rt::{HarnessConfig, LayerSpec, LayerTable, Node, NodeConfig};
 
 use crate::common::Scale;
@@ -67,15 +67,8 @@ fn run_cell(layers: LayerTable, rt_pct: u64, horizon_ns: Nanos, seed: u64) -> Tr
 
     let period = 1_000_000;
     let slice = period * rt_pct / 100;
-    let probe = FnProgram::new(move |_cx, n| {
-        if n == 0 {
-            Action::Call(SysCall::ChangeConstraints(
-                Constraints::periodic(period, slice).phase(period).build(),
-            ))
-        } else {
-            Action::Compute(100_000)
-        }
-    });
+    let requested = Constraints::periodic(period, slice).phase(period).build();
+    let probe = constrained_loop(requested, 100_000);
     let probe_tid = node.spawn_on(1, "probe", Box::new(probe)).unwrap();
     let hog = FnProgram::new(move |_cx, _n| Action::Compute(100_000));
     let hog_tid = node.spawn_on(1, "hog", Box::new(hog)).unwrap();

@@ -30,18 +30,17 @@
 //! one-in-a-million anomaly arrives as a one-line repro command.
 
 use crate::harness::{stream_delta, NodePool};
-use nautix_cluster::{ClusterConfig, ClusterOutcome, Fleet, PlacementStrategy};
+use nautix_cluster::{ClusterConfig, ClusterOutcome, PlacementStrategy};
 use nautix_des::text::{field, split, Value};
 use nautix_des::Nanos;
 use nautix_hw::{CpuId, FaultPlan, FaultStats, MachineConfig, Platform};
-use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
+use nautix_kernel::{constrained_loop, Action, Constraints, FnProgram};
 use nautix_rt::{
     DegradePolicy, DegradeStats, HarnessConfig, LayerSpec, LayerTable, Node, NodeConfig,
     SchedConfig,
 };
 use nautix_stats::text::{Reader, Writer};
 use nautix_stats::StatsSnapshot;
-use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Header line of the replay codec; the string is the version. Bump it
@@ -502,15 +501,11 @@ impl Scenario {
     pub fn run_pooled(&self, pool: &mut NodePool) -> TrialOutcome {
         if let Workload::Cluster { .. } = self.workload {
             // Cluster runs own a whole fleet, not the caller's single
-            // node; a thread-local fleet gives them the same cross-trial
-            // arena reuse the node pool gives the other workloads. The
-            // engine guarantees pooled == fresh byte for byte.
-            thread_local! {
-                static FLEET: RefCell<Fleet> = RefCell::new(Fleet::new());
-            }
-            let cfg = self.cluster_config();
-            let out = FLEET.with(|f| nautix_cluster::run(&cfg, &mut f.borrow_mut()));
-            return cluster_trial(&out);
+            // node; the worker's thread-local fleet gives them the same
+            // cross-trial arena reuse the node pool gives the other
+            // workloads. The engine guarantees pooled == fresh byte for
+            // byte.
+            return cluster_trial(&nautix_cluster::run_pooled(&self.cluster_config()));
         }
         let node = pool.node(self.node_config());
         if self.oracles && node.oracles().is_none() {
@@ -528,20 +523,16 @@ impl Scenario {
                 slice_ns,
                 jobs,
             } => {
-                let prog = FnProgram::new(move |_cx, n| {
-                    if n == 0 {
-                        // One period of phase so the first arrival lands
-                        // after the admission call itself has returned.
-                        Action::Call(SysCall::ChangeConstraints(Constraints::Periodic {
-                            phase: period_ns,
-                            period: period_ns,
-                            slice: slice_ns,
-                        }))
-                    } else {
-                        // Always-runnable: every job demands its full slice.
-                        Action::Compute(100_000)
-                    }
-                });
+                // One period of phase so the first arrival lands after the
+                // admission call itself has returned. A literal, not the
+                // builder: infeasible points are part of the map.
+                let requested = Constraints::Periodic {
+                    phase: period_ns,
+                    period: period_ns,
+                    slice: slice_ns,
+                };
+                // Always-runnable: every job demands its full slice.
+                let prog = constrained_loop(requested, 100_000);
                 let tid = node.spawn_on(1, "probe", Box::new(prog)).unwrap();
                 node.run_for_ns(period_ns.saturating_mul(jobs + 20));
                 outcome(node, tid)
@@ -551,30 +542,15 @@ impl Scenario {
                 slice_pct,
                 jobs,
             } => {
-                let slice_ns = (period_ns * slice_pct / 100).max(500);
-                let probe = FnProgram::new(move |_cx, n| {
-                    if n == 0 {
-                        Action::Call(SysCall::ChangeConstraints(
-                            Constraints::periodic(period_ns, slice_ns)
-                                .phase(period_ns)
-                                .build(),
-                        ))
-                    } else {
-                        Action::Compute(100_000)
-                    }
-                });
+                let slice_ns = pct_slice(period_ns, slice_pct).expect("slice overflows u64");
+                let requested = Constraints::periodic(period_ns, slice_ns).phase(period_ns);
+                let probe = constrained_loop(requested.build(), 100_000);
                 let probe_tid = node.spawn_on(1, "probe", Box::new(probe)).unwrap();
-                let burst_size = slice_ns;
                 let burst_deadline = period_ns.saturating_mul(4);
-                let burst = FnProgram::new(move |_cx, n| {
-                    if n == 0 {
-                        Action::Call(SysCall::ChangeConstraints(
-                            Constraints::sporadic(burst_size, burst_deadline).build(),
-                        ))
-                    } else {
-                        Action::Compute(100_000)
-                    }
-                });
+                let burst = constrained_loop(
+                    Constraints::sporadic(slice_ns, burst_deadline).build(),
+                    100_000,
+                );
                 node.spawn_on(2, "burst", Box::new(burst)).unwrap();
                 node.run_for_ns(period_ns.saturating_mul(jobs + 20));
                 outcome(node, probe_tid)
@@ -585,18 +561,11 @@ impl Scenario {
                 jobs,
             } => {
                 let spawn_periodic = |node: &mut Node, name, period: Nanos, slice: Nanos| {
-                    let prog = FnProgram::new(move |_cx, n| {
-                        if n == 0 {
-                            Action::Call(SysCall::ChangeConstraints(
-                                Constraints::periodic(period, slice).build(),
-                            ))
-                        } else {
-                            Action::Compute(1_000_000)
-                        }
-                    });
+                    let requested = Constraints::periodic(period, slice).build();
+                    let prog = constrained_loop(requested, 1_000_000);
                     node.spawn_on(1, name, Box::new(prog)).unwrap()
                 };
-                spawn_periodic(node, "slow", period_ns * 5, slice_ns * 5);
+                spawn_periodic(node, "slow", period_ns * SLOW, slice_ns * SLOW);
                 let fast = spawn_periodic(node, "fast", period_ns, slice_ns);
                 node.run_for_ns(period_ns.saturating_mul(jobs + 20));
                 outcome(node, fast)
@@ -607,18 +576,9 @@ impl Scenario {
                 slice_pct,
                 jobs,
             } => {
-                let slice_ns = (period_ns * slice_pct / 100).max(500);
-                let probe = FnProgram::new(move |_cx, n| {
-                    if n == 0 {
-                        Action::Call(SysCall::ChangeConstraints(
-                            Constraints::periodic(period_ns, slice_ns)
-                                .phase(period_ns)
-                                .build(),
-                        ))
-                    } else {
-                        Action::Compute(100_000)
-                    }
-                });
+                let slice_ns = pct_slice(period_ns, slice_pct).expect("slice overflows u64");
+                let requested = Constraints::periodic(period_ns, slice_ns).phase(period_ns);
+                let probe = constrained_loop(requested.build(), 100_000);
                 let probe_tid = node.spawn_on(1, "probe", Box::new(probe)).unwrap();
                 // An always-runnable aperiodic hog: its whole demand lands
                 // in the background layer, which drains every window.
@@ -854,6 +814,44 @@ impl Scenario {
                 "sched.granularity_ns: must be >= 1 (admission takes remainders by it)".into(),
             );
         }
+        // The reservation `run_pooled` builds with the panicking builder
+        // (`competing`'s slow thread asks for `SLOW` times both figures).
+        // `missrate` requests a literal instead: its infeasible points,
+        // run with admission off, are the map.
+        let overflow = || format!("workload: `{}` overflows u64", self.workload.encode());
+        let probe = match self.workload {
+            Workload::MissRate { .. } => None,
+            Workload::Cluster { shards: 0, .. } => {
+                return Err("workload: a cluster needs >= 1 shard".into());
+            }
+            Workload::Cluster { .. } => None,
+            Workload::Competing {
+                period_ns,
+                slice_ns,
+                ..
+            } => {
+                period_ns.checked_mul(SLOW).ok_or_else(overflow)?;
+                Some((period_ns, slice_ns))
+            }
+            Workload::FaultMix {
+                period_ns,
+                slice_pct,
+                ..
+            }
+            | Workload::LayerMix {
+                period_ns,
+                slice_pct,
+                ..
+            } => Some((
+                period_ns,
+                pct_slice(period_ns, slice_pct).ok_or_else(overflow)?,
+            )),
+        };
+        if let Some((period, slice)) = probe {
+            Constraints::periodic(period, slice)
+                .try_build()
+                .map_err(|e| format!("workload: periodic({period}, {slice}): {e:?}"))?;
+        }
         if self.laden.is_empty() {
             return Err("node.laden: empty, but some CPU must take device interrupts".into());
         }
@@ -874,6 +872,16 @@ impl Scenario {
         }
         Ok(self)
     }
+}
+
+/// `competing`'s slow thread runs at this multiple of the fast thread's
+/// period and slice.
+const SLOW: u64 = 5;
+
+/// The `fault_mix` / `layer_mix` probe slice: `slice_pct` percent of the
+/// period, floored at 500 ns; `None` when the product overflows.
+fn pct_slice(period_ns: Nanos, slice_pct: u64) -> Option<Nanos> {
+    Some((period_ns.checked_mul(slice_pct)? / 100).max(500))
 }
 
 /// Read one field's line; an error names its key.

@@ -29,7 +29,7 @@
 use crate::common::Scale;
 use crate::harness::{run_trials, HarnessStats, NodePool};
 use nautix_hw::{MachineConfig, Topology};
-use nautix_kernel::{Action, Constraints, FnProgram, Script, SysCall};
+use nautix_kernel::{constrained_loop, Action, Constraints, FnProgram, Script, SysCall};
 use nautix_rt::{HarnessConfig, Node, NodeConfig, StealPolicy};
 
 /// CPU counts swept at each scale. Quick keeps only the largest machine
@@ -135,17 +135,12 @@ pub fn missrate_at_scale(n_cpus: usize, topology: Topology, jobs: u64, seed: u64
     let mut node = Node::new(cfg);
     let mut tids = Vec::with_capacity(n_cpus - 1);
     for cpu in 1..n_cpus {
-        let prog = FnProgram::new(move |_cx, n| {
-            if n == 0 {
-                Action::Call(SysCall::ChangeConstraints(Constraints::Periodic {
-                    phase: period_ns,
-                    period: period_ns,
-                    slice: slice_ns,
-                }))
-            } else {
-                Action::Compute(100_000)
-            }
-        });
+        let requested = Constraints::Periodic {
+            phase: period_ns,
+            period: period_ns,
+            slice: slice_ns,
+        };
+        let prog = constrained_loop(requested, 100_000);
         tids.push(
             node.spawn_on(cpu, &format!("p{cpu}"), Box::new(prog))
                 .unwrap(),

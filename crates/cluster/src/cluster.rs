@@ -24,6 +24,7 @@
 //! decisions per second against live ledgers under churn — not dispatch
 //! behavior, which the node-level scenarios already cover at depth.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -301,6 +302,16 @@ pub fn run(cfg: &ClusterConfig, fleet: &mut Fleet) -> ClusterOutcome {
 /// Run on a throwaway fleet (fresh node construction per shard).
 pub fn run_fresh(cfg: &ClusterConfig) -> ClusterOutcome {
     run(cfg, &mut Fleet::new())
+}
+
+/// Run on the calling thread's own long-lived fleet: a harness worker
+/// gets the cross-run arena reuse a [`NodePool`] gives single-node trials
+/// without carrying a [`Fleet`] around. Byte-identical to [`run_fresh`].
+pub fn run_pooled(cfg: &ClusterConfig) -> ClusterOutcome {
+    thread_local! {
+        static FLEET: RefCell<Fleet> = RefCell::new(Fleet::new());
+    }
+    FLEET.with(|f| run(cfg, &mut f.borrow_mut()))
 }
 
 /// Run an explicit policy instance (the differential tests drive

@@ -18,8 +18,8 @@
 //!   by ledger utilization, power-of-two-choices, and the RT-Gang-style
 //!   one-gang-per-shard baseline,
 //! * [`cluster`] — [`ClusterConfig`], the reusable [`Fleet`], and the
-//!   [`run`] / [`run_fresh`] / [`run_with_policy`] entry points producing
-//!   a [`ClusterOutcome`].
+//!   [`run`] / [`run_fresh`] / [`run_pooled`] / [`run_with_policy`] entry
+//!   points producing a [`ClusterOutcome`].
 //!
 //! Everything is a pure function of [`ClusterConfig`] (see the
 //! determinism tests): the replay layer records a cluster scenario as a
@@ -30,7 +30,8 @@ pub mod policy;
 pub mod tenant;
 
 pub use cluster::{
-    run, run_fresh, run_with_policy, ClusterConfig, ClusterOutcome, Fleet, PlacementOutcome,
+    run, run_fresh, run_pooled, run_with_policy, ClusterConfig, ClusterOutcome, Fleet,
+    PlacementOutcome,
 };
 pub use policy::{ClusterView, PlacementPolicy, PlacementStrategy, ScriptedPolicy, ShardView};
 pub use tenant::{TenantRequest, TenantStream, PERIODS_NS, UTILS_PPM};

@@ -34,11 +34,13 @@ pub fn parse_threads(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("must be an integer >= 1, got `{s}`"))
 }
 
-/// Strict boolean parser behind `NAUTIX_ORACLES`.
+/// Strict boolean parser behind `NAUTIX_ORACLES`. The empty string is an
+/// error like any other junk: a set-but-empty switch is a broken shell
+/// expansion, and an armed CI step must not run unarmed and report green.
 pub fn parse_switch(s: &str) -> Result<bool, String> {
     match s.trim().to_ascii_lowercase().as_str() {
         "1" | "true" | "yes" | "on" => Ok(true),
-        "0" | "false" | "no" | "off" | "" => Ok(false),
+        "0" | "false" | "no" | "off" => Ok(false),
         other => Err(format!(
             "must be one of 1/true/yes/on/0/false/no/off, got `{other}`"
         )),
@@ -87,6 +89,8 @@ impl HarnessConfig {
     /// * `NAUTIX_THREADS` — worker count (≥ 1); defaults to the host's
     ///   available parallelism,
     /// * `NAUTIX_ORACLES` — `1`/`true`/`yes`/`on` arms the oracles,
+    ///   `0`/`false`/`no`/`off` or unset leaves them off; set but empty
+    ///   is an error,
     /// * `NAUTIX_STATS_STREAM` — file path for live stats frames,
     ///
     /// and validates the two that are read where they act:
@@ -178,5 +182,6 @@ mod tests {
         assert_eq!(parse_switch("off"), Ok(false));
         assert!(parse_switch("enable").is_err());
         assert!(parse_switch("2").is_err());
+        assert!(parse_switch("").is_err(), "set but empty must not mean off");
     }
 }

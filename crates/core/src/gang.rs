@@ -27,13 +27,12 @@
 use crate::node::{tok, Node, TK_RELEASE};
 use nautix_des::{Cycles, DetRng, Nanos};
 use nautix_groups::{
-    correct_constraints, estimate_delta, CollectiveOutcome, Decision, Group, GroupRegistry,
-    MAX_GROUPS,
+    correct_constraints, estimate_delta, CollectiveOutcome, CollectiveRelease, Decision, Group,
+    GroupRegistry, MAX_GROUPS,
 };
 use nautix_hw::CpuId;
 use nautix_kernel::{
-    AdmissionError, BarrierOutcome, Constraints, GroupError, GroupId, Release, SysCall, SysResult,
-    ThreadId, WaitKind,
+    AdmissionError, Constraints, GroupError, GroupId, SysCall, SysResult, ThreadId, WaitKind,
 };
 use nautix_trace::Record;
 
@@ -170,8 +169,9 @@ enum Arrival {
     /// Not everyone is here: the caller is now blocked.
     Blocked,
     /// The caller completed the episode: the departure schedule in release
-    /// order (the caller first) and the collective's value (0 at a barrier).
-    Complete(Vec<Release>, u64),
+    /// order (the caller first), each entry carrying the collective's value
+    /// (0 at a barrier).
+    Complete(Vec<CollectiveRelease>),
 }
 
 fn admission_error_code(e: AdmissionError) -> u64 {
@@ -301,7 +301,7 @@ impl Node {
                 match self.arrive(cpu, tid, group, TEAM_BARRIER, 0) {
                     Arrival::NotFound => self.not_found(tid),
                     Arrival::Blocked => true,
-                    Arrival::Complete(rs, _) => {
+                    Arrival::Complete(rs) => {
                         self.admit_team_at_rendezvous(cpu, tid, group, constraints, &rs);
                         false
                     }
@@ -348,37 +348,20 @@ impl Node {
         };
         let mut rng = DetRng::seed_from(at.salt ^ self.machine.now() ^ (gid.0 as u64) << 32);
         let stagger = self.cm.barrier_release_stagger;
-        let done = match at.coll {
-            None => match group.barrier.arrive(tid, &mut rng, stagger) {
-                BarrierOutcome::Wait => None,
-                BarrierOutcome::Release(rs) => Some((rs, 0)),
-            },
-            Some(kind) => {
-                let (coll, decision) = match kind {
-                    CollKind::Elect => (&mut group.election, Decision::Min),
-                    CollKind::Reduce => (&mut group.reduction, Decision::Max),
-                    CollKind::Broadcast => {
-                        // The source is the first member in join order.
-                        let leader = group.members().first().copied().unwrap_or(tid);
-                        (&mut group.broadcast, Decision::Of(leader))
-                    }
-                };
-                match coll.arrive(tid, value, decision, &mut rng, stagger) {
-                    CollectiveOutcome::Wait => None,
-                    CollectiveOutcome::Complete(rs) => {
-                        let departures = rs.iter().map(|r| Release {
-                            tid: r.tid,
-                            order: r.order,
-                            delay: r.delay,
-                        });
-                        Some((departures.collect(), rs[0].result))
-                    }
-                }
+        let (coll, decision) = match at.coll {
+            // A barrier is the collective whose value (0) nobody reads.
+            None => (&mut group.barrier, Decision::Max),
+            Some(CollKind::Elect) => (&mut group.election, Decision::Min),
+            Some(CollKind::Reduce) => (&mut group.reduction, Decision::Max),
+            Some(CollKind::Broadcast) => {
+                // The source is the first member in join order.
+                let leader = group.members().first().copied().unwrap_or(tid);
+                (&mut group.broadcast, Decision::Of(leader))
             }
         };
-        match done {
-            Some((rs, result)) => Arrival::Complete(rs, result),
-            None => {
+        match coll.arrive(tid, value, decision, &mut rng, stagger) {
+            CollectiveOutcome::Complete(rs) => Arrival::Complete(rs),
+            CollectiveOutcome::Wait => {
                 let wait = at.coll.map_or(WaitKind::Barrier, |_| WaitKind::Group);
                 self.block(tid, wait);
                 Arrival::Blocked
@@ -391,7 +374,7 @@ impl Node {
     /// from the *end* of the completer's (serialized) arrival — the
     /// instant its RMW actually lands on the shared line — not from the
     /// event timestamp at which the charge was issued.
-    fn release(&mut self, completer: ThreadId, rs: &[Release], result: SysResult) {
+    fn release(&mut self, completer: ThreadId, rs: &[CollectiveRelease], result: SysResult) {
         let ccpu = self.threads.expect(completer).cpu;
         let base = self.machine.busy_until(ccpu).max(self.machine.now());
         for r in rs {
@@ -418,8 +401,10 @@ impl Node {
         match self.arrive(cpu, tid, gid, at, value) {
             Arrival::NotFound => self.not_found(tid),
             Arrival::Blocked => true,
-            Arrival::Complete(rs, v) => {
-                let result = at.coll.map_or(SysResult::None, |_| SysResult::Value(v));
+            Arrival::Complete(rs) => {
+                let result = at
+                    .coll
+                    .map_or(SysResult::None, |_| SysResult::Value(rs[0].result));
                 self.release(tid, &rs, result);
                 self.pending_result[tid] = result;
                 false
@@ -429,7 +414,7 @@ impl Node {
 
     /// The measured per-thread barrier-departure delay δ of one episode
     /// (§4.4); 0 with phase correction off.
-    fn measured_delta(&self, rs: &[Release]) -> Nanos {
+    fn measured_delta(&self, rs: &[CollectiveRelease]) -> Nanos {
         if !self.gangs.phase_correction {
             return 0;
         }
@@ -461,7 +446,8 @@ impl Node {
                         return self.not_found(tid);
                     }
                     Arrival::Blocked => return true,
-                    Arrival::Complete(rs, v) => {
+                    Arrival::Complete(rs) => {
+                        let v = rs[0].result;
                         if at.coll.is_none() {
                             // Record release order and measured δ for
                             // every member.
@@ -622,7 +608,7 @@ impl Node {
         tid: ThreadId,
         gid: GroupId,
         constraints: Constraints,
-        rs: &[Release],
+        rs: &[CollectiveRelease],
     ) {
         let members: Vec<ThreadId> = rs.iter().map(|r| r.tid).collect();
         let delta_ns = self.measured_delta(rs);

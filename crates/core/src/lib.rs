@@ -6,10 +6,12 @@
 //! * [`local`] — the eager-EDF local scheduler, one per hardware thread
 //!   (§3.3, §3.6),
 //! * [`timesync`] — boot-time cross-CPU cycle-counter calibration (§3.4),
-//! * [`node`] — the global scheduler: the event loop binding local
-//!   schedulers, the kernel substrate, interrupt steering, work stealing,
-//!   kick IPIs, lightweight tasks, and group admission control
-//!   (Algorithm 1 of §4.3 with the phase correction of §4.4),
+//! * [`node`] — the global scheduler's event pump: the loop binding local
+//!   schedulers, the kernel substrate, interrupt steering, kick IPIs and
+//!   lightweight tasks. Its two cross-CPU interactions are private modules
+//!   entered from the pump: `gang` (group syscalls and group admission
+//!   control, Algorithm 1 of §4.3 with the phase correction of §4.4) and
+//!   `global` (the idle path: reaping and work stealing, §3.4),
 //! * [`stats`] — the measurements the evaluation (§5) reports,
 //! * [`cyclic`] — the §8 future-work direction implemented: compiling
 //!   task sets into statically verified cyclic executives.
@@ -18,6 +20,7 @@ pub mod admission;
 pub mod config;
 pub mod cyclic;
 mod gang;
+mod global;
 pub mod local;
 pub mod node;
 pub mod oracle;

@@ -329,16 +329,7 @@ impl LocalScheduler {
         debug_assert!(tid != self.idle, "the idle thread is never queued");
         if st.is_rt() {
             if st.job_active && st.deadline_ns > now_ns && st.remaining_cycles > 0 {
-                self.rt_run
-                    .push(st.deadline_ns, tid)
-                    .expect("rt_run overflow: capacity misconfigured");
-                if let Some(t) = &self.trace {
-                    t.emit(Record::RtQueued {
-                        cpu: self.cpu as u32,
-                        tid: tid as u32,
-                        deadline_ns: st.deadline_ns,
-                    });
-                }
+                self.push_rt_run(tid, st.deadline_ns);
             } else {
                 // (Re)synchronize to the next arrival strictly after now.
                 if st.job_active {
@@ -346,21 +337,40 @@ impl LocalScheduler {
                     st.job_active = false;
                 }
                 self.resync_arrival(st, now_ns);
-                self.pending
-                    .push(st.next_arrival_ns, tid)
-                    .expect("pending overflow: capacity misconfigured");
-                if let Some(t) = &self.trace {
-                    t.emit(Record::PendingQueued {
-                        cpu: self.cpu as u32,
-                        tid: tid as u32,
-                        arrival_ns: st.next_arrival_ns,
-                    });
-                }
+                self.push_pending(tid, st.next_arrival_ns);
             }
         } else {
-            self.nonrt
-                .push(st.aperiodic_priority(), tid)
-                .expect("nonrt overflow: capacity misconfigured");
+            self.enqueue_nonrt(tid, st.aperiodic_priority());
+        }
+    }
+
+    /// A job with work left joins the EDF run queue at its deadline.
+    #[inline]
+    fn push_rt_run(&mut self, tid: ThreadId, deadline_ns: Nanos) {
+        self.rt_run
+            .push(deadline_ns, tid)
+            .expect("rt_run overflow: capacity misconfigured");
+        if let Some(t) = &self.trace {
+            t.emit(Record::RtQueued {
+                cpu: self.cpu as u32,
+                tid: tid as u32,
+                deadline_ns,
+            });
+        }
+    }
+
+    /// A real-time thread between jobs waits for its next arrival.
+    #[inline]
+    fn push_pending(&mut self, tid: ThreadId, arrival_ns: Nanos) {
+        self.pending
+            .push(arrival_ns, tid)
+            .expect("pending overflow: capacity misconfigured");
+        if let Some(t) = &self.trace {
+            t.emit(Record::PendingQueued {
+                cpu: self.cpu as u32,
+                tid: tid as u32,
+                arrival_ns,
+            });
         }
     }
 
@@ -392,7 +402,9 @@ impl LocalScheduler {
     /// aperiodic (not real-time)" until the phase-corrected anchor (§4.4).
     pub fn enqueue_nonrt(&mut self, tid: ThreadId, priority: u64) {
         debug_assert!(tid != self.idle);
-        self.nonrt.push(priority, tid).expect("nonrt overflow");
+        self.nonrt
+            .push(priority, tid)
+            .expect("nonrt overflow: capacity misconfigured");
     }
 
     /// Remove a thread from every queue (exit, migration, class change).
@@ -408,21 +420,9 @@ impl LocalScheduler {
         }
     }
 
-    /// Whether the thread sits in this scheduler's non-RT queue
-    /// (work-stealing candidates; only aperiodic threads can be stolen).
-    pub fn nonrt_contains(&self, tid: ThreadId) -> bool {
-        self.nonrt.contains(tid)
-    }
-
     /// Number of queued aperiodic threads (work-steal victim load probe).
     pub fn nonrt_len(&self) -> usize {
         self.nonrt.len()
-    }
-
-    /// Pop one queued aperiodic thread (the victim side of §3.4's
-    /// power-of-two-choices stealing, when no bound-ness filter applies).
-    pub fn steal_nonrt(&mut self) -> Option<ThreadId> {
-        self.nonrt.pop().map(|(_, t)| t)
     }
 
     /// The queued aperiodic threads, front to back (steal-candidate
@@ -997,16 +997,7 @@ impl LocalScheduler {
     fn enqueue_current(&mut self, tid: ThreadId, st: &mut SchedThread, now_ns: Nanos) {
         if st.is_rt() {
             if st.job_active && st.remaining_cycles > 0 {
-                self.rt_run
-                    .push(st.deadline_ns, tid)
-                    .expect("rt_run overflow");
-                if let Some(t) = &self.trace {
-                    t.emit(Record::RtQueued {
-                        cpu: self.cpu as u32,
-                        tid: tid as u32,
-                        deadline_ns: st.deadline_ns,
-                    });
-                }
+                self.push_rt_run(tid, st.deadline_ns);
             } else {
                 // For a completed periodic job next_arrival is already the
                 // deadline of the finished job; if that instant has passed
@@ -1017,21 +1008,10 @@ impl LocalScheduler {
                         st.next_arrival_ns = now_ns + 1;
                     }
                 }
-                self.pending
-                    .push(st.next_arrival_ns, tid)
-                    .expect("pending overflow");
-                if let Some(t) = &self.trace {
-                    t.emit(Record::PendingQueued {
-                        cpu: self.cpu as u32,
-                        tid: tid as u32,
-                        arrival_ns: st.next_arrival_ns,
-                    });
-                }
+                self.push_pending(tid, st.next_arrival_ns);
             }
         } else {
-            self.nonrt
-                .push(st.aperiodic_priority(), tid)
-                .expect("nonrt overflow");
+            self.enqueue_nonrt(tid, st.aperiodic_priority());
         }
     }
 
@@ -1109,6 +1089,15 @@ impl LocalScheduler {
         self.cfg.layers.layer_of(&st.constraints)
     }
 
+    /// Lazy mode's latest feasible start of a job: its remaining work
+    /// (rounded up) and the configured margin before its deadline.
+    #[inline]
+    fn latest_start(&self, st: &SchedThread) -> Nanos {
+        let remaining_ns =
+            self.freq.cycles_to_ns(st.remaining_cycles) + 1 + self.cfg.lazy_margin_ns;
+        st.deadline_ns.saturating_sub(remaining_ns)
+    }
+
     /// Selection with one or more layers throttled: the same EDF (or lazy)
     /// order restricted to eligible layers, background yielding to batch
     /// yielding to RT by construction — a throttled layer's threads are
@@ -1130,10 +1119,7 @@ impl LocalScheduler {
             }
             if self.cfg.mode == SchedMode::Lazy {
                 let st = &threads[tid];
-                let remaining_ns =
-                    self.freq.cycles_to_ns(st.remaining_cycles) + 1 + self.cfg.lazy_margin_ns;
-                let latest_start = st.deadline_ns.saturating_sub(remaining_ns);
-                if !st.job_started && now_ns < latest_start {
+                if !st.job_started && now_ns < self.latest_start(st) {
                     continue;
                 }
             }
@@ -1188,10 +1174,7 @@ impl LocalScheduler {
                 let mut best: Option<(Nanos, ThreadId)> = None;
                 for (deadline, tid) in self.rt_run.iter() {
                     let st = &threads[tid];
-                    let remaining_ns =
-                        self.freq.cycles_to_ns(st.remaining_cycles) + 1 + self.cfg.lazy_margin_ns;
-                    let latest_start = st.deadline_ns.saturating_sub(remaining_ns);
-                    if st.job_started || now_ns >= latest_start {
+                    if st.job_started || now_ns >= self.latest_start(st) {
                         match best {
                             Some((d, _)) if d <= deadline => {}
                             _ => best = Some((deadline, tid)),
@@ -1241,10 +1224,7 @@ impl LocalScheduler {
             for (_, tid) in self.rt_run.iter() {
                 let st = &threads[tid];
                 if !st.job_started {
-                    let remaining_ns =
-                        self.freq.cycles_to_ns(st.remaining_cycles) + 1 + self.cfg.lazy_margin_ns;
-                    let latest = st.deadline_ns.saturating_sub(remaining_ns);
-                    consider_wall(latest.max(now_ns + 1));
+                    consider_wall(self.latest_start(st).max(now_ns + 1));
                 }
             }
         }

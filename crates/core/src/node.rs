@@ -12,14 +12,18 @@
 //!   partition,
 //! * wakeups deliver sleeps, barrier releases, and collective departures.
 //!
-//! This file is construction, that event pump, the idle loop with its
-//! work stealer, and the syscall switch. Of the two pieces of the paper
-//! that tie CPUs together, boot-time time synchronization (§3.4) is
-//! [`crate::timesync`], and hard real-time groups — the group syscalls,
-//! group admission control (Algorithm 1, §4.3) and phase correction
-//! (§4.4) — are `gang.rs`, which the pump enters at one `handle_syscall`
-//! arm, at the "is this thread inside Algorithm 1" test of `dispatch` and
-//! `make_ready`, at boot, and through [`Node::admit`]'s team target.
+//! This file is construction, that event pump (interrupt, op-completion
+//! and wakeup paths, timer programming, `dispatch`) and the syscall
+//! switch. The interactions that tie CPUs together live beside it:
+//! boot-time time synchronization (§3.4) is [`crate::timesync`]; hard
+//! real-time groups — the group syscalls, group admission control
+//! (Algorithm 1, §4.3) and phase correction (§4.4) — are `gang.rs`, which
+//! the pump enters at one `handle_syscall` arm, at the "is this thread
+//! inside Algorithm 1" test of `dispatch` and `make_ready`, at boot, and
+//! through [`Node::admit`]'s team target; the idle loop with its work
+//! stealer, the reaper and the backlog bitmap (§3.4) are `global.rs`,
+//! entered at `dispatch`'s idle test, the steal-poll wakeup, `thread_exit`
+//! and `spawn_inner`'s reap under table pressure.
 //!
 //! ## Modeling notes (documented substitutions)
 //!
@@ -30,14 +34,16 @@
 //!   "task-exec helper thread" folded into the idle thread); size-tagged
 //!   tasks run inline in the scheduler when the gap to the next real-time
 //!   arrival allows, exactly as in §3.1.
-//! * The idle-loop work stealer arms a retry poll only while stealable
-//!   work exists somewhere, keeping the simulation event-driven; the steal
-//!   itself uses power-of-two-random-choices victim selection (§3.4).
+//! * The idle-loop work stealer (`global.rs`) arms a retry poll only while
+//!   stealable work exists somewhere, keeping the simulation event-driven;
+//!   the steal itself uses power-of-two-random-choices victim selection
+//!   (§3.4).
 
-use crate::admission::{SchedConfig, SimCache, StealPolicy};
+use crate::admission::{SchedConfig, SimCache};
 use crate::config::HarnessConfig;
 pub use crate::gang::GaTiming;
 use crate::gang::Gangs;
+use crate::global::Global;
 use crate::local::{InvokeReason, LocalScheduler, SchedThread};
 use crate::oracle::{OracleConfig, OracleSuite};
 use crate::request::{AdmissionOutcome, AdmissionRequest, AdmissionTarget};
@@ -45,7 +51,7 @@ use crate::stats::DispatchLog;
 use crate::timesync::{self, TimeSync};
 use nautix_des::{Cycles, Freq, Nanos};
 use nautix_groups::GroupRegistry;
-use nautix_hw::{shifted_victim, CostModel, CpuId, Machine, MachineConfig, MachineEvent, TopoMap};
+use nautix_hw::{CostModel, CpuId, Machine, MachineConfig, MachineEvent, TopoMap};
 use nautix_kernel::{
     Action, AdmissionError, Constraints, GroupId, Program, ResumeCx, Steering, SysCall, SysResult,
     TaskQueues, Thread, ThreadId, ThreadState, ThreadTable, WaitKind,
@@ -62,7 +68,9 @@ use std::rc::Rc;
 /// [`Node::record_timeline`], and for the oracle regression tests
 /// [`Node::set_sabotage_fifo`] / [`Node::set_sabotage_layer`]. Group-join
 /// and group-admission timings (Figure 10) need no arming: every node
-/// keeps [`Node::join_timings`] and [`Node::ga_timings`].
+/// keeps [`Node::join_timings`] and [`Node::ga_timings`]. `boot` hands
+/// `phase_correction` to gang coordination (`gang.rs`) and `steal_poll_ns`
+/// to the idle path (`global.rs`); the rest configure the pump itself.
 pub struct NodeConfig {
     /// The machine to model.
     pub machine: MachineConfig,
@@ -80,7 +88,8 @@ pub struct NodeConfig {
     pub record_overheads: bool,
     /// System-wide thread bound.
     pub max_threads: usize,
-    /// Idle work-steal poll interval.
+    /// Idle work-steal poll interval: how long an idle CPU that saw
+    /// stealable work elsewhere, but did not get any, waits to retry.
     pub steal_poll_ns: Nanos,
     /// Apply the §4.4 phase correction during group admission. Figures 11
     /// and 12 are measured with it disabled to expose the release-order
@@ -125,7 +134,7 @@ struct TimerReq {
 const TK_SLEEP: u64 = 1;
 pub(crate) const TK_RELEASE: u64 = 2;
 const TK_POKE: u64 = 3;
-const TK_STEAL_POLL: u64 = 4;
+pub(crate) const TK_STEAL_POLL: u64 = 4;
 
 /// Device-interrupt vector space (the machine asserts `irq < 0x40`).
 const IRQ_LINES: usize = 64;
@@ -140,27 +149,13 @@ fn tok_payload(t: u64) -> u64 {
     t & ((1u64 << 56) - 1)
 }
 
-/// What one widening stage of a steal attempt concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StageOutcome {
-    /// A thread was migrated to the thief.
-    Stole,
-    /// Neither probed victim had a stealable backlog; the thief may widen
-    /// to the next topology domain.
-    NoBacklog,
-    /// A backlogged victim was locked but held only unmigratable (bound)
-    /// threads; the attempt ends without widening.
-    LockedEmpty,
-}
-
 /// The assembled node.
 pub struct Node {
     /// The machine model (public for harness-side ground-truth access).
     pub machine: Machine,
-    cfg_sched: SchedConfig,
+    pub(crate) cfg_sched: SchedConfig,
     dispatch_log_cap: usize,
     record_overheads: bool,
-    steal_poll_ns: Nanos,
     /// GPIO trace hooks: pin assignments are
     /// pin 0 = the watched thread's activity, pin 1 = scheduler pass,
     /// pin 2 = interrupt handler (the three traces of Figure 4).
@@ -178,7 +173,7 @@ pub struct Node {
     /// The machine's resolved topology map, cached by value like `cm`
     /// (`TopoMap` is `Copy`): the steal path classifies thief→victim
     /// distance on every probe. Refreshed by `reset`.
-    topo: TopoMap,
+    pub(crate) topo: TopoMap,
     pub(crate) threads: ThreadTable,
     pub(crate) ts: Vec<SchedThread>,
     pub(crate) sched: Vec<LocalScheduler>,
@@ -186,8 +181,11 @@ pub struct Node {
     /// Groups, Algorithm 1 continuations and their timing records: all of
     /// gang coordination's state ([`crate::gang`]).
     pub(crate) gangs: Gangs,
+    /// The idle path's state — steal polls, exited threads awaiting the
+    /// reaper, the backlog bitmap ([`crate::global`]).
+    pub(crate) global: Global,
     steering: Steering,
-    tasks: Vec<TaskQueues>,
+    pub(crate) tasks: Vec<TaskQueues>,
     pub(crate) pending_result: Vec<SysResult>,
     cur_op: Vec<Option<(ThreadId, Cycles)>>,
     /// The node's shared hyperperiod-simulation memo, installed into every
@@ -195,27 +193,14 @@ pub struct Node {
     /// cache is a pure memo keyed on the full simulation input, so entries
     /// learned in earlier pooled trials stay valid across resets.
     sim_cache: Rc<RefCell<SimCache>>,
-    steal_poll_armed: Vec<bool>,
     /// Threads blocked in WaitIrq, per irq line (FIFO), indexed by vector.
     irq_waiters: Vec<VecDeque<ThreadId>>,
-    /// Exited threads awaiting reaping, per CPU (thread-pool maintenance,
-    /// §3.4: performed by the idle path under the local scheduler's lock
-    /// for a bounded time).
-    zombies: Vec<Vec<ThreadId>>,
     live_programs: usize,
-    /// One bit per CPU whose non-RT queue holds a stealable backlog
-    /// (`nonrt_len() > 1`), refreshed by [`Node::note_backlog`] wherever
-    /// a scheduler's queues change. An idle pass walks the set bits
-    /// instead of probing every scheduler on the machine.
-    backlogged: Vec<u64>,
     /// Operations in flight (`Some` entries of `cur_op`) and tasks queued
     /// across all CPUs, so the quiescence test is two reads, not two
     /// machine-wide scans per step.
     ops_in_flight: usize,
-    queued_tasks: usize,
-    /// Remote schedulers an idle pass looked into (work-count guard).
-    #[cfg(test)]
-    remote_inspected: u64,
+    pub(crate) queued_tasks: usize,
     /// Device interrupts handled, per CPU.
     pub device_irqs_handled: Vec<u64>,
     pub(crate) trace: Option<TraceHandle>,
@@ -235,7 +220,6 @@ impl Node {
             cfg_sched: cfg.sched,
             dispatch_log_cap: 0,
             record_overheads: false,
-            steal_poll_ns: 0,
             gpio_watch: None,
             timeline: None,
             freq: machine.freq(),
@@ -247,20 +231,16 @@ impl Node {
             sched: Vec::new(),
             sync: TimeSync::perfect(0),
             gangs: Gangs::default(),
+            global: Global::default(),
             steering: Steering::with_topology(cfg.laden.clone(), topo),
             tasks: Vec::new(),
             pending_result: Vec::new(),
             cur_op: Vec::new(),
             sim_cache: Rc::new(RefCell::new(SimCache::new())),
-            steal_poll_armed: Vec::new(),
             irq_waiters: (0..IRQ_LINES).map(|_| VecDeque::new()).collect(),
-            zombies: Vec::new(),
             live_programs: 0,
-            backlogged: Vec::new(),
             ops_in_flight: 0,
             queued_tasks: 0,
-            #[cfg(test)]
-            remote_inspected: 0,
             device_irqs_handled: Vec::new(),
             trace: None,
             oracles: None,
@@ -301,7 +281,6 @@ impl Node {
         self.cfg_sched = sched;
         self.dispatch_log_cap = cfg.dispatch_log_cap;
         self.record_overheads = cfg.record_overheads;
-        self.steal_poll_ns = cfg.steal_poll_ns;
         self.gpio_watch = None;
         self.timeline = None;
         self.threads.reset(cfg.max_threads);
@@ -342,24 +321,16 @@ impl Node {
         self.tasks.clear();
         self.tasks.extend((0..n).map(|_| TaskQueues::new(256)));
         self.gangs.reset(cfg.max_threads, cfg.phase_correction);
+        self.global.reset(n, cfg.steal_poll_ns);
         self.pending_result.clear();
         self.pending_result
             .resize_with(cfg.max_threads, || SysResult::None);
         self.cur_op.clear();
         self.cur_op.resize(n, None);
-        self.steal_poll_armed.clear();
-        self.steal_poll_armed.resize(n, false);
         for q in &mut self.irq_waiters {
             q.clear();
         }
-        self.zombies.truncate(n);
-        for z in &mut self.zombies {
-            z.clear();
-        }
-        self.zombies.resize_with(n, Vec::new);
         self.live_programs = 0;
-        self.backlogged.clear();
-        self.backlogged.resize(n.div_ceil(64), 0);
         self.ops_in_flight = 0;
         self.queued_tasks = 0;
         self.device_irqs_handled.clear();
@@ -615,11 +586,7 @@ impl Node {
         self.pending_result[tid] = SysResult::None;
         self.live_programs += 1;
         let now = self.wall_ns(cpu);
-        {
-            let st = &mut self.ts[tid];
-            self.sched[cpu].enqueue(tid, st, now);
-            self.note_backlog(cpu);
-        }
+        self.enqueue_on(cpu, tid, now);
         // Nudge the target CPU to schedule (a kick in spirit; at boot the
         // machine is idle and this is the first event).
         self.machine
@@ -873,7 +840,7 @@ impl Node {
             }
             TK_STEAL_POLL => {
                 let cpu = tok_payload(token) as usize;
-                self.steal_poll_armed[cpu] = false;
+                self.global.poll_fired(cpu);
                 self.interrupt_path(cpu, InvokeReason::Kick);
             }
             TK_SLEEP | TK_RELEASE => {
@@ -901,16 +868,20 @@ impl Node {
         if self.gangs.in_admission(tid) {
             // Group-admission continuations run as aperiodic work.
             self.sched[cpu].enqueue_nonrt(tid, 0);
+            self.note_backlog(cpu);
         } else {
-            let st = &mut self.ts[tid];
-            self.sched[cpu].enqueue(tid, st, now);
+            self.enqueue_on(cpu, tid, now);
         }
-        self.note_backlog(cpu);
     }
 
     /// Invoke the local scheduler and program its timer in one go (for
     /// thread-context invocations with no trailing kernel-path charges).
-    fn local_invoke(&mut self, cpu: CpuId, reason: InvokeReason, runnable: bool) -> Cycles {
+    pub(crate) fn local_invoke(
+        &mut self,
+        cpu: CpuId,
+        reason: InvokeReason,
+        runnable: bool,
+    ) -> Cycles {
         let (c_switch, timer) = self.local_invoke_raw(cpu, reason, runnable);
         self.program_timer(cpu, timer);
         c_switch
@@ -1044,7 +1015,7 @@ impl Node {
     // Dispatch: run the current thread until it computes, blocks, or exits
     // ------------------------------------------------------------------
 
-    fn dispatch(&mut self, cpu: CpuId) {
+    pub(crate) fn dispatch(&mut self, cpu: CpuId) {
         loop {
             let tid = self.sched[cpu].current;
             if tid == self.sched[cpu].idle {
@@ -1067,9 +1038,7 @@ impl Node {
                 let st = &self.ts[tid];
                 if st.is_rt() {
                     // Anchored periodic/sporadic: wait for the arrival.
-                    let st = &mut self.ts[tid];
-                    self.sched[cpu].enqueue(tid, st, 0);
-                    self.note_backlog(cpu);
+                    self.enqueue_on(cpu, tid, 0);
                     // enqueue used pending queue keyed on next_arrival.
                     self.threads.expect_mut(tid).state = ThreadState::Ready;
                     self.local_invoke(cpu, InvokeReason::ConstraintChange, false);
@@ -1114,89 +1083,11 @@ impl Node {
         }
     }
 
-    fn begin_op(&mut self, cpu: CpuId, tid: ThreadId, cycles: Cycles) {
+    pub(crate) fn begin_op(&mut self, cpu: CpuId, tid: ThreadId, cycles: Cycles) {
         debug_assert!(self.cur_op[cpu].is_none());
         self.cur_op[cpu] = Some((tid, cycles));
         self.ops_in_flight += 1;
         self.machine.begin_op(cpu, cycles, tid as u64);
-    }
-
-    fn idle_behavior(&mut self, cpu: CpuId) {
-        // 0. Thread-pool maintenance: reap this CPU's exited threads.
-        self.reap(cpu);
-        // 1. Work stealing (power-of-two-choices, aperiodic threads only).
-        if self.cfg_sched.work_stealing && self.try_steal(cpu) {
-            self.local_invoke(cpu, InvokeReason::Kick, false);
-            self.dispatch(cpu);
-            return;
-        }
-        // 2. Unsized lightweight tasks (the task-exec role).
-        if let Some(task) = self.tasks[cpu].pop_unsized() {
-            self.queued_tasks -= 1;
-            self.tasks[cpu].helper_completed += 1;
-            let idle = self.sched[cpu].idle;
-            self.begin_op(cpu, idle, task.work);
-            return;
-        }
-        // 3. Arm a steal retry poll if stealable work exists elsewhere.
-        if self.cfg_sched.work_stealing && !self.steal_poll_armed[cpu] {
-            let work_somewhere = self.stealable_backlog_elsewhere(cpu);
-            debug_assert_eq!(
-                work_somewhere,
-                (0..self.sched.len()).any(|c| {
-                    c != cpu && self.sched[c].nonrt_len() > 1 && self.has_unbound_nonrt(c)
-                }),
-                "backlog bitmap out of date"
-            );
-            if work_somewhere {
-                self.steal_poll_armed[cpu] = true;
-                let at = self.machine.now() + self.freq.ns_to_cycles(self.steal_poll_ns);
-                self.machine
-                    .schedule_wakeup(at, tok(TK_STEAL_POLL, cpu as u64), Some(cpu));
-            }
-        }
-        // 4. Halt until the next interrupt.
-    }
-
-    /// Refresh `cpu`'s backlog bit after its scheduler's queues changed.
-    fn note_backlog(&mut self, cpu: CpuId) {
-        let bit = 1u64 << (cpu % 64);
-        let word = &mut self.backlogged[cpu / 64];
-        if self.sched[cpu].nonrt_len() > 1 {
-            *word |= bit;
-        } else {
-            *word &= !bit;
-        }
-    }
-
-    /// Whether `cpu`'s non-RT queue holds a thread that may migrate.
-    fn has_unbound_nonrt(&self, cpu: CpuId) -> bool {
-        self.sched[cpu]
-            .nonrt_iter()
-            .any(|t| !self.threads.expect(t).bound)
-    }
-
-    /// Whether any CPU other than `cpu` has a backlog a thief could take
-    /// from. Looks only into the schedulers whose backlog bit is set.
-    fn stealable_backlog_elsewhere(&mut self, cpu: CpuId) -> bool {
-        for w in 0..self.backlogged.len() {
-            let mut bits = self.backlogged[w];
-            while bits != 0 {
-                let c = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if c == cpu {
-                    continue;
-                }
-                #[cfg(test)]
-                {
-                    self.remote_inspected += 1;
-                }
-                if self.has_unbound_nonrt(c) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Clear `cpu`'s in-flight operation record, if any.
@@ -1206,102 +1097,6 @@ impl Node {
             self.ops_in_flight -= 1;
         }
         op
-    }
-
-    /// Pick a work-steal victim in the CPU domain `[lo, hi)`: uniform over
-    /// the other CPUs there, never the stealer itself. Drawing from a span
-    /// of `hi - lo - 1` and shifting the stealer's own index out of the
-    /// image gives every other CPU equal probability without rejection
-    /// sampling (one RNG draw per probe). Over the whole machine this is
-    /// the original flat picker, draw for draw.
-    fn pick_victim_in(&mut self, cpu: CpuId, lo: usize, hi: usize) -> CpuId {
-        let r = self.machine.rand_uniform(0, (hi - lo - 2) as u64);
-        shifted_victim(lo, hi, cpu, |_| r)
-    }
-
-    /// One steal attempt (§3.4). The `LlcFirst` policy probes the thief's
-    /// own LLC domain first and widens to the package and then the whole
-    /// machine only when the narrower domain shows no stealable backlog;
-    /// `Uniform` probes machine-wide directly. Under a flat topology both
-    /// collapse to one machine-wide stage — today's baseline exactly.
-    fn try_steal(&mut self, cpu: CpuId) -> bool {
-        if self.sched.len() < 2 {
-            return false;
-        }
-        match self.cfg_sched.steal {
-            StealPolicy::LlcFirst => {
-                for (lo, hi) in self.topo.steal_stages(cpu) {
-                    // A domain containing only the thief has no victims.
-                    if hi - lo < 2 {
-                        continue;
-                    }
-                    match self.steal_stage(cpu, lo, hi) {
-                        StageOutcome::Stole => return true,
-                        // The probed victim had backlog but nothing
-                        // migratable; widening now would double-charge the
-                        // lock path — retry on the next idle pass instead.
-                        StageOutcome::LockedEmpty => return false,
-                        StageOutcome::NoBacklog => {}
-                    }
-                }
-                false
-            }
-            StealPolicy::Uniform => {
-                self.steal_stage(cpu, 0, self.sched.len()) == StageOutcome::Stole
-            }
-        }
-    }
-
-    /// Probe two victims in `[lo, hi)` and steal from the longer non-RT
-    /// queue. "Only aperiodic threads can be stolen" (§3.4). Probe and
-    /// lock/migration charges depend on the thief→victim hop distance
-    /// (same-LLC probes are the flat model's shared-line reads).
-    fn steal_stage(&mut self, cpu: CpuId, lo: usize, hi: usize) -> StageOutcome {
-        let v1 = self.pick_victim_in(cpu, lo, hi);
-        let v2 = self.pick_victim_in(cpu, lo, hi);
-        // Probing the victims' queue lengths costs shared-line reads.
-        let p1 = self.cm.steal_probe_for(self.topo.distance(cpu, v1));
-        let p2 = self.cm.steal_probe_for(self.topo.distance(cpu, v2));
-        self.machine.charge(cpu, p1);
-        self.machine.charge(cpu, p2);
-        let victim = if self.sched[v1].nonrt_len() >= self.sched[v2].nonrt_len() {
-            v1
-        } else {
-            v2
-        };
-        // Steal only from backlogged victims: a single queued thread is
-        // about to run right there; migrating it would hurt, not help.
-        if self.sched[victim].nonrt_len() < 2 {
-            return StageOutcome::NoBacklog;
-        }
-        // Lock the victim's scheduler only once work was ascertained, and
-        // take the first *unbound* queued thread (bound threads never
-        // migrate) straight off the victim's ring — no snapshot `Vec`.
-        let dist = self.topo.distance(cpu, victim);
-        self.machine.charge(cpu, self.cm.steal_lock_for(dist));
-        let candidate = self.sched[victim]
-            .nonrt_iter()
-            .find(|&t| !self.threads.expect(t).bound);
-        let Some(tid) = candidate else {
-            return StageOutcome::LockedEmpty;
-        };
-        if let Some(t) = &self.trace {
-            t.emit(Record::Steal {
-                thief: cpu as u32,
-                victim: victim as u32,
-                tid: tid as u32,
-            });
-        }
-        self.sched[victim].dequeue(tid);
-        self.note_backlog(victim);
-        self.threads.expect_mut(tid).cpu = cpu;
-        let now = self.wall_ns(cpu);
-        let st = &mut self.ts[tid];
-        self.sched[cpu].enqueue(tid, st, now);
-        self.note_backlog(cpu);
-        self.sched[cpu].stats.steals += 1;
-        self.sched[cpu].stats.steals_by_distance[dist.index()] += 1;
-        StageOutcome::Stole
     }
 
     fn thread_exit(&mut self, tid: ThreadId) {
@@ -1322,27 +1117,10 @@ impl Node {
             }
         }
         self.sched[cpu].load.release(&self.ts[tid].constraints);
-        self.sched[cpu].dequeue(tid);
-        self.note_backlog(cpu);
+        self.dequeue_from(cpu, tid);
         self.threads.expect_mut(tid).state = ThreadState::Exited;
-        self.zombies[cpu].push(tid);
+        self.global.await_reap(cpu, tid);
         self.live_programs -= 1;
-    }
-
-    /// Reap exited threads bound to `cpu`: return their table slots to the
-    /// pool. Bounded batch per idle pass, so the time under the scheduler
-    /// lock stays bounded (§3.4).
-    fn reap(&mut self, cpu: CpuId) -> usize {
-        let mut reaped = 0;
-        while reaped < 8 {
-            let Some(tid) = self.zombies[cpu].pop() else {
-                break;
-            };
-            self.machine.charge(cpu, self.cm.atomic_rmw);
-            self.threads.reap(tid);
-            reaped += 1;
-        }
-        reaped
     }
 
     // ------------------------------------------------------------------
@@ -1497,98 +1275,5 @@ impl Node {
         let cpu = self.threads.expect(tid).cpu;
         let st = &mut self.ts[tid];
         self.sched[cpu].change_constraints(tid, st, constraints, now, true)
-    }
-}
-
-#[cfg(test)]
-mod steal_tests {
-    use super::*;
-    use nautix_kernel::IdleLoop;
-
-    fn small_node(cpus: usize) -> Node {
-        let mut cfg = NodeConfig::for_machine(MachineConfig::phi().with_cpus(cpus));
-        cfg.calib_rounds = 0;
-        Node::new(cfg)
-    }
-
-    #[test]
-    fn pick_victim_never_self_and_covers_all_others() {
-        let mut node = small_node(4);
-        for cpu in 0..4 {
-            let mut seen = [false; 4];
-            for _ in 0..256 {
-                let v = node.pick_victim_in(cpu, 0, 4);
-                assert_ne!(v, cpu, "stealer probed itself");
-                seen[v] = true;
-            }
-            for (other, hit) in seen.iter().enumerate() {
-                assert!(
-                    other == cpu || *hit,
-                    "victim {other} never drawn for stealer {cpu}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn steal_takes_from_longer_probed_queue() {
-        let mut node = small_node(3);
-        for _ in 0..6 {
-            node.spawn_unbound(1, "w", Box::new(IdleLoop::new(1)))
-                .unwrap();
-        }
-        assert_eq!(node.scheduler(1).nonrt_len(), 6);
-        assert_eq!(node.scheduler(2).nonrt_len(), 0);
-        let mut attempts = 0;
-        while node.scheduler(1).nonrt_len() >= 2 && attempts < 200 {
-            node.try_steal(0);
-            attempts += 1;
-        }
-        // Power-of-two-choices from CPU 0 probes {1,2}: any pair touching
-        // CPU 1 (3 of the 4 equally likely pairs) must pick it as the
-        // longer queue; only the {2,2} pair finds nothing. Draining 5
-        // threads therefore takes about 5/0.75 attempts — needing anywhere
-        // near the 200 cap would mean the picker ignores queue lengths.
-        assert!(node.scheduler(1).nonrt_len() < 2, "queue never drained");
-        assert_eq!(node.scheduler(0).stats.steals, 5);
-        assert!(attempts <= 60, "attempts {attempts} out of band");
-    }
-
-    #[test]
-    fn bound_threads_are_never_stolen() {
-        let mut node = small_node(3);
-        for _ in 0..4 {
-            node.spawn_on(1, "b", Box::new(IdleLoop::new(1))).unwrap();
-        }
-        for _ in 0..64 {
-            assert!(!node.try_steal(0), "stole a bound thread");
-        }
-        assert_eq!(node.scheduler(1).nonrt_len(), 4);
-    }
-
-    #[test]
-    fn idle_pass_looks_only_into_backlogged_schedulers() {
-        let mut cfg = NodeConfig::for_machine(MachineConfig::phi().with_cpus(1024));
-        cfg.calib_rounds = 0;
-        cfg.max_threads = 1024 + 8;
-        let mut node = Node::new(cfg);
-        // Boot: every CPU takes its first pass and falls into the idle loop.
-        node.run_for_ns(100_000);
-        assert!((0..1024).all(|c| node.scheduler(c).stats.invocations > 0));
-        assert_eq!(node.remote_inspected, 0, "no backlog, nothing to inspect");
-        // A single queued thread is not a backlog; three are.
-        node.spawn_unbound(5, "w", Box::new(IdleLoop::new(1)))
-            .unwrap();
-        assert!(!node.stealable_backlog_elsewhere(700));
-        assert_eq!(node.remote_inspected, 0);
-        for _ in 0..2 {
-            node.spawn_unbound(5, "w", Box::new(IdleLoop::new(1)))
-                .unwrap();
-        }
-        assert!(node.stealable_backlog_elsewhere(700));
-        assert_eq!(node.remote_inspected, 1, "only CPU 5 is backlogged");
-        // The backlogged CPU does not count itself.
-        assert!(!node.stealable_backlog_elsewhere(5));
-        assert_eq!(node.remote_inspected, 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Whole-node integration tests: boot, threads, admission, real-time
 //! execution, groups, stealing, tasks, and interrupt steering.
 
-use nautix_hw::{Cost, MachineConfig, SmiConfig, SmiPattern};
+use nautix_hw::{Cost, FaultPattern, MachineConfig, SmiConfig};
 use nautix_kernel::{Action, Constraints, FnProgram, Script, SysCall, SysResult};
 use nautix_rt::{AdmissionError, Node, NodeConfig, SchedMode};
 
@@ -393,7 +393,7 @@ fn smi_injection_causes_misses_in_lazy_mode_but_not_eager() {
             .with_cpus(2)
             .with_seed(11)
             .with_smi(SmiConfig {
-                pattern: SmiPattern::Poisson {
+                pattern: FaultPattern::Poisson {
                     mean_interval: 13_000_000, // ~every 10 ms
                 },
                 duration: Cost::new(130_000, 26_000), // ~100 us stalls

@@ -198,16 +198,6 @@ impl Histogram {
             .map(move |(i, &c)| (self.lo + i as u64 * self.width, c))
     }
 
-    /// Count in the bin containing `x`, if in range.
-    pub fn bin_containing(&self, x: u64) -> Option<u64> {
-        if x < self.lo {
-            return None;
-        }
-        self.bins
-            .get(((x - self.lo) / self.width) as usize)
-            .copied()
-    }
-
     /// Fraction of samples below `x` (approximate to bin granularity;
     /// exact when `x` lies on a bin edge).
     pub fn fraction_below(&self, x: u64) -> f64 {

@@ -1,18 +1,23 @@
-//! Blocking collectives: election, reduction, broadcast (§4.2).
+//! Blocking collectives: election, barrier, reduction, broadcast (§4.2).
 //!
 //! Group admission control "builds on other basic group features, namely
 //! distributed election, barrier, reduction, and broadcast, all scoped to
 //! the group." The paper deliberately uses *simple* (linear-cost) schemes;
 //! Figure 10's linear growth with group size follows from that and is
 //! reproduced here: each arrival pays a contended atomic on the shared
-//! collective state (charged by the node), and departures are staggered a
-//! cache-line transfer apart, like the barrier's.
+//! collective state (charged by the node), the last arriver flips the
+//! flag, and the invalidation of the flag's cache line reaches the
+//! spinners one transfer at a time — so departures are *staggered*. That
+//! stagger is the per-thread barrier-departure delay δ that group
+//! admission's phase correction measures and cancels (§4.4).
 //!
 //! A [`Collective`] collects one `(thread, value)` pair per member and
 //! completes when the last member arrives. The *decision rule* is supplied
 //! at completion time: min-value for election (lowest thread id wins, the
 //! deterministic analogue of a CAS race), max for the error reduction of
-//! Algorithm 1, leader's-value for broadcast.
+//! Algorithm 1, leader's-value for broadcast. A barrier — Nautilus's
+//! centralized sense-reversing spin barrier — is the collective whose
+//! value nobody reads.
 
 use nautix_des::{Cycles, DetRng};
 use nautix_hw::Cost;
@@ -211,6 +216,55 @@ mod tests {
         assert_eq!(rs[1].delay, 5);
         assert_eq!(rs[2].tid, 11);
         assert_eq!(rs[2].delay, 10);
+    }
+
+    /// The group barrier's draws, pinned against the separate kernel spin
+    /// barrier type this one replaced: one seeded 5-party episode, captured
+    /// from that type before it was deleted.
+    #[test]
+    fn barrier_episode_matches_the_spin_barrier_it_replaced() {
+        let mut c = Collective::new(5);
+        let mut rng = DetRng::seed_from(17);
+        let stagger = Cost::new(180, 70);
+        for t in [11, 3, 8, 20] {
+            assert_eq!(
+                c.arrive(t, 0, Decision::Max, &mut rng, stagger),
+                CollectiveOutcome::Wait
+            );
+        }
+        let CollectiveOutcome::Complete(rs) = c.arrive(5, 0, Decision::Max, &mut rng, stagger)
+        else {
+            panic!("expected completion");
+        };
+        let schedule: Vec<_> = rs.iter().map(|r| (r.tid, r.order, r.delay)).collect();
+        assert_eq!(
+            schedule,
+            [
+                (5, 0, 0),
+                (11, 1, 241),
+                (3, 2, 483),
+                (8, 3, 665),
+                (20, 4, 888)
+            ]
+        );
+        assert!(rs.iter().all(|r| r.result == 0));
+    }
+
+    #[test]
+    #[should_panic]
+    fn resize_with_waiters_panics() {
+        let mut c = Collective::new(3);
+        let mut rng = DetRng::seed_from(17);
+        c.arrive(0, 0, Decision::Max, &mut rng, Cost::fixed(1));
+        c.set_parties(2);
+    }
+
+    #[test]
+    fn resize_when_empty_works() {
+        let mut c = Collective::new(3);
+        c.set_parties(2);
+        complete(&mut c, &[(0, 0), (1, 0)], Decision::Max);
+        assert_eq!(c.episodes(), 1);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!
 //! * [`registry`] — create/join/leave/destroy of named groups with
 //!   attached state and the leader lock,
-//! * [`coord`] — distributed election, reduction, and broadcast as
-//!   linear-cost blocking collectives (plus the barrier from
-//!   `nautix-kernel::sync`),
+//! * [`coord`] — distributed election, barrier, reduction, and broadcast
+//!   as one linear-cost blocking collective,
 //! * [`phase`] — the phase-correction arithmetic that converts barrier
 //!   release order into aligned first arrivals.
 

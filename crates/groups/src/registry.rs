@@ -12,7 +12,7 @@
 //! constraints slot, which is exactly the state Algorithm 1 manipulates.
 
 use crate::coord::Collective;
-use nautix_kernel::{Constraints, GroupError, GroupId, SimBarrier, ThreadId};
+use nautix_kernel::{Constraints, GroupError, GroupId, ThreadId};
 
 /// Maximum simultaneous groups.
 pub const MAX_GROUPS: usize = 64;
@@ -26,7 +26,7 @@ pub struct Group {
     /// Members in join order.
     members: Vec<ThreadId>,
     /// The group barrier.
-    pub barrier: SimBarrier,
+    pub barrier: Collective,
     /// Leader election collective.
     pub election: Collective,
     /// Max-reduction collective.
@@ -44,7 +44,7 @@ impl Group {
         Group {
             name,
             members: Vec::new(),
-            barrier: SimBarrier::new(1),
+            barrier: Collective::new(1),
             election: Collective::new(1),
             reduction: Collective::new(1),
             broadcast: Collective::new(1),
@@ -66,11 +66,6 @@ impl Group {
     /// Whether the group has no members.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Whether `tid` is a member.
-    pub fn is_member(&self, tid: ThreadId) -> bool {
-        self.members.contains(&tid)
     }
 
     /// Try to take the group lock (leader-only in Algorithm 1; re-entrant
@@ -188,12 +183,7 @@ impl GroupRegistry {
             return Err(GroupError::NotMember);
         };
         g.members.remove(idx);
-        if g.members.is_empty() {
-            // keep collectives consistent for a possible re-join
-            g.resize_collectives();
-        } else {
-            g.resize_collectives();
-        }
+        g.resize_collectives();
         Ok(())
     }
 

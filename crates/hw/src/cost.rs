@@ -207,19 +207,6 @@ impl CostModel {
         }
     }
 
-    /// Worst-case scheduler software overhead of one timer interrupt
-    /// (entry + pass + other + switch + timer + exit), used for
-    /// feasibility accounting and reported in EXPERIMENTS.md.
-    pub fn worst_case_interrupt_overhead(&self, resident_threads: u64) -> Cycles {
-        self.irq_entry.worst()
-            + self.sched_pass.worst()
-            + self.sched_pass_per_thread.worst() * resident_threads
-            + self.sched_other.worst()
-            + self.ctx_switch.worst()
-            + self.timer_program.worst()
-            + self.irq_exit.worst()
-    }
-
     /// Kick-IPI delivery latency for a hop of the given distance. The
     /// same-LLC arm returns the flat model's `ipi_latency` field itself,
     /// so a flat topology (where every hop is same-LLC) draws exactly the

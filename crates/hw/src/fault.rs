@@ -25,13 +25,15 @@
 use crate::cost::Cost;
 use nautix_des::{Cycles, DetRng};
 
-/// Arrival pattern for a recurring fault lane (mirrors
-/// [`crate::SmiPattern`]).
+/// Arrival pattern of a recurring interference source: the three
+/// recurring fault lanes and the [`crate::SmiConfig`] injector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultPattern {
-    /// The lane never fires (draws nothing).
+    /// The source never fires and draws nothing (the default for figure
+    /// reproductions; the paper's testbed BIOS is quiet during the
+    /// measured windows).
     Disabled,
-    /// Fixed-interval arrivals.
+    /// Fixed-interval arrivals, as from periodic firmware housekeeping.
     Periodic {
         /// Cycles between arrivals.
         interval: Cycles,
@@ -44,7 +46,7 @@ pub enum FaultPattern {
 }
 
 impl FaultPattern {
-    /// Whether the lane will ever fire.
+    /// Whether the source will ever fire.
     pub fn enabled(&self) -> bool {
         !matches!(self, FaultPattern::Disabled)
     }

@@ -35,7 +35,7 @@ pub use cost::{Cost, CostModel};
 pub use fault::{FaultPattern, FaultPlan, FaultStats};
 pub use gpio::{scope, Gpio, GpioSample};
 pub use machine::{CpuId, Machine, MachineConfig, MachineEvent, Platform};
-pub use smi::{SmiConfig, SmiPattern, SmiStats};
+pub use smi::{SmiConfig, SmiStats};
 pub use timer::TimerSlots;
 pub use topology::{shifted_victim, Distance, StealStages, TopoMap, Topology};
 pub use tsc::Tsc;

@@ -30,7 +30,7 @@ use crate::fault::{FaultPlan, FaultStats};
 use crate::gpio::Gpio;
 use crate::smi::{SmiConfig, SmiStats};
 use crate::timer::TimerSlots;
-use crate::topology::{Distance, TopoMap, Topology};
+use crate::topology::{TopoMap, Topology};
 use crate::tsc::Tsc;
 use nautix_des::{Cycles, DetRng, EventId, EventQueue, Freq, Nanos};
 use nautix_trace::{FaultLane, Record, TraceHandle};
@@ -274,7 +274,7 @@ pub struct Machine {
     smi_stats: SmiStats,
     fault_stats: FaultStats,
     ipis_sent: u64,
-    /// IPIs sent per hop-distance class, indexed by [`Distance::index`]
+    /// IPIs sent per hop-distance class, indexed by [`crate::Distance::index`]
     /// (same-LLC / same-package / cross-package). Flat topologies only
     /// ever touch slot 0.
     ipis_by_distance: [u64; 3],
@@ -355,7 +355,7 @@ impl Machine {
         self.q.reset_for_width(cfg.n_cpus);
         self.batch.clear();
         self.batch_pos = 0;
-        if let Some(gap) = cfg.smi.next_gap(&mut rng) {
+        if let Some(gap) = cfg.smi.pattern.next_gap(&mut rng) {
             self.q.schedule(gap, Ev::SmiEnter);
         }
         Self::arm_fault_lanes(&cfg.faults, &mut rng, &mut self.q);
@@ -422,15 +422,8 @@ impl Machine {
         self.cpus[cpu].tsc.read(self.q.now())
     }
 
-    /// Write `cpu`'s TSC so it reads `value` now; the write lands with the
-    /// platform's write-granularity slop. Returns false if unsupported.
-    pub fn write_tsc(&mut self, cpu: CpuId, value: Cycles) -> bool {
-        let slop = self.cost.tsc_write_granularity.draw(&mut self.rng);
-        let now = self.q.now();
-        self.cpus[cpu].tsc.write(now, value + slop)
-    }
-
-    /// Adjust `cpu`'s TSC by a delta; same slop as a write.
+    /// Adjust `cpu`'s TSC by a delta; the write lands with the platform's
+    /// write-granularity slop. Returns false if unsupported.
     pub fn adjust_tsc(&mut self, cpu: CpuId, delta: i64) -> bool {
         let slop = self.cost.tsc_write_granularity.draw(&mut self.rng) as i64;
         self.cpus[cpu].tsc.adjust(delta + slop)
@@ -531,25 +524,6 @@ impl Machine {
     /// Current TPR of `cpu`.
     pub fn tpr(&self, cpu: CpuId) -> u8 {
         self.cpus[cpu].apic.tpr()
-    }
-
-    /// Send an IPI from `from` to `to`. The send itself costs the sender a
-    /// shared-line access; delivery happens after the modeled latency,
-    /// which depends on the hop distance between the two CPUs.
-    pub fn send_ipi(&mut self, from: CpuId, to: CpuId, vector: u8) {
-        debug_assert!(from < self.cpus.len() && to < self.cpus.len());
-        self.ipis_sent += 1;
-        let dist = self.topo.distance(from, to);
-        self.ipis_by_distance[dist.index()] += 1;
-        let latency = self.cost.ipi_latency_for(dist).draw(&mut self.rng);
-        self.q.schedule_in(
-            latency,
-            Ev::Arrive {
-                cpu: to,
-                vector,
-                irq: None,
-            },
-        );
     }
 
     /// Send the scheduler kick IPI (§3.4). Subject to the fault plan's
@@ -759,18 +733,9 @@ impl Machine {
     }
 
     /// IPIs sent so far, broken down by hop distance — indexed by
-    /// [`Distance::index`] (same-LLC, same-package, cross-package).
+    /// [`crate::Distance::index`] (same-LLC, same-package, cross-package).
     pub fn ipis_by_distance(&self) -> [u64; 3] {
         self.ipis_by_distance
-    }
-
-    /// Fraction of IPIs so far that crossed a package boundary.
-    pub fn cross_package_ipi_fraction(&self) -> f64 {
-        if self.ipis_sent == 0 {
-            0.0
-        } else {
-            self.ipis_by_distance[Distance::CrossPackage.index()] as f64 / self.ipis_sent as f64
-        }
     }
 
     /// Device interrupts raised so far.
@@ -976,27 +941,13 @@ impl Machine {
         self.stall_until = t + d;
         self.smi_stats.count += 1;
         self.smi_stats.stalled_cycles += d;
-        // Freeze all CPUs: stretch in-flight ops, extend busy windows.
+        // Freeze all CPUs. Deliveries defer on the machine-wide
+        // `stall_until`, so no per-CPU horizon is set.
         for cpu in 0..self.cpus.len() {
-            if let Some(op) = self.cpus[cpu].op.take() {
-                self.cancel_ev(op.event);
-                let completion = op.start + op.cycles + op.stalled_add + d;
-                let ev = self
-                    .q
-                    .schedule(completion, Ev::OpComplete { cpu, seq: op.seq });
-                self.cpus[cpu].op = Some(InFlightOp {
-                    stalled_add: op.stalled_add + d,
-                    event: ev,
-                    ..op
-                });
-            }
-            let c = &mut self.cpus[cpu];
-            if c.busy_until > t {
-                c.busy_until += d;
-            }
+            self.stretch_cpu(cpu, t, d);
         }
         // Arm the next SMI.
-        if let Some(gap) = self.cfg.smi.next_gap(&mut self.rng) {
+        if let Some(gap) = self.cfg.smi.pattern.next_gap(&mut self.rng) {
             self.q.schedule(self.stall_until + gap, Ev::SmiEnter);
         }
     }
@@ -1008,6 +959,13 @@ impl Machine {
     fn stall_one_cpu(&mut self, cpu: CpuId, t: Cycles, d: Cycles) {
         let horizon = (t + d).max(self.cpus[cpu].stall_until);
         self.cpus[cpu].stall_until = horizon;
+        self.stretch_cpu(cpu, t, d);
+    }
+
+    /// `cpu` executes nothing for `d` cycles from `t`: stretch its
+    /// in-flight operation, re-schedule the completion, and extend an
+    /// open busy window.
+    fn stretch_cpu(&mut self, cpu: CpuId, t: Cycles, d: Cycles) {
         if let Some(op) = self.cpus[cpu].op.take() {
             self.cancel_ev(op.event);
             let completion = op.start + op.cycles + op.stalled_add + d;

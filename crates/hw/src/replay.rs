@@ -13,7 +13,7 @@ use crate::apic::TimerMode;
 use crate::cost::Cost;
 use crate::fault::{FaultPattern, FaultPlan};
 use crate::machine::Platform;
-use crate::smi::{SmiConfig, SmiPattern};
+use crate::smi::SmiConfig;
 use crate::topology::Topology;
 use nautix_des::text::{field, split, tag, Value};
 use nautix_des::Cycles;
@@ -76,12 +76,10 @@ impl Value for FaultPattern {
 impl Value for SmiConfig {
     fn encode(&self) -> String {
         let SmiConfig { pattern, duration } = self;
-        let (tag, n) = match *pattern {
-            SmiPattern::Disabled => return "off".into(),
-            SmiPattern::Periodic { interval } => ("periodic", interval),
-            SmiPattern::Poisson { mean_interval } => ("poisson", mean_interval),
-        };
-        format!("{tag}:{n}:{}", duration.encode())
+        match pattern {
+            FaultPattern::Disabled => "off".into(),
+            on => format!("{}:{}", on.encode(), duration.encode()),
+        }
     }
 
     fn parse(s: &str) -> Result<SmiConfig, String> {
@@ -92,8 +90,8 @@ impl Value for SmiConfig {
         let n = nonzero(n, "smi interval")?;
         Ok(SmiConfig {
             pattern: match tag {
-                "periodic" => SmiPattern::Periodic { interval: n },
-                "poisson" => SmiPattern::Poisson { mean_interval: n },
+                "periodic" => FaultPattern::Periodic { interval: n },
+                "poisson" => FaultPattern::Poisson { mean_interval: n },
                 _ => return Err(format!("smi: unknown pattern tag `{tag}`")),
             },
             duration: Cost {
@@ -249,7 +247,7 @@ mod tests {
             SmiConfig::disabled(),
             SmiConfig::noisy(Freq::phi(), 33_000, 150),
             SmiConfig {
-                pattern: SmiPattern::Periodic { interval: 500 },
+                pattern: FaultPattern::Periodic { interval: 500 },
                 duration: Cost::new(10, 3),
             },
         ] {

@@ -14,31 +14,14 @@
 //! `abl_eager_vs_lazy` and `abl_util_limit` harnesses.
 
 use crate::cost::Cost;
+use crate::fault::FaultPattern;
 use nautix_des::{Cycles, DetRng};
-
-/// When SMIs occur.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SmiPattern {
-    /// No SMIs (the default for figure reproductions; the paper's testbed
-    /// BIOS is quiet during the measured windows).
-    Disabled,
-    /// Fixed-interval SMIs, as from periodic firmware housekeeping.
-    Periodic {
-        /// Cycles between SMI entries.
-        interval: Cycles,
-    },
-    /// Memoryless SMI arrivals with the given mean inter-arrival time.
-    Poisson {
-        /// Mean cycles between SMI entries.
-        mean_interval: Cycles,
-    },
-}
 
 /// Full SMI injector configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmiConfig {
-    /// Arrival pattern.
-    pub pattern: SmiPattern,
+    /// When SMIs occur ([`FaultPattern::next_gap`] draws the gaps).
+    pub pattern: FaultPattern,
     /// Handler residency: how long the machine is stalled per SMI.
     pub duration: Cost,
 }
@@ -47,7 +30,7 @@ impl SmiConfig {
     /// SMIs disabled.
     pub fn disabled() -> Self {
         SmiConfig {
-            pattern: SmiPattern::Disabled,
+            pattern: FaultPattern::Disabled,
             duration: Cost::fixed(0),
         }
     }
@@ -59,7 +42,7 @@ impl SmiConfig {
     pub fn noisy(freq: nautix_des::Freq, interval_us: u64, duration_us: u64) -> Self {
         let d = freq.us_to_cycles(duration_us);
         SmiConfig {
-            pattern: SmiPattern::Poisson {
+            pattern: FaultPattern::Poisson {
                 mean_interval: freq.us_to_cycles(interval_us),
             },
             duration: Cost::new(d, d / 4),
@@ -68,16 +51,7 @@ impl SmiConfig {
 
     /// Whether any SMIs will ever fire.
     pub fn enabled(&self) -> bool {
-        !matches!(self.pattern, SmiPattern::Disabled)
-    }
-
-    /// Draw the next inter-arrival gap, if enabled.
-    pub fn next_gap(&self, rng: &mut DetRng) -> Option<Cycles> {
-        match self.pattern {
-            SmiPattern::Disabled => None,
-            SmiPattern::Periodic { interval } => Some(interval.max(1)),
-            SmiPattern::Poisson { mean_interval } => Some(rng.exponential(mean_interval as f64)),
-        }
+        self.pattern.enabled()
     }
 
     /// Draw one SMI's stall duration.
@@ -106,32 +80,32 @@ mod tests {
         let c = SmiConfig::disabled();
         assert!(!c.enabled());
         let mut rng = DetRng::seed_from(1);
-        assert_eq!(c.next_gap(&mut rng), None);
+        assert_eq!(c.pattern.next_gap(&mut rng), None);
     }
 
     #[test]
     fn periodic_gap_is_constant() {
         let c = SmiConfig {
-            pattern: SmiPattern::Periodic { interval: 5000 },
+            pattern: FaultPattern::Periodic { interval: 5000 },
             duration: Cost::fixed(100),
         };
         let mut rng = DetRng::seed_from(1);
-        assert_eq!(c.next_gap(&mut rng), Some(5000));
-        assert_eq!(c.next_gap(&mut rng), Some(5000));
+        assert_eq!(c.pattern.next_gap(&mut rng), Some(5000));
+        assert_eq!(c.pattern.next_gap(&mut rng), Some(5000));
         assert_eq!(c.draw_duration(&mut rng), 100);
     }
 
     #[test]
     fn poisson_gap_has_requested_mean() {
         let c = SmiConfig {
-            pattern: SmiPattern::Poisson {
+            pattern: FaultPattern::Poisson {
                 mean_interval: 10_000,
             },
             duration: Cost::fixed(1),
         };
         let mut rng = DetRng::seed_from(7);
         let n = 20_000;
-        let sum: u64 = (0..n).map(|_| c.next_gap(&mut rng).unwrap()).sum();
+        let sum: u64 = (0..n).map(|_| c.pattern.next_gap(&mut rng).unwrap()).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 10_000.0).abs() < 500.0, "mean={mean}");
     }

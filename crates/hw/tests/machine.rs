@@ -2,7 +2,7 @@
 //! busy windows, TPR filtering, IPIs, SMI missing time, and determinism.
 
 use nautix_hw::{
-    Cost, Machine, MachineConfig, MachineEvent, SmiConfig, SmiPattern, TimerMode, VEC_KICK,
+    Cost, FaultPattern, Machine, MachineConfig, MachineEvent, SmiConfig, TimerMode, VEC_KICK,
 };
 
 fn small_machine() -> Machine {
@@ -219,14 +219,14 @@ fn adjust_tsc_moves_phase_with_bounded_slop() {
 fn smi_stretches_inflight_ops() {
     // One periodic SMI at t=10_000 stalling ~13_000 cycles.
     let smi = SmiConfig {
-        pattern: SmiPattern::Periodic {
+        pattern: FaultPattern::Periodic {
             interval: 10_000_000,
         },
         duration: Cost::fixed(13_000),
     };
     // First SMI enters at t=interval... use a small interval variant:
     let smi_soon = SmiConfig {
-        pattern: SmiPattern::Periodic { interval: 10_000 },
+        pattern: FaultPattern::Periodic { interval: 10_000 },
         duration: smi.duration,
     };
     let cfg = MachineConfig::phi()
@@ -248,7 +248,7 @@ fn smi_stretches_inflight_ops() {
 #[test]
 fn smi_defers_interrupt_delivery_but_not_tsc() {
     let smi = SmiConfig {
-        pattern: SmiPattern::Periodic { interval: 5_000 },
+        pattern: FaultPattern::Periodic { interval: 5_000 },
         duration: Cost::fixed(20_000),
     };
     let cfg = MachineConfig::phi().with_cpus(1).with_seed(7).with_smi(smi);
@@ -301,7 +301,7 @@ fn noisy(cpus: usize, seed: u64) -> MachineConfig {
         .with_cpus(cpus)
         .with_seed(seed)
         .with_smi(SmiConfig {
-            pattern: SmiPattern::Poisson {
+            pattern: FaultPattern::Poisson {
                 mean_interval: 100_000,
             },
             duration: Cost::new(5_000, 2_000),
@@ -377,7 +377,7 @@ fn pending_device_irq_survives_an_smi() {
     // Masked by TPR, then an SMI passes; lowering the TPR afterwards must
     // still deliver the interrupt exactly once.
     let smi = SmiConfig {
-        pattern: SmiPattern::Periodic { interval: 5_000 },
+        pattern: FaultPattern::Periodic { interval: 5_000 },
         duration: Cost::fixed(2_000),
     };
     let cfg = MachineConfig::phi()

@@ -11,7 +11,6 @@
 //! * [`program`] — resumable thread bodies and the kernel service ABI,
 //! * [`constraints`] — the Liu-model timing-constraint descriptors (§3.1),
 //! * [`queue`] — fixed-size priority and round-robin queues (§3.3),
-//! * [`sync`] — the spin barrier with modeled release staggering (§4.4),
 //! * [`task`] — lightweight size-tagged tasks (§3.1),
 //! * [`steering`] — interrupt steering and segregation (§3.5).
 //!
@@ -22,7 +21,6 @@ pub mod ids;
 pub mod program;
 pub mod queue;
 pub mod steering;
-pub mod sync;
 pub mod task;
 pub mod thread;
 
@@ -31,11 +29,10 @@ pub use constraints::{
 };
 pub use ids::{GroupId, TaskId};
 pub use program::{
-    Action, FnProgram, GroupError, IdleLoop, Program, ResumeCx, Script, SysCall, SysResult,
-    ThreadId,
+    constrained_loop, Action, FnProgram, GroupError, IdleLoop, Program, ResumeCx, Script, SysCall,
+    SysResult, ThreadId,
 };
 pub use queue::{FixedHeap, RrQueue};
 pub use steering::{Steering, TPR_HARD_RT, TPR_OPEN};
-pub use sync::{BarrierOutcome, Release, SimBarrier};
 pub use task::{Task, TaskQueueFull, TaskQueues};
 pub use thread::{Thread, ThreadState, ThreadTable, WaitKind, MAX_THREADS};

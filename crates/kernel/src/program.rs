@@ -233,6 +233,16 @@ impl<F: FnMut(&mut ResumeCx, u64) -> Action> Program for FnProgram<F> {
     }
 }
 
+/// The evaluation's always-runnable thread: the first resume requests
+/// `constraints`, every later one computes `chunk` cycles, forever. The
+/// verdict is not inspected: a rejected thread runs on as it was.
+pub fn constrained_loop(constraints: Constraints, chunk: Cycles) -> impl Program {
+    FnProgram::new(move |_cx, n| match n {
+        0 => Action::Call(SysCall::ChangeConstraints(constraints)),
+        _ => Action::Compute(chunk),
+    })
+}
+
 /// The idle loop: computes in short bursts forever. The node substitutes
 /// richer behavior (work stealing) around it.
 pub struct IdleLoop {

@@ -572,11 +572,6 @@ impl TraceHandle {
         self.0.borrow_mut().emit(r);
     }
 
-    /// Run `f` against the sink (inspection, draining for tests).
-    pub fn with_sink<R>(&self, f: impl FnOnce(&mut Sink) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-
     /// Total records emitted so far.
     pub fn records(&self) -> u64 {
         self.0.borrow().ring.seq()

@@ -9,8 +9,9 @@
 //! * [`des`] — deterministic discrete-event engine,
 //! * [`hw`] — the x64 shared-memory node model (TSCs, APICs, IPIs, SMIs),
 //! * [`kernel`] — the Nautilus-like kernel substrate (threads, queues,
-//!   buddy allocator, tasks),
-//! * [`groups`] — thread groups and their coordination primitives,
+//!   tasks, interrupt steering),
+//! * [`groups`] — thread groups and their coordination primitives (one
+//!   collective type: election, barrier, reduction, broadcast),
 //! * [`rt`] — the paper's contribution: the hard real-time scheduler,
 //!   admission control, time synchronization, and gang-scheduled groups,
 //! * [`bsp`] — the bulk-synchronous-parallel microbenchmark of §6,

@@ -110,10 +110,10 @@ fn bsp_through_the_facade() {
 
 #[test]
 fn smi_missing_time_is_visible_in_wall_clock() {
-    use nautix::hw::{Cost, SmiConfig, SmiPattern};
+    use nautix::hw::{Cost, FaultPattern, SmiConfig};
     let mut cfg = small(2, 5);
     cfg.machine = cfg.machine.with_smi(SmiConfig {
-        pattern: SmiPattern::Periodic {
+        pattern: FaultPattern::Periodic {
             interval: 1_300_000, // every ~1 ms
         },
         duration: Cost::fixed(130_000), // 100 µs stalls
