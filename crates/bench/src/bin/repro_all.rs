@@ -106,8 +106,8 @@ fn main() {
     if hc.oracles {
         println!(
             "NAUTIX_ORACLES=1: online invariant oracles armed on every node \
-             (EDF dispatch, admission soundness, RT isolation, tickless \
-             one-shot); any violation aborts the run\n"
+             (EDF dispatch, admission soundness and verdicts, RT isolation, \
+             tickless one-shot); any violation aborts the run\n"
         );
     }
     let t0 = std::time::Instant::now();
@@ -139,14 +139,15 @@ fn main() {
         println!(
             "\noracles: CLEAN over {} node lifetimes — {} records consumed; \
              checks: {} EDF dispatch, {} timer one-shot, {} fire-order, \
-             {} inline task, {} admitted-miss ({} environment-attributed, \
-             {} policy divergences)",
+             {} inline task, {} admission-verdict, {} admitted-miss \
+             ({} environment-attributed, {} policy divergences)",
             suites,
             o.records,
             o.edf_checks,
             o.timer_checks,
             o.fire_order_checks,
             o.task_checks,
+            o.cache_checks,
             o.miss_checks,
             o.environment_misses,
             o.divergences,

@@ -233,6 +233,8 @@ impl Fleet {
 struct ShardState {
     /// Free reservation-slot threads per CPU (LIFO).
     free: Vec<Vec<ThreadId>>,
+    /// The CPU each slot thread is bound to, indexed by thread id.
+    slot_cpu: Vec<usize>,
     /// Resident gang count.
     resident: usize,
 }
@@ -346,8 +348,9 @@ pub fn run_with_policy(
         // Slot threads plus idle threads plus headroom; the default
         // MAX_THREADS table would dwarf a small shard.
         node_cfg.max_threads = n_cpus * (cfg.slots_per_cpu + 1) + 8;
+        let mut slot_cpu = vec![usize::MAX; node_cfg.max_threads];
         let node = pool.node(node_cfg);
-        // Reset preserves the simulation memo for cross-trial reuse; a
+        // Reset preserves the verdict memo for cross-trial reuse; a
         // cluster run must not see a previous run's verdicts.
         node.clear_sim_cache();
         let mut free = vec![Vec::with_capacity(cfg.slots_per_cpu); n_cpus];
@@ -357,9 +360,14 @@ pub fn run_with_policy(
                     .spawn_on(cpu, "slot", Box::new(IdleLoop::new(1)))
                     .expect("spawn reservation slot");
                 slots.push(tid);
+                slot_cpu[tid] = cpu;
             }
         }
-        states.push(ShardState { free, resident: 0 });
+        states.push(ShardState {
+            free,
+            slot_cpu,
+            resident: 0,
+        });
     }
 
     let shard_capacity_ppm = n_cpus as u64 * cfg.sched.periodic_budget_ppm();
@@ -383,33 +391,38 @@ pub fn run_with_policy(
 
     // (depart_ns, tenant id) min-heap plus the seats to release.
     let mut departures: BinaryHeap<Reverse<(Nanos, u64)>> = BinaryHeap::new();
-    // A resident tenant's home shard plus its occupied (cpu, thread) seats.
-    type Residency = (usize, Vec<(usize, ThreadId)>);
+    // A resident tenant's home shard plus its members in team order.
+    type Residency = (usize, Vec<ThreadId>);
     let mut resident: Vec<Option<Residency>> = Vec::new();
     let mut view = ClusterView {
         shards: Vec::with_capacity(cfg.shards),
     };
     let mut candidates: Vec<usize> = Vec::with_capacity(cfg.shards);
+    let mut cpus: Vec<usize> = Vec::with_capacity(n_cpus);
 
     for _ in 0..cfg.tenants {
         let (now_ns, req) = stream.next_request();
 
-        // Release every tenant whose residency expired by `now_ns`.
+        // Release every tenant whose residency expired by `now_ns`: its
+        // seats go back on the free lists and its member list becomes the
+        // releasing team request.
         while let Some(&Reverse((t, id))) = departures.peek() {
             if t > now_ns {
                 break;
             }
             departures.pop();
-            let (shard, seats) = resident[id as usize].take().expect("resident tenant");
-            let node = pools[shard].current().expect("booted shard");
-            let tids: Vec<ThreadId> = seats.iter().map(|&(_, t)| t).collect();
-            node.admit(AdmissionRequest::team(tids).constraints(Constraints::default_aperiodic()))
-                .into_result()
-                .expect("aperiodic release cannot fail");
-            for (cpu, t) in seats {
-                states[shard].free[cpu].push(t);
+            let (shard, members) = resident[id as usize].take().expect("resident tenant");
+            let state = &mut states[shard];
+            for &m in &members {
+                state.free[state.slot_cpu[m]].push(m);
             }
-            states[shard].resident -= 1;
+            state.resident -= 1;
+            let node = pools[shard].current().expect("booted shard");
+            node.admit(
+                AdmissionRequest::team(members).constraints(Constraints::default_aperiodic()),
+            )
+            .into_result()
+            .expect("aperiodic release cannot fail");
             out.departures += 1;
         }
 
@@ -443,36 +456,38 @@ pub fn run_with_policy(
             assert!(shard < cfg.shards, "policy offered unknown shard {shard}");
             probes += 1;
             // Seat the gang: one slot on each of `gang` distinct CPUs,
-            // least-loaded CPUs first (ties to the lower index).
+            // least-loaded CPUs first (ties to the lower index), each
+            // CPU's most recently freed slot. Seats leave the free lists
+            // only once the team is admitted.
             let node = pools[shard].current().expect("booted shard");
-            let mut cpus: Vec<usize> = (0..n_cpus)
-                .filter(|&cpu| !states[shard].free[cpu].is_empty())
-                .collect();
+            let free = &mut states[shard].free;
+            cpus.clear();
+            cpus.extend((0..n_cpus).filter(|&cpu| !free[cpu].is_empty()));
             if cpus.len() < req.gang {
                 last_error = AdmissionError::CapacityExceeded;
                 continue;
             }
             cpus.sort_by_key(|&cpu| (node.scheduler(cpu).load.periodic_util_ppm(), cpu));
             cpus.truncate(req.gang);
-            let members: Vec<ThreadId> = cpus
+            let team: Vec<ThreadId> = cpus
                 .iter()
-                .map(|&cpu| states[shard].free[cpu].pop().expect("free slot"))
+                .map(|&cpu| *free[cpu].last().expect("free slot"))
                 .collect();
-            let outcome =
-                node.admit(AdmissionRequest::team(members.clone()).constraints(req.constraints));
-            if outcome.is_admitted() {
-                departures.push(Reverse((now_ns.saturating_add(req.hold_ns), req.id)));
-                debug_assert_eq!(resident.len() as u64, req.id);
-                resident.push(Some((shard, cpus.into_iter().zip(members).collect())));
-                states[shard].resident += 1;
-                placed_at = Some(shard);
-                break;
+            let outcome = node.admit(AdmissionRequest::team(team).constraints(req.constraints));
+            if !outcome.is_admitted() {
+                last_error = outcome.error().expect("rejected outcome has an error");
+                continue;
             }
-            last_error = outcome.error().expect("rejected outcome has an error");
-            // Undo the seating: each chosen CPU took exactly one pop.
-            for (cpu, m) in cpus.into_iter().zip(members) {
-                states[shard].free[cpu].push(m);
-            }
+            let members = cpus
+                .iter()
+                .map(|&cpu| free[cpu].pop().expect("free slot"))
+                .collect();
+            departures.push(Reverse((now_ns.saturating_add(req.hold_ns), req.id)));
+            debug_assert_eq!(resident.len() as u64, req.id);
+            resident.push(Some((shard, members)));
+            states[shard].resident += 1;
+            placed_at = Some(shard);
+            break;
         }
 
         out.probes += probes;

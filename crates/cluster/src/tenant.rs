@@ -17,15 +17,15 @@
 //! over harmonic periods and a few utilization steps): real multi-tenant
 //! fleets see a handful of popular shapes plus a long tail, and the
 //! repeated per-CPU task-set signatures are what give the admission
-//! engine's `SimCache` its churn hit rate — the headline number of the
-//! cluster benchmark.
+//! engine's `SimCache` its churn hit rate.
 
 use nautix_des::{DetRng, Nanos};
 use nautix_kernel::Constraints;
 
 /// Harmonic period palette, ns. Harmonic periods keep every per-CPU
-/// hyperperiod at most [`PERIODS_NS`]'s maximum, so even memo *misses*
-/// simulate a bounded window.
+/// hyperperiod at most [`PERIODS_NS`]'s maximum (16 ms), inside the
+/// cluster's 200 ms window cap, so a memo miss is decided by the
+/// utilization test over one hyperperiod, O(tasks).
 pub const PERIODS_NS: [Nanos; 5] = [1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000];
 
 /// Per-member utilization palette, ppm of one CPU.

@@ -17,21 +17,25 @@
 //!   local scheduler for a hyperperiod", here with per-job scheduler
 //!   overhead included, so it catches constraint sets whose utilization
 //!   passes the closed-form test but whose granularity cannot absorb the
-//!   per-interrupt overhead.
+//!   per-interrupt overhead. Its verdict is the one that simulation
+//!   reaches, but it is computed by the processor-demand criterion
+//!   ([`edf_demand_feasible`]); the event-by-event simulator
+//!   ([`simulate_edf_feasible`]) is kept as the reference the armed
+//!   oracles check every verdict against.
 //!
 //! Admission runs in the context of the requesting thread (its cost is
 //! charged to the caller by the node), so "the cost of admission control
 //! need not be separately accounted for in its effects on the already
 //! admitted threads."
 //!
-//! Since period-widening degradation (PR 4) put re-admission on a hot
-//! path, the ledger is *incremental*: the periodic utilization sum is
-//! maintained on every admit/release instead of rescanned, and
-//! hyperperiod-simulation verdicts are memoized in a per-node [`SimCache`]
-//! keyed by [`nautix_kernel::task_set_signature`]. The independent
-//! reference is [`CpuLoad::periodic_util_ppm_rescan`] plus a ledger with
-//! no cache installed (every verdict re-simulated); the differential test
-//! suite pins both verdict- and sum-identical to the memoised ledger.
+//! The ledger is *incremental*: the periodic utilization sum is maintained
+//! on every admit/release instead of rescanned, and `HyperperiodSim`
+//! verdicts are memoized in a per-node [`SimCache`] keyed by
+//! [`nautix_kernel::task_set_signature`]. The independent references are
+//! [`CpuLoad::periodic_util_ppm_rescan`], a ledger with no cache installed
+//! (every verdict computed fresh) and [`simulate_edf_feasible`]; the
+//! differential and property suites pin the memoised ledger verdict- and
+//! sum-identical to them.
 
 use crate::stats::AdmissionStats;
 use nautix_des::Nanos;
@@ -251,12 +255,14 @@ pub fn admission_global_stats() -> AdmissionStats {
     }
 }
 
-/// What the most recent hyperperiod-simulation probe on a ledger
-/// concluded, and how: consumed by the trace layer so an armed
-/// `OracleSuite` can re-check cached verdicts against a fresh simulation.
+/// What the most recent `HyperperiodSim` probe on a ledger concluded, and
+/// how: consumed by the trace layer so an armed `OracleSuite` can re-check
+/// every verdict, cached or computed fresh, against the reference
+/// simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimProbe {
-    /// Whether the verdict came from the memo cache.
+    /// Whether the verdict came from the memo cache (otherwise it was
+    /// computed fresh by [`edf_demand_feasible`]).
     pub hit: bool,
     /// The feasibility verdict itself.
     pub feasible: bool,
@@ -268,7 +274,7 @@ pub struct SimProbe {
     pub window_cap_ns: Nanos,
 }
 
-/// Memoized hyperperiod-simulation verdicts, shared by every CPU ledger of
+/// Memoized `HyperperiodSim` verdicts, shared by every CPU ledger of
 /// one node (single-threaded interior mutability: a `Node` never crosses
 /// threads). Entries are keyed by canonical signature *and* the canonical
 /// set itself — signature equality alone never decides, so colliding sets
@@ -322,13 +328,11 @@ impl SimCache {
                 && e.window_cap_ns == window_cap_ns
                 && e.set == set
         })?;
-        let entry = self.entries.remove(idx);
-        let feasible = entry.feasible;
-        self.entries.insert(0, entry);
-        Some(feasible)
+        self.entries[..=idx].rotate_right(1);
+        Some(self.entries[0].feasible)
     }
 
-    /// Insert a freshly simulated verdict at the front, evicting the LRU
+    /// Insert a freshly computed verdict at the front, evicting the LRU
     /// entry past capacity.
     pub fn insert(
         &mut self,
@@ -368,12 +372,17 @@ pub enum AdmissionPolicy {
     EdfBound,
     /// Rate-monotonic bound n(2^{1/n} − 1).
     RmBound,
-    /// Event-driven EDF simulation over (a bounded prefix of) the
-    /// hyperperiod, charging `overhead_ns` per job.
+    /// The utilization bound gates the reservations, then a set passes
+    /// only if the synchronous EDF schedule, charging `overhead_ns` per
+    /// job, meets every deadline in (a bounded prefix of) the hyperperiod.
+    /// That is the verdict of simulating the schedule
+    /// ([`simulate_edf_feasible`], the oracles' reference); the ledger
+    /// computes it by the processor-demand criterion
+    /// ([`edf_demand_feasible`]).
     HyperperiodSim {
         /// Modeled scheduler overhead charged per job (two interrupts).
         overhead_ns: Nanos,
-        /// Simulation window cap; hyperperiods beyond this are truncated.
+        /// Window cap; hyperperiods beyond this are truncated to it.
         window_cap_ns: Nanos,
     },
 }
@@ -558,13 +567,13 @@ pub struct CpuLoad {
     periodic_ppm: u64,
     /// Active sporadic utilization, ppm.
     sporadic_ppm: u64,
-    /// Memo cache for hyperperiod-simulation verdicts, installed by the
-    /// owning node (absent on standalone ledgers, which then simulate
-    /// per request and count every one as a miss).
+    /// Memo cache for `HyperperiodSim` verdicts, installed by the owning
+    /// node (absent on standalone ledgers, which then compute every
+    /// verdict fresh and count each one as a miss).
     sim_cache: Option<Rc<RefCell<SimCache>>>,
     /// Engine counters for this ledger's lifetime (reset with the ledger).
     stats: AdmissionStats,
-    /// The most recent hyperperiod-simulation probe, left for the verdict
+    /// The most recent `HyperperiodSim` probe, left for the verdict
     /// emission site to [`CpuLoad::take_probe`] — and for rollback
     /// re-admissions to discard, so probes pair with emitted verdicts.
     last_probe: Option<SimProbe>,
@@ -576,9 +585,9 @@ impl CpuLoad {
         Self::default()
     }
 
-    /// Install the node's shared simulation memo cache. Re-installed after
+    /// Install the node's shared verdict memo cache. Re-installed after
     /// every `Node::reset`: the cache is a pure memo keyed on the full
-    /// simulation input, so entries learned in earlier trials stay valid.
+    /// feasibility input, so entries learned in earlier trials stay valid.
     pub fn install_sim_cache(&mut self, cache: Rc<RefCell<SimCache>>) {
         self.sim_cache = Some(cache);
     }
@@ -588,8 +597,8 @@ impl CpuLoad {
         self.stats
     }
 
-    /// Take the probe left by the most recent hyperperiod-simulation
-    /// verdict (None under closed-form policies).
+    /// Take the probe left by the most recent `HyperperiodSim` verdict
+    /// (None under closed-form policies).
     pub fn take_probe(&mut self) -> Option<SimProbe> {
         self.last_probe.take()
     }
@@ -733,13 +742,11 @@ impl CpuLoad {
                 overhead_ns,
                 window_cap_ns,
             } => {
-                let mut set: Vec<(Nanos, Nanos)> = self.periodic.clone();
-                set.push((period, slice));
                 // The closed-form bound still gates the reservations.
                 if u_total > budget {
                     return Err(AdmissionError::UtilizationExceeded);
                 }
-                if self.sim_feasible(&set, overhead_ns, window_cap_ns) {
+                if self.sim_feasible((period, slice), overhead_ns, window_cap_ns) {
                     Ok(())
                 } else {
                     Err(AdmissionError::UtilizationExceeded)
@@ -748,18 +755,19 @@ impl CpuLoad {
         }
     }
 
-    /// Hyperperiod-simulation feasibility of `set`, memoized when a
-    /// [`SimCache`] is installed. The simulation input stays in ledger
-    /// order (the verdict is permutation-invariant, so the unsorted set and
-    /// the sorted canonical key yield the same answer); the canonical
-    /// sorted copy exists only as the cache key.
+    /// `HyperperiodSim` feasibility of the ledger plus `candidate`,
+    /// memoized when a [`SimCache`] is installed. The set is built once,
+    /// sorted: that canonical copy is both the cache key and the input of
+    /// [`edf_demand_feasible`], whose verdict does not depend on order.
     fn sim_feasible(
         &mut self,
-        set: &[(Nanos, Nanos)],
+        candidate: (Nanos, Nanos),
         overhead_ns: Nanos,
         window_cap_ns: Nanos,
     ) -> bool {
-        let mut key: Vec<(Nanos, Nanos)> = set.to_vec();
+        let mut key: Vec<(Nanos, Nanos)> = Vec::with_capacity(self.periodic.len() + 1);
+        key.extend_from_slice(&self.periodic);
+        key.push(candidate);
         key.sort_unstable();
         let sig = task_set_signature(&key, overhead_ns, window_cap_ns);
         let cache = self.sim_cache.clone();
@@ -780,7 +788,7 @@ impl CpuLoad {
                 return feasible;
             }
         }
-        let feasible = simulate_edf_feasible(set, overhead_ns, window_cap_ns);
+        let feasible = edf_demand_feasible(&key, overhead_ns, window_cap_ns);
         if let Some(cache) = &cache {
             cache
                 .borrow_mut()
@@ -834,10 +842,69 @@ fn util_term(period: Nanos, slice: Nanos) -> u64 {
     (slice as u128 * PPM as u128 / period as u128) as u64
 }
 
+/// Whether the synchronous EDF schedule of `set` (`(period, slice)`
+/// pairs, implicit deadlines, every job costing `slice + overhead_ns`)
+/// meets every deadline up to `min(hyperperiod, window_cap_ns)`: the
+/// verdict of [`simulate_edf_feasible`], decided by the processor-demand
+/// criterion (Baruah, Rosier & Howell 1990) instead of by playing the
+/// schedule out. A deadline is missed in the window iff some deadline `d`
+/// in it has `dbf(d) = Σ ⌊d/pᵢ⌋·cᵢ > d`.
+///
+/// Because `dbf(d) ≤ d·U` and `dbf(H) = H·U` at the hyperperiod `H`, the
+/// criterion reduces to Liu & Layland's `U ≤ 1` — `Σ cᵢ·(H/pᵢ) ≤ H`, in
+/// integers — whenever the window holds the whole hyperperiod, and a set
+/// with `U ≤ 1` passes any window. Only an overloaded set whose window
+/// stops short of `H` walks its deadlines `d ≤ window_cap_ns` in order,
+/// O(n) each — never more points than the simulator has jobs — up to the
+/// first `dbf(d) > d`. Periods must be nonzero; the order of `set` does
+/// not matter.
+pub fn edf_demand_feasible(
+    set: &[(Nanos, Nanos)],
+    overhead_ns: Nanos,
+    window_cap_ns: Nanos,
+) -> bool {
+    let cost = |slice: Nanos| slice as u128 + overhead_ns as u128;
+    let h = hyperperiod(set.iter().map(|&(p, _)| p));
+    // `hyperperiod` saturates at `Nanos::MAX`; below that `h` is exact.
+    if h < Nanos::MAX {
+        let demand = set.iter().fold(0u128, |sum, &(p, s)| {
+            sum.saturating_add(cost(s).saturating_mul((h / p) as u128))
+        });
+        if demand <= h as u128 {
+            return true;
+        }
+        if h <= window_cap_ns {
+            return false;
+        }
+    }
+    // Overloaded (or too long a hyperperiod to tell), and the window stops
+    // short of `h`: the first deadline with dbf(d) > d may lie past it.
+    // `set` is not empty here: an empty set has h = 1 and demand 0.
+    let mut next: Vec<u128> = set.iter().map(|&(p, _)| p as u128).collect();
+    let mut demand = 0u128;
+    loop {
+        let d = *next.iter().min().expect("a set past the U test has tasks");
+        if d > window_cap_ns as u128 {
+            return true;
+        }
+        for (n, &(p, s)) in next.iter_mut().zip(set) {
+            if *n == d {
+                demand += cost(s);
+                *n += p as u128;
+            }
+        }
+        if demand > d {
+            return false;
+        }
+    }
+}
+
 /// Event-driven EDF feasibility simulation over a window: all jobs are
 /// released synchronously (the critical instant for synchronous periodic
 /// sets under EDF); each job costs `slice + overhead`. Returns whether no
-/// deadline is missed within the window.
+/// deadline is missed within the window. The reference implementation of
+/// [`edf_demand_feasible`]: the armed oracles and the property suite check
+/// the ledger's verdicts against it.
 pub fn simulate_edf_feasible(
     set: &[(Nanos, Nanos)],
     overhead_ns: Nanos,
@@ -1121,6 +1188,65 @@ mod tests {
     #[test]
     fn hyperperiod_of_coprime_periods() {
         assert!(simulate_edf_feasible(&[(3, 1), (7, 2)], 0, 1_000));
+    }
+
+    /// The demand criterion's verdict, asserted equal to the reference
+    /// simulation's.
+    fn demand_verdict(set: &[(Nanos, Nanos)], overhead_ns: Nanos, cap: Nanos) -> bool {
+        let verdict = edf_demand_feasible(set, overhead_ns, cap);
+        assert_eq!(
+            verdict,
+            simulate_edf_feasible(set, overhead_ns, cap),
+            "{set:?} at {overhead_ns} ns/job, window cap {cap}"
+        );
+        verdict
+    }
+
+    #[test]
+    fn demand_criterion_is_exact_at_full_load() {
+        // 1 µs per job: costs 5 µs / 10 µs and 10 µs / 20 µs, exactly 100%.
+        let full = [(10_000, 4_000), (20_000, 9_000)];
+        let over = [(10_000, 4_000), (20_000, 9_001)];
+        for cap in [20_000, 1_000_000] {
+            assert!(demand_verdict(&full, 1_000, cap));
+            assert!(!demand_verdict(&over, 1_000, cap));
+        }
+        // Full load passes a window that truncates the hyperperiod too.
+        assert!(demand_verdict(&full, 1_000, 19_999));
+    }
+
+    #[test]
+    fn demand_criterion_rejects_a_job_longer_than_its_period() {
+        // 5 µs of slice plus 9 µs of overhead in a 10 µs period.
+        assert!(!demand_verdict(&[(10_000, 5_000)], 9_000, 1_000_000));
+        assert!(!demand_verdict(&[(10_000, 5_000)], 9_000, 10_000));
+        // Alongside a lightly loaded task of coprime period.
+        assert!(!demand_verdict(
+            &[(7_000, 100), (10_000, 5_000)],
+            9_000,
+            1_000_000
+        ));
+    }
+
+    #[test]
+    fn overload_past_a_truncated_window_reads_feasible() {
+        // The 1 ns overload first shows at the 20 µs hyperperiod: a window
+        // capped below it cannot see it, under either method.
+        let over = [(10_000, 4_000), (20_000, 9_001)];
+        assert!(demand_verdict(&over, 1_000, 19_999));
+        assert!(!demand_verdict(&over, 1_000, 20_000));
+        // Coprime periods, hyperperiod 91 ms: the 106% load first fails at
+        // the 14 ms deadline (dbf = 2 × 4.2 ms + 6 ms = 14.4 ms).
+        let coprime = [(7_000_000, 4_200_000), (13_000_000, 6_000_000)];
+        assert!(demand_verdict(&coprime, 0, 13_999_999));
+        assert!(!demand_verdict(&coprime, 0, 14_000_000));
+    }
+
+    #[test]
+    fn empty_set_is_feasible() {
+        for cap in [0, 1, 1_000_000_000] {
+            assert!(demand_verdict(&[], 9_000, cap));
+        }
     }
 
     #[test]

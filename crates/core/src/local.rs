@@ -507,7 +507,7 @@ impl LocalScheduler {
     /// Into an armed trace it emits `[ConstraintsReleased] [SimCacheProbe]
     /// AdmitVerdict [AdmitRollback]`: the release on success, the rollback
     /// on rejection, both only for a real-time `old`; the probe whenever
-    /// the policy simulated the candidate.
+    /// `HyperperiodSim` judged the candidate.
     pub(crate) fn swap_reservation(
         &mut self,
         tid: ThreadId,
@@ -516,7 +516,7 @@ impl LocalScheduler {
     ) -> Result<(), AdmissionError> {
         self.load.release(old);
         let verdict = self.load.admit(&self.cfg, new);
-        // The probe (when the policy simulated) belongs to the candidate's
+        // The probe (when `HyperperiodSim` judged) belongs to the candidate's
         // verdict; take it before a rollback re-admission can overwrite it.
         let probe = self.load.take_probe();
         if verdict.is_err() {
@@ -585,9 +585,9 @@ impl LocalScheduler {
         });
     }
 
-    /// Record the hyperperiod-simulation probe backing the next admission
-    /// verdict on this CPU. No-op when the policy did not simulate (the
-    /// common closed-form case leaves no probe). Must precede the paired
+    /// Record the `HyperperiodSim` probe backing the next admission
+    /// verdict on this CPU. No-op when the policy left no probe (the
+    /// common closed-form case). Must precede the paired
     /// `emit_verdict` on the same CPU.
     fn emit_probe(&self, t: &TraceHandle, probe: Option<crate::admission::SimProbe>) {
         if let Some(p) = probe {

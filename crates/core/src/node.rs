@@ -393,9 +393,9 @@ impl Node {
         d
     }
 
-    /// Admission-engine counters across this node's CPUs: hyperperiod-
-    /// simulation memo hits/misses and ledger rollbacks. All zero under
-    /// closed-form admission policies (no simulation ever runs).
+    /// Admission-engine counters across this node's CPUs: `HyperperiodSim`
+    /// verdict memo hits/misses and ledger rollbacks. All zero under
+    /// closed-form admission policies (no verdict is memoized).
     pub fn admission_stats(&self) -> crate::stats::AdmissionStats {
         let mut a = crate::stats::AdmissionStats::default();
         for s in &self.sched {

@@ -93,12 +93,14 @@ pub struct OracleStats {
     /// admitted a set the overhead-aware simulation calls infeasible
     /// (policy divergence, not a scheduler bug).
     pub divergences: u64,
-    /// Hyperperiod-simulation probes re-checked against a fresh
-    /// simulation of the mirrored admitted set.
+    /// Admission verdicts (`HyperperiodSim` probes, cached or computed
+    /// fresh) re-checked against the reference simulation of the mirrored
+    /// admitted set.
     pub cache_checks: u64,
-    /// Probes whose re-simulation disagreed with the engine's verdict
-    /// (each is also a violation: the memo cache served a stale or
-    /// colliding entry, or the ledger and the trace mirror drifted).
+    /// Probes whose reference simulation disagreed with the ledger's
+    /// verdict (each is also a violation: the demand criterion erred, the
+    /// memo cache served a stale or colliding entry, or the ledger and the
+    /// trace mirror drifted).
     pub cache_divergences: u64,
     /// Misses on enforced-admitted threads attributed to modeled hardware
     /// effects outside the admission model (SMIs, injected fault lanes,
@@ -595,13 +597,15 @@ impl OracleSuite {
         }
     }
 
-    /// Cached-verdict oracle: a [`Record::SimCacheProbe`] preceding a
-    /// periodic admission verdict is re-checked against a *fresh*
-    /// overhead-aware simulation of the mirrored admitted set plus the
-    /// candidate. Divergence means the memo cache served a stale or
-    /// colliding entry — or the ledger and the trace mirror drifted
-    /// apart — a violation either way. Misses (freshly simulated
-    /// verdicts) are re-checked too, which pins the mirror itself.
+    /// Admission-verdict oracle: a [`Record::SimCacheProbe`] preceding a
+    /// periodic admission verdict is re-checked against the reference
+    /// overhead-aware simulation ([`simulate_edf_feasible`]) of the
+    /// mirrored admitted set plus the candidate. The ledger computes its
+    /// verdicts by the processor-demand criterion, so a miss (a verdict
+    /// computed fresh) is checked against an independent method; a
+    /// divergence means the criterion is wrong, the memo cache served a
+    /// stale or colliding entry, or the ledger and the trace mirror
+    /// drifted apart — a violation either way.
     fn check_probe(
         &mut self,
         cpu: u32,
@@ -612,7 +616,7 @@ impl OracleSuite {
         recent: &TraceRing,
     ) {
         self.stats.cache_checks += 1;
-        // The set as the ledger saw it at simulation time: every mirrored
+        // The set as the ledger saw it at verdict time: every mirrored
         // periodic reservation except the requesting thread's own (its old
         // reservation is released before the candidate is tested), plus
         // the candidate itself.
@@ -631,9 +635,9 @@ impl OracleSuite {
                 "admission-cache",
                 format!(
                     "cpu {cpu} tid {tid}: {src} verdict said feasible={cached} for set \
-                     {set:?} (sig {sig:#x}, {overhead} ns/job overhead), but a fresh \
-                     simulation says feasible={fresh}",
-                    src = if probe.hit { "cached" } else { "simulated" },
+                     {set:?} (sig {sig:#x}, {overhead} ns/job overhead), but the \
+                     reference simulation says feasible={fresh}",
+                    src = if probe.hit { "cached" } else { "computed" },
                     cached = probe.feasible,
                     sig = probe.sig,
                     overhead = probe.overhead_ns,

@@ -95,10 +95,11 @@ impl DegradeStats {
 /// policy never runs and no re-admission ever fails.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
-    /// Hyperperiod-simulation verdicts served from the memo cache.
+    /// `HyperperiodSim` verdicts served from the memo cache.
     pub sim_hits: u64,
-    /// Hyperperiod simulations actually run (cache misses, or every
-    /// simulation under the `Fresh` engine).
+    /// `HyperperiodSim` verdicts computed fresh by the demand criterion
+    /// (cache misses, or every verdict on a ledger without a cache), not
+    /// simulations run.
     pub sim_misses: u64,
     /// Ledger rollbacks: failed re-admissions (or failed team
     /// transactions) that restored previously held reservations.

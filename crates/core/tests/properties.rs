@@ -3,7 +3,7 @@
 //! simulation consistency, and calibration bounds.
 
 use nautix_kernel::{task_set_signature, AdmissionError, Constraints};
-use nautix_rt::admission::simulate_edf_feasible;
+use nautix_rt::admission::{edf_demand_feasible, simulate_edf_feasible};
 use nautix_rt::{compile_cyclic, AdmissionPolicy, CpuLoad, CyclicTask, SchedConfig, SimCache, PPM};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -17,6 +17,47 @@ fn arb_periodic() -> impl Strategy<Value = Constraints> {
         let slice = (period * pct / 100).max(500);
         Constraints::periodic(period, slice).build()
     })
+}
+
+/// A tenant-shaped task: a harmonic period from the cluster's palette
+/// (1–16 ms) and a slice of 0.1–40% of it.
+fn arb_harmonic() -> impl Strategy<Value = (u64, u64)> {
+    let periods = prop::sample::select(vec![
+        1_000_000u64,
+        2_000_000,
+        4_000_000,
+        8_000_000,
+        16_000_000,
+    ]);
+    (periods, 1_000u64..400_000).prop_map(|(period, ppm)| (period, period * ppm / PPM))
+}
+
+/// A periodic constraint's `(period, slice)`.
+fn shape(c: &Constraints) -> (u64, u64) {
+    match *c {
+        Constraints::Periodic { period, slice, .. } => (period, slice),
+        _ => unreachable!(),
+    }
+}
+
+/// Windows for `set` under a cap of `cap`: the capped hyperperiod and the
+/// cap itself (both at least the hyperperiod when it fits), one task's
+/// deadline inside that, the nanosecond before it, and an arbitrary cut.
+fn windows(set: &[(u64, u64)], cap: u64, pick: usize, cut: u64) -> [u64; 5] {
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let h = set
+        .iter()
+        .fold(1u64, |h, &(p, _)| (h / gcd(h, p)).saturating_mul(p));
+    let limit = h.min(cap);
+    let period = set[pick % set.len()].0;
+    let deadline = period * (1 + cut % (limit / period));
+    [limit, cap, deadline, deadline - 1, limit / 1_000 * cut]
 }
 
 proptest! {
@@ -71,27 +112,41 @@ proptest! {
     /// Any set the EDF bound admits at <=100% is feasible in the
     /// zero-overhead EDF simulation (Liu & Layland optimality), and adding
     /// overhead can only ever make a feasible set infeasible, not the
-    /// reverse.
+    /// reverse. The processor-demand criterion the ledger decides with
+    /// returns the simulation's verdict on every arbitrary and every
+    /// harmonic (tenant-palette) set, under each modeled overhead, for
+    /// windows that hold the whole hyperperiod and windows that cut it —
+    /// at a deadline, one nanosecond before it, and anywhere.
     #[test]
-    fn edf_bound_agrees_with_simulation(cs in prop::collection::vec(arb_periodic(), 1..6)) {
+    fn edf_bound_agrees_with_simulation(
+        cs in prop::collection::vec(arb_periodic(), 1..6),
+        harmonic in prop::collection::vec(arb_harmonic(), 1..12),
+        pick in 0usize..64,
+        cut in 0u64..1_000,
+    ) {
+        let arbitrary: Vec<(u64, u64)> = cs.iter().map(shape).collect();
+        for (set, cap) in [(&arbitrary, 50_000_000), (&harmonic, 200_000_000)] {
+            for window in windows(set, cap, pick, cut) {
+                for overhead in [0, 1, 2_000, 9_200] {
+                    prop_assert_eq!(
+                        edf_demand_feasible(set, overhead, window),
+                        simulate_edf_feasible(set, overhead, window),
+                        "{:?} at {} ns/job, window {}", set, overhead, window
+                    );
+                }
+            }
+        }
         let util: u64 = cs.iter().map(|c| c.utilization_ppm()).sum();
-        let set: Vec<(u64, u64)> = cs
-            .iter()
-            .map(|c| match *c {
-                Constraints::Periodic { period, slice, .. } => (period, slice),
-                _ => unreachable!(),
-            })
-            .collect();
         let window = 50_000_000; // cap the hyperperiod for test speed
         if util <= PPM {
             prop_assert!(
-                simulate_edf_feasible(&set, 0, window),
+                simulate_edf_feasible(&arbitrary, 0, window),
                 "EDF-optimal: any set within 100% utilization is schedulable"
             );
         }
-        if !simulate_edf_feasible(&set, 0, window) {
+        if !simulate_edf_feasible(&arbitrary, 0, window) {
             prop_assert!(
-                !simulate_edf_feasible(&set, 5_000, window),
+                !simulate_edf_feasible(&arbitrary, 5_000, window),
                 "overhead can never rescue an infeasible set"
             );
         }
@@ -284,13 +339,7 @@ proptest! {
         b in prop::collection::vec(arb_periodic(), 1..6),
     ) {
         let canon = |cs: &[Constraints]| {
-            let mut v: Vec<(u64, u64)> = cs
-                .iter()
-                .map(|c| match *c {
-                    Constraints::Periodic { period, slice, .. } => (period, slice),
-                    _ => unreachable!(),
-                })
-                .collect();
+            let mut v: Vec<(u64, u64)> = cs.iter().map(shape).collect();
             v.sort_unstable();
             v
         };

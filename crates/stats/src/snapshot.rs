@@ -129,7 +129,7 @@ snapshot_fields! {
     periodic_demotions,
     /// Hyperperiod-simulation verdicts served from the memo cache.
     sim_hits,
-    /// Hyperperiod simulations actually run.
+    /// Hyperperiod-simulation verdicts computed fresh (memo misses).
     sim_misses,
     /// Admission-ledger rollbacks.
     rollbacks,
