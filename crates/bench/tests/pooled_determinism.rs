@@ -6,17 +6,26 @@
 //! also varies how trials are distributed over warm pools.
 
 use nautix_bench::harness::NodePool;
+use nautix_bench::topology::{self, TopoPoint};
 use nautix_bench::{missrate, Scale};
-use nautix_hw::{MachineConfig, Platform};
+use nautix_hw::{MachineConfig, Platform, Topology};
 use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
-use nautix_rt::{AdmissionPolicy, HarnessConfig, Node, NodeConfig, SchedConfig};
+use nautix_rt::{AdmissionPolicy, HarnessConfig, Node, NodeConfig, SchedConfig, StealPolicy};
+
+/// A wider, thread-heavier trial than any missrate point: 64 CPUs on a
+/// 2×4 tree and 128 stolen workers, so the node it leaves behind has a
+/// thread high-water mark of 192 and 64 CPUs' worth of queues.
+fn storm(pool: &mut NodePool) -> TopoPoint {
+    topology::steal_storm(pool, 64, Topology::tree(2, 4), StealPolicy::LlcFirst, 16, 7)
+}
 
 #[test]
 fn pooled_reset_node_matches_fresh_construction() {
     // Warm the pool on a *different* configuration first, so what's under
-    // test is the reset path of a dirty node, not first construction.
+    // test is the reset path of a dirty node, not first construction: a
+    // wider node with more threads, which every point below must shrink.
     let mut pool = NodePool::new();
-    let _ = missrate::measure_point_pooled(&mut pool, Platform::R415, 100_000, 50_000, 30, 11);
+    let _ = storm(&mut pool);
 
     for &(platform, period, slice, jobs, seed) in &[
         (Platform::Phi, 1_000_000u64, 500_000u64, 50u64, 5u64),
@@ -31,6 +40,15 @@ fn pooled_reset_node_matches_fresh_construction() {
              ({platform:?}, {period}, {slice}, {jobs}, {seed})"
         );
     }
+}
+
+/// The reverse direction: a node grown from a small trial to the storm
+/// reproduces the storm on a fresh pool.
+#[test]
+fn pooled_node_grown_from_a_small_trial_matches_fresh_construction() {
+    let mut pool = NodePool::new();
+    let _ = missrate::measure_point_pooled(&mut pool, Platform::Phi, 10_000, 7_000, 80, 9);
+    assert_eq!(storm(&mut pool), storm(&mut NodePool::new()));
 }
 
 /// Node configuration for the widening-churn trial: every admission

@@ -78,7 +78,7 @@ enum GaPhase {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct GaCtx {
+pub(crate) struct GaCtx {
     group: GroupId,
     constraints: Constraints,
     phase: GaPhase,
@@ -190,8 +190,9 @@ fn admission_error_code(e: AdmissionError) -> u64 {
 #[derive(Default)]
 pub(crate) struct Gangs {
     pub(crate) groups: GroupRegistry,
-    /// Threads inside Algorithm 1, by thread id.
-    ga: Vec<Option<GaCtx>>,
+    /// Threads inside Algorithm 1, by thread id; grown with the thread
+    /// table's high-water mark by `Node::track_thread`.
+    pub(crate) ga: Vec<Option<GaCtx>>,
     /// Per-line serialization horizons modeling contended shared lines
     /// (group join, barrier and collective arrival): a flat
     /// `SER_CLASSES × MAX_GROUPS` table indexed by [`serial_slot`].
@@ -205,13 +206,12 @@ pub(crate) struct Gangs {
 }
 
 impl Gangs {
-    /// Back to the boot state, keeping the tables' capacity.
+    /// Back to the boot state, keeping the tables' capacity: `ga` is
+    /// emptied, with room reserved for `max_threads` contexts.
     pub(crate) fn reset(&mut self, max_threads: usize, phase_correction: bool) {
         self.groups = GroupRegistry::new();
         self.ga.clear();
-        // `resize_with`, not `resize`: a fresh `None` is one tag write, a
-        // cloned one copies the whole slot (150 KB per default reset).
-        self.ga.resize_with(max_threads, || None);
+        self.ga.reserve(max_threads);
         self.serial_until.clear();
         self.serial_until.resize(SER_CLASSES * MAX_GROUPS, 0);
         self.ga_timings.clear();

@@ -251,11 +251,13 @@ impl Node {
 
     /// Reboot this node in place for a new trial, reusing every large
     /// allocation: the thread table's slot vector, the per-thread sched
-    /// states, the per-CPU scheduler queues, and the event heap keep their
-    /// capacity instead of being freed and re-grown. Power-cycles the
-    /// machine, rebuilds what [`Node::new`] builds, and runs the same
+    /// states, the per-CPU scheduler and task queues, and the event heap
+    /// keep their capacity instead of being freed and re-grown. Power-cycles
+    /// the machine, rebuilds what [`Node::new`] builds, and runs the same
     /// `Node::boot`: the pooled determinism test asserts byte-for-byte
-    /// that the result is a fresh node.
+    /// that the result is a fresh node. A reset costs O(CPUs + the previous
+    /// trial's thread high-water mark), never O(`max_threads`): per-thread
+    /// tables are emptied and regrow as the new trial spawns.
     pub fn reset(&mut self, cfg: NodeConfig) {
         self.machine.reset(cfg.machine.clone());
         self.steering = Steering::with_topology(cfg.laden.clone(), self.machine.topology());
@@ -285,8 +287,7 @@ impl Node {
         self.timeline = None;
         self.threads.reset(cfg.max_threads);
         self.ts.clear();
-        self.ts
-            .resize_with(cfg.max_threads, SchedThread::new_aperiodic);
+        self.ts.reserve(cfg.max_threads);
         self.sched.truncate(n);
         for cpu in 0..n {
             // The idle thread: a real table entry, never queued.
@@ -318,13 +319,25 @@ impl Node {
                 .load
                 .install_sim_cache(Rc::clone(&self.sim_cache));
         }
-        self.tasks.clear();
-        self.tasks.extend((0..n).map(|_| TaskQueues::new(256)));
+        self.tasks.truncate(n);
+        for q in &mut self.tasks {
+            q.reset();
+        }
+        let pooled = self.tasks.len();
+        self.tasks.extend((pooled..n).map(|_| TaskQueues::new(256)));
         self.gangs.reset(cfg.max_threads, cfg.phase_correction);
         self.global.reset(n, cfg.steal_poll_ns);
         self.pending_result.clear();
-        self.pending_result
-            .resize_with(cfg.max_threads, || SysResult::None);
+        self.pending_result.reserve(cfg.max_threads);
+        // `ga` and `pending_result` are reserved after the per-CPU queues,
+        // not before: on a wide node the allocation order decides how many
+        // fresh heap pages a boot faults in (reserved first, a 1024-CPU
+        // node's boots cost 9 MB more peak RSS). So the idle threads are
+        // tracked here, once all three tables have their storage.
+        for cpu in 0..n {
+            let idle = self.sched[cpu].idle;
+            self.track_thread(idle);
+        }
         self.cur_op.clear();
         self.cur_op.resize(n, None);
         for q in &mut self.irq_waiters {
@@ -348,6 +361,20 @@ impl Node {
             let at = self.machine.now();
             self.machine
                 .schedule_wakeup(at, tok(TK_POKE, cpu as u64), Some(cpu));
+        }
+        debug_assert_eq!(self.ts.len(), self.threads.high_water());
+    }
+
+    /// Extend the per-thread tables (`ts`, `pending_result`, the Algorithm 1
+    /// contexts) to cover `tid`, handed out by the thread table. They grow
+    /// with the table's high-water mark, never past the storage `boot`
+    /// reserved, so a reset costs the threads the last trial spawned, not
+    /// `max_threads`. A reused (reaped) id is already covered.
+    fn track_thread(&mut self, tid: ThreadId) {
+        if tid == self.ts.len() {
+            self.ts.push(SchedThread::new_aperiodic());
+            self.pending_result.push(SysResult::None);
+            self.gangs.ga.push(None);
         }
     }
 
@@ -581,6 +608,7 @@ impl Node {
                 is_idle: false,
             })
             .map_err(|_| AdmissionError::CapacityExceeded)?;
+        self.track_thread(tid);
         self.ts[tid] = SchedThread::new_aperiodic();
         self.ts[tid].dispatch_log = DispatchLog::with_capacity(self.dispatch_log_cap);
         self.pending_result[tid] = SysResult::None;
@@ -591,6 +619,7 @@ impl Node {
         // machine is idle and this is the first event).
         self.machine
             .schedule_wakeup(self.machine.now(), tok(TK_POKE, cpu as u64), Some(cpu));
+        debug_assert_eq!(self.ts.len(), self.threads.high_water());
         Ok(tid)
     }
 
@@ -600,6 +629,7 @@ impl Node {
     }
 
     /// A thread's scheduling state (stats, dispatch log, constraints).
+    /// Panics for a `tid` the thread table never handed out.
     pub fn thread_state(&self, tid: ThreadId) -> &SchedThread {
         &self.ts[tid]
     }
@@ -1275,5 +1305,50 @@ impl Node {
         let cpu = self.threads.expect(tid).cpu;
         let st = &mut self.ts[tid];
         self.sched[cpu].change_constraints(tid, st, constraints, now, true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nautix_kernel::IdleLoop;
+
+    fn cfg(cpus: usize) -> NodeConfig {
+        let mut cfg = NodeConfig::for_machine(MachineConfig::phi().with_cpus(cpus));
+        cfg.calib_rounds = 0;
+        cfg
+    }
+
+    /// Every per-thread table, as long as the thread table's high-water mark.
+    fn per_thread_lens(node: &Node) -> [usize; 4] {
+        [
+            node.ts.len(),
+            node.pending_result.len(),
+            node.gangs.ga.len(),
+            node.threads.high_water(),
+        ]
+    }
+
+    /// Boot and reset touch what was handed out — the idle threads plus
+    /// the threads spawned since — never the `max_threads` bound.
+    #[test]
+    fn per_thread_tables_follow_the_high_water_mark() {
+        let mut node = Node::new(cfg(2));
+        assert_eq!(per_thread_lens(&node), [2; 4]);
+        for k in 1..=3 {
+            node.spawn_on(k % 2, "w", Box::new(IdleLoop::new(1)))
+                .unwrap();
+            assert_eq!(per_thread_lens(&node), [2 + k; 4]);
+        }
+
+        node.reset(cfg(64));
+        for i in 0..300 {
+            node.spawn_unbound(i % 64, "w", Box::new(IdleLoop::new(1)))
+                .unwrap();
+        }
+        assert_eq!(per_thread_lens(&node), [64 + 300; 4]);
+        node.reset(cfg(2));
+        assert_eq!(per_thread_lens(&node), [2; 4]);
+        assert_eq!(node.tasks.len(), 2);
     }
 }

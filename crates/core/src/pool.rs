@@ -7,7 +7,9 @@
 //! [`Node::reset`]s it in place for the next configuration, reusing its
 //! arenas. Reset is defined to be byte-identical to fresh construction
 //! (see the pooled determinism test in `nautix-bench`), so pooling is
-//! purely a performance choice.
+//! purely a performance choice. A reset costs O(CPUs + the previous
+//! trial's thread high-water mark) — a 2-CPU trial that spawned one
+//! thread pays for three thread slots, not the `max_threads` bound.
 //!
 //! The pool started life inside the bench harness; it lives here so other
 //! layers that own node fleets — the cluster admission service keeps one

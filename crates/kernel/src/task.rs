@@ -56,6 +56,17 @@ impl TaskQueues {
         }
     }
 
+    /// Back to the state [`TaskQueues::new`] builds for this capacity,
+    /// keeping the queues' storage.
+    pub fn reset(&mut self) {
+        self.sized.clear();
+        self.unsized_q.clear();
+        self.next_id = 0;
+        self.inline_completed = 0;
+        self.helper_completed = 0;
+        self.trace = None;
+    }
+
     /// Install (or remove) the trace sink for this CPU's queues; `cpu` is
     /// stamped into every record emitted here.
     pub fn set_trace(&mut self, trace: Option<(TraceHandle, u32)>) {

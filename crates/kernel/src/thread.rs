@@ -2,9 +2,12 @@
 //!
 //! Nautilus threads are kernel threads with a compile-time bound on the
 //! total count (§3.3: "the maximum number of threads in the whole system
-//! is determined at compile time"). The table here mirrors that: a
-//! fixed-capacity slab with an explicit free list (thread reaping /
-//! reanimation — the paper's thread-pool maintenance), never reallocating.
+//! is determined at compile time"). The table here mirrors that: a slab
+//! whose storage is reserved for the whole bound once, at construction,
+//! and never reallocated. Slots are handed out lazily — a reaped slot
+//! first (thread reaping / reanimation, the paper's thread-pool
+//! maintenance), else the next never-used one while the bound allows — so
+//! resetting the table costs the slots the last run touched, not the bound.
 
 use crate::program::{Program, ThreadId};
 use nautix_hw::CpuId;
@@ -69,9 +72,17 @@ impl std::fmt::Debug for Thread {
 }
 
 /// Fixed-capacity thread table with slot reuse.
+///
+/// Slots are handed out lazily up to the bound: `slots` grows one
+/// never-used slot at a time (its length is the high-water mark) inside
+/// storage reserved once for `capacity` and never reallocated, and `free`
+/// holds reaped slots only. Ids come out in the order an eagerly
+/// filled free list `(0..capacity).rev()` would give them — reaped ids
+/// LIFO, then fresh ids ascending — which replay determinism rests on.
 pub struct ThreadTable {
     slots: Vec<Option<Thread>>,
     free: Vec<ThreadId>,
+    capacity: usize,
     live: usize,
     spawned: u64,
     reaped: u64,
@@ -81,8 +92,9 @@ impl ThreadTable {
     /// A table with the given capacity.
     pub fn new(capacity: usize) -> Self {
         ThreadTable {
-            slots: (0..capacity).map(|_| None).collect(),
-            free: (0..capacity).rev().collect(),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            capacity,
             live: 0,
             spawned: 0,
             reaped: 0,
@@ -91,18 +103,26 @@ impl ThreadTable {
 
     /// Total capacity.
     pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Slots ever handed out since construction or the last reset: every
+    /// `ThreadId` the table has returned is below it.
+    pub fn high_water(&self) -> usize {
         self.slots.len()
     }
 
     /// Return to an empty table of `capacity` slots, reusing the backing
-    /// storage. The free list is rebuilt in the same order `new` builds it,
-    /// so a reset table hands out ThreadIds in the same sequence as a fresh
-    /// one — required for pooled trials to replay exactly.
+    /// storage (growing it once if `capacity` exceeds it). Costs the slots
+    /// handed out since the last reset, and hands out ThreadIds in the same
+    /// sequence as a fresh table — required for pooled trials to replay
+    /// exactly.
     pub fn reset(&mut self, capacity: usize) {
         self.slots.clear();
-        self.slots.resize_with(capacity, || None);
+        self.slots.reserve(capacity);
         self.free.clear();
-        self.free.extend((0..capacity).rev());
+        self.free.reserve(capacity);
+        self.capacity = capacity;
         self.live = 0;
         self.spawned = 0;
         self.reaped = 0;
@@ -126,11 +146,16 @@ impl ThreadTable {
     /// Allocate a slot for a new thread. Fails when the compile-time bound
     /// is reached.
     pub fn spawn(&mut self, thread: Thread) -> Result<ThreadId, Thread> {
-        let Some(tid) = self.free.pop() else {
+        let tid = if let Some(tid) = self.free.pop() {
+            debug_assert!(self.slots[tid].is_none());
+            self.slots[tid] = Some(thread);
+            tid
+        } else if self.slots.len() < self.capacity {
+            self.slots.push(Some(thread));
+            self.slots.len() - 1
+        } else {
             return Err(thread);
         };
-        debug_assert!(self.slots[tid].is_none());
-        self.slots[tid] = Some(thread);
         self.live += 1;
         self.spawned += 1;
         Ok(tid)
