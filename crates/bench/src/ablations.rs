@@ -20,8 +20,8 @@ use nautix_kernel::{
     constrained_loop, Action, Constraints, FnProgram, Program, SysCall, SysResult,
 };
 use nautix_rt::{
-    compile_cyclic, AdmissionPolicy, CpuLoad, CyclicExecutive, CyclicTask, HarnessConfig, Node,
-    NodeConfig, SchedConfig, SchedMode,
+    compile_cyclic, AdmissionPolicy, CpuLoad, CyclicExecutive, CyclicTask, DispatchStamps,
+    HarnessConfig, Node, NodeConfig, SchedConfig, SchedMode,
 };
 
 /// Miss rate of a periodic thread under the given scheduler mode and SMI
@@ -115,8 +115,8 @@ pub fn util_limit_knob_with_stats(
 pub fn steering_effect(steer_to_rt_cpu: bool, seed: u64) -> f64 {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(3).with_seed(seed);
-    cfg.dispatch_log_cap = 4096;
     let mut node = Node::new(cfg);
+    let stamps = node.observe(DispatchStamps::new(4096));
     if steer_to_rt_cpu {
         node.steer_irq(1, 1);
     } else {
@@ -130,7 +130,8 @@ pub fn steering_effect(steer_to_rt_cpu: bool, seed: u64) -> f64 {
         node.run_for_ns(20_000);
     }
     // Dispatch interval jitter (cycles) of the RT thread.
-    let times = node.thread_state(tid).dispatch_log.times();
+    let stamps = stamps.borrow();
+    let times = stamps.times(tid);
     let freq = node.freq();
     let intervals: Vec<u64> = times
         .windows(2)
@@ -147,13 +148,14 @@ pub fn timer_mode_precision(mode: TimerMode, seed: u64) -> f64 {
         .with_cpus(2)
         .with_seed(seed)
         .with_timer_mode(mode);
-    cfg.dispatch_log_cap = 4096;
     let mut node = Node::new(cfg);
+    let stamps = node.observe(DispatchStamps::new(4096));
     let period: Nanos = 50_000;
     let prog = constrained_loop(Constraints::periodic(period, 10_000).build(), 100_000);
     let tid = node.spawn_on(1, "rt", Box::new(prog)).unwrap();
     node.run_for_ns(100_000_000);
-    let times = node.thread_state(tid).dispatch_log.times();
+    let stamps = stamps.borrow();
+    let times = stamps.times(tid);
     let freq = node.freq();
     let period_cycles = freq.ns_to_cycles(period) as f64;
     let errs: Vec<f64> = times

@@ -3,12 +3,12 @@
 //! The paper drives a parallel port from the scheduler and watches it on a
 //! DSO: the *test thread* trace (top) stays sharp while the *scheduler*
 //! (middle) and *interrupt handler* (bottom) traces show fuzz. Our scope is
-//! the GPIO capture on true machine time; "sharpness" becomes period
-//! jitter statistics per pin.
+//! a [`GpioProbe`] on the node's trace stream, capturing on true machine
+//! time; "sharpness" becomes period jitter statistics per pin.
 
 use crate::common::Scale;
 use nautix_hw::scope::PinAnalysis;
-use nautix_hw::MachineConfig;
+use nautix_hw::{GpioProbe, MachineConfig};
 use nautix_kernel::{constrained_loop, Constraints};
 use nautix_rt::{Node, NodeConfig};
 
@@ -33,7 +33,7 @@ pub fn run(scale: Scale, seed: u64) -> Fig04 {
     let mut node = Node::new(cfg);
     let prog = constrained_loop(Constraints::periodic(100_000, 50_000).build(), 13_000);
     let tid = node.spawn_on(1, "test", Box::new(prog)).unwrap();
-    node.gpio_watch(tid);
+    let probe = node.observe(GpioProbe::new(tid as u32));
     let horizon_ns = match scale {
         Scale::Quick => 20_000_000,  // 200 periods
         Scale::Paper => 100_000_000, // 1000 periods
@@ -44,11 +44,11 @@ pub fn run(scale: Scale, seed: u64) -> Fig04 {
     // from the analyzed window, like triggering the scope after steady
     // state is reached.
     let settle = freq.ns_to_cycles(2_000_000);
-    let trace: Vec<_> = node
-        .machine
-        .gpio()
-        .take_trace()
-        .into_iter()
+    let trace: Vec<_> = probe
+        .borrow()
+        .trace()
+        .iter()
+        .copied()
         .filter(|s| s.time > settle)
         .collect();
     Fig04 {

@@ -9,7 +9,7 @@
 use crate::common::Scale;
 use nautix_hw::{MachineConfig, Platform};
 use nautix_kernel::{constrained_loop, Constraints};
-use nautix_rt::{Node, NodeConfig, OverheadBreakdown};
+use nautix_rt::{Node, NodeConfig, OverheadBreakdown, OverheadLog};
 
 /// One platform's breakdown.
 #[derive(Debug, Clone)]
@@ -42,13 +42,12 @@ pub struct Fig05 {
 }
 
 fn measure(platform: Platform, scale: Scale, seed: u64) -> PlatformOverheads {
-    let mut cfg = NodeConfig::for_machine(
+    let mut node = Node::new(NodeConfig::for_machine(
         MachineConfig::for_platform(platform)
             .with_cpus(2)
             .with_seed(seed),
-    );
-    cfg.record_overheads = true;
-    let mut node = Node::new(cfg);
+    ));
+    let log = node.observe(OverheadLog::new(1));
     let prog = constrained_loop(Constraints::periodic(100_000, 50_000).build(), 1_000_000);
     node.spawn_on(1, "probe", Box::new(prog)).unwrap();
     let horizon = match scale {
@@ -56,11 +55,11 @@ fn measure(platform: Platform, scale: Scale, seed: u64) -> PlatformOverheads {
         Scale::Paper => 200_000_000,
     };
     node.run_for_ns(horizon);
-    let stats = &node.scheduler(1).stats;
+    let log = log.borrow();
     PlatformOverheads {
         platform,
-        breakdown: stats.overhead_summaries(),
-        samples: stats.overheads.len() as u64,
+        breakdown: log.summaries(),
+        samples: log.samples().len() as u64,
     }
 }
 

@@ -10,7 +10,7 @@ use crate::common::Scale;
 use nautix_des::Summary;
 use nautix_hw::MachineConfig;
 use nautix_kernel::{Action, Constraints, FnProgram, GroupId, SysCall};
-use nautix_rt::{Node, NodeConfig};
+use nautix_rt::{GaTimings, Node, NodeConfig};
 
 /// Cost summaries (cycles) for one group size.
 #[derive(Debug, Clone)]
@@ -45,6 +45,7 @@ pub fn measure(n: usize, seed: u64) -> GaCosts {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(n + 1).with_seed(seed);
     let mut node = Node::new(cfg);
+    let observed = node.observe(GaTimings::default());
     let gid = GroupId(0);
     let mut tids = Vec::new();
     for i in 0..n {
@@ -73,12 +74,13 @@ pub fn measure(n: usize, seed: u64) -> GaCosts {
     node.run_until_quiescent();
     let freq = node.freq();
     let to_cycles = |ns: u64| freq.ns_to_cycles(ns);
-    let join: Vec<u64> = node
-        .join_timings()
+    let observed = observed.borrow();
+    let join: Vec<u64> = observed
+        .joins()
         .iter()
         .map(|&(_, d)| to_cycles(d))
         .collect();
-    let timings = node.ga_timings();
+    let timings = observed.admissions();
     assert_eq!(timings.len(), n, "every member must complete admission");
     let election: Vec<u64> = timings
         .iter()

@@ -13,7 +13,7 @@ use crate::harness::{run_trials, HarnessStats};
 use nautix_des::Summary;
 use nautix_hw::MachineConfig;
 use nautix_kernel::{Action, Constraints, FnProgram, GroupId, SysCall};
-use nautix_rt::{dispatch_spreads, DispatchLog, HarnessConfig, Node, NodeConfig};
+use nautix_rt::{dispatch_spreads, DispatchStamps, GaTimings, HarnessConfig, Node, NodeConfig};
 
 /// Spread series for one group size.
 #[derive(Debug, Clone)]
@@ -61,9 +61,10 @@ pub fn measure_on(
     // on 1024-CPU machines need more than the default 1024 entries.
     cfg.max_threads = cfg.max_threads.max(machine.n_cpus + n + 64);
     cfg.machine = machine;
-    cfg.dispatch_log_cap = invocations + 64;
     cfg.phase_correction = phase_correction;
     let mut node = Node::new(cfg);
+    let stamps = node.observe(DispatchStamps::new(invocations + 64));
+    let ga = node.observe(GaTimings::default());
     let gid = GroupId(0);
     let period: u64 = 100_000; // 100 µs
     let slice: u64 = 50_000;
@@ -95,25 +96,26 @@ pub fn measure_on(
     // Horizon: settle + admission + the requested invocations.
     let horizon_ns = 10_000_000 + (invocations as u64 + 8) * period;
     node.run_for_ns(horizon_ns);
-    let t_admitted = node
-        .ga_timings()
+    let t_admitted = ga
+        .borrow()
+        .admissions()
         .iter()
         .map(|t| t.t_done)
         .max()
         .expect("admission must complete");
-    // Align logs at the first gang-scheduled dispatch.
+    // Align logs at the first gang-scheduled dispatch. A bound thread's
+    // stamps are in time order: keep the suffix after the cut-off.
     let freq = node.freq();
-    let mut logs = Vec::new();
-    for &t in &tids {
-        let full = node.thread_state(t).dispatch_log.times();
-        let mut l = DispatchLog::with_capacity(invocations + 64);
-        for &x in full.iter().filter(|&&x| x > t_admitted + period) {
-            l.record(x);
-        }
-        logs.push(l);
-    }
-    let refs: Vec<&DispatchLog> = logs.iter().collect();
-    let spreads_ns = dispatch_spreads(&refs);
+    let stamps = stamps.borrow();
+    let cut = t_admitted + period;
+    let logs: Vec<&[u64]> = tids
+        .iter()
+        .map(|&t| {
+            let all = stamps.times(t);
+            &all[all.partition_point(|&x| x <= cut)..]
+        })
+        .collect();
+    let spreads_ns = dispatch_spreads(&logs);
     let spreads: Vec<u64> = spreads_ns
         .iter()
         .take(invocations)

@@ -20,7 +20,7 @@
 use nautix_des::Nanos;
 use nautix_hw::MachineConfig;
 use nautix_kernel::{constrained_loop, Action, Constraints, FnProgram};
-use nautix_rt::{HarnessConfig, LayerSpec, LayerTable, Node, NodeConfig};
+use nautix_rt::{HarnessConfig, LayerSpec, LayerTable, Node, NodeConfig, Timeline};
 
 use crate::common::Scale;
 use crate::harness::{run_trials, HarnessStats};
@@ -63,7 +63,7 @@ fn run_cell(layers: LayerTable, rt_pct: u64, horizon_ns: Nanos, seed: u64) -> Tr
     cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(seed);
     cfg.sched.layers = layers;
     let mut node = Node::new(cfg);
-    node.record_timeline(1 << 22);
+    let timeline = node.observe(Timeline::new(node.machine.n_cpus(), 1 << 22, node.freq()));
 
     let period = 1_000_000;
     let slice = period * rt_pct / 100;
@@ -74,9 +74,9 @@ fn run_cell(layers: LayerTable, rt_pct: u64, horizon_ns: Nanos, seed: u64) -> Tr
     let hog_tid = node.spawn_on(1, "hog", Box::new(hog)).unwrap();
     node.run_for_ns(horizon_ns);
 
-    let hog_ns: u64 = node
-        .take_timeline()
-        .unwrap()
+    timeline.borrow_mut().finish(node.machine.now());
+    let hog_ns: u64 = timeline
+        .borrow()
         .spans()
         .iter()
         .filter(|s| s.tid == Some(hog_tid))

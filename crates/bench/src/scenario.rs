@@ -463,10 +463,9 @@ impl Scenario {
     }
 
     /// Capture an assembled [`NodeConfig`] (the sweeps' exact construction
-    /// path) into a scenario. The config's two recording-only knobs
-    /// (`dispatch_log_cap`, `record_overheads`) are not captured — the
-    /// replayable workloads never set them, and they cannot change the
-    /// simulated history.
+    /// path) into a scenario: all seven fields. What a run records is not
+    /// configuration but observers registered on the booted node, which
+    /// cannot change the simulated history.
     pub fn from_node_config(name: String, cfg: NodeConfig, workload: Workload) -> Scenario {
         Scenario {
             name,

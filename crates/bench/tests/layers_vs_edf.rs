@@ -16,7 +16,7 @@
 
 use nautix_hw::MachineConfig;
 use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
-use nautix_rt::{LayerTable, Node, NodeConfig, Span, PPM};
+use nautix_rt::{LayerTable, Node, NodeConfig, Span, Timeline, PPM};
 use nautix_stats::StatsSnapshot;
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -114,7 +114,7 @@ fn spawn_plans(node: &mut Node, plans: &[ThreadPlan]) -> Vec<nautix_kernel::Thre
 
 fn run_churn(layers: LayerTable, plans: &[ThreadPlan], seed: u64) -> Run {
     let mut node = build_node(layers, seed);
-    node.record_timeline(1 << 20);
+    let timeline = node.observe(Timeline::new(node.machine.n_cpus(), 1 << 20, node.freq()));
     let tids = spawn_plans(&mut node, plans);
     node.run_for_ns(HORIZON_NS);
     let outcomes = tids
@@ -124,10 +124,12 @@ fn run_churn(layers: LayerTable, plans: &[ThreadPlan], seed: u64) -> Run {
             (s.met, s.missed)
         })
         .collect();
+    timeline.borrow_mut().finish(node.machine.now());
+    let spans = timeline.borrow().spans().to_vec();
     Run {
         events: node.machine.events_processed(),
         snapshot: node.stats_snapshot(),
-        spans: node.take_timeline().unwrap().spans().to_vec(),
+        spans,
         outcomes,
     }
 }

@@ -34,7 +34,7 @@ use nautix_hw::CpuId;
 use nautix_kernel::{
     AdmissionError, Constraints, GroupError, GroupId, SysCall, SysResult, ThreadId, WaitKind,
 };
-use nautix_trace::Record;
+use nautix_trace::{narrow, Kind, Kinds, Observer, Record, TraceRing, Tracing};
 
 /// Timing record of one thread's pass through group admission control,
 /// with the step boundaries Figure 10 reports. All wall-clock nanoseconds.
@@ -55,6 +55,56 @@ pub struct GaTiming {
     pub t_reduce: Nanos,
     /// Final barrier + phase correction completed.
     pub t_done: Nanos,
+}
+
+/// Figure 10's view of the trace stream: every group-join duration and one
+/// [`GaTiming`] per member per group admission, in emission order.
+#[derive(Debug, Default)]
+pub struct GaTimings {
+    joins: Vec<(ThreadId, Nanos)>,
+    admissions: Vec<GaTiming>,
+}
+
+impl GaTimings {
+    /// Group-join durations (Figure 10a).
+    pub fn joins(&self) -> &[(ThreadId, Nanos)] {
+        &self.joins
+    }
+
+    /// The group-admission timing records (Figure 10b–d).
+    pub fn admissions(&self) -> &[GaTiming] {
+        &self.admissions
+    }
+}
+
+impl Observer for GaTimings {
+    fn kinds(&self) -> Kinds {
+        Kinds::of(&[Kind::GroupJoin, Kind::GaSteps])
+    }
+
+    fn on_record(&mut self, r: &Record, _: &TraceRing) {
+        match *r {
+            Record::GroupJoin { tid, dur_ns, .. } => self.joins.push((tid as ThreadId, dur_ns)),
+            Record::GaSteps {
+                tid,
+                n,
+                call_ns,
+                to_elect_ns,
+                local_admit_ns,
+                to_reduce_ns,
+                to_done_ns,
+            } => self.admissions.push(GaTiming {
+                tid: tid as ThreadId,
+                n: n.into(),
+                t_call: call_ns,
+                t_elect: call_ns + u64::from(to_elect_ns),
+                local_admit_ns: local_admit_ns.into(),
+                t_reduce: call_ns + u64::from(to_reduce_ns),
+                t_done: call_ns + u64::from(to_done_ns),
+            }),
+            _ => {}
+        }
+    }
 }
 
 /// Where a thread stands in Algorithm 1: the rendezvous it is arriving at
@@ -87,7 +137,7 @@ pub(crate) struct GaCtx {
     admitted_here: bool,
     order: usize,
     delta_ns: Nanos,
-    /// The Figure 10 record, filled in as the steps complete.
+    /// The Figure 10 steps, filled in as they complete.
     timing: GaTiming,
 }
 
@@ -197,10 +247,6 @@ pub(crate) struct Gangs {
     /// (group join, barrier and collective arrival): a flat
     /// `SER_CLASSES × MAX_GROUPS` table indexed by [`serial_slot`].
     serial_until: Vec<Cycles>,
-    /// One record per member per group admission (Figure 10).
-    pub(crate) ga_timings: Vec<GaTiming>,
-    /// Group-join durations (Figure 10a).
-    pub(crate) join_timings: Vec<(ThreadId, Nanos)>,
     /// Apply the §4.4 phase correction (see `NodeConfig::phase_correction`).
     phase_correction: bool,
 }
@@ -214,8 +260,6 @@ impl Gangs {
         self.ga.reserve(max_threads);
         self.serial_until.clear();
         self.serial_until.resize(SER_CLASSES * MAX_GROUPS, 0);
-        self.ga_timings.clear();
-        self.join_timings.clear();
         self.phase_correction = phase_correction;
     }
 
@@ -247,8 +291,14 @@ impl Node {
                 let t0 = self.wall_ns(cpu);
                 let dur = self.contended_rmw(cpu, SER_JOIN, gid);
                 let res = self.gangs.groups.join(gid, tid).map(|_| gid);
-                let t1 = self.wall_ns(cpu) + self.freq.cycles_to_ns(dur);
-                self.gangs.join_timings.push((tid, t1 - t0));
+                if let Some(t) = self.trace.wants(Kind::GroupJoin) {
+                    let t1 = self.wall_ns(cpu) + self.freq.cycles_to_ns(dur);
+                    t.emit(Record::GroupJoin {
+                        cpu: cpu as u32,
+                        tid: tid as u32,
+                        dur_ns: t1 - t0,
+                    });
+                }
                 self.pending_result[tid] = SysResult::Group(res);
                 false
             }
@@ -556,7 +606,7 @@ impl Node {
             self.ts[tid].constraints
         };
         self.sched[cpu].load.release(&held);
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::ConstraintsReleased) {
             if ctx.admitted_here || held.is_realtime() {
                 t.emit(Record::ConstraintsReleased {
                     cpu: cpu as u32,
@@ -583,10 +633,19 @@ impl Node {
         t_done: Nanos,
         verdict: Result<(), AdmissionError>,
     ) -> bool {
-        self.gangs.ga_timings.push(GaTiming {
-            t_done,
-            ..ctx.timing
-        });
+        if let Some(t) = self.trace.wants(Kind::GaSteps) {
+            let g = &ctx.timing;
+            debug_assert!(g.n <= u16::MAX as usize, "group of {} members", g.n);
+            t.emit(Record::GaSteps {
+                tid: tid as u32,
+                n: g.n as u16,
+                call_ns: g.t_call,
+                to_elect_ns: narrow(g.t_elect - g.t_call),
+                local_admit_ns: narrow(g.local_admit_ns),
+                to_reduce_ns: narrow(g.t_reduce - g.t_call),
+                to_done_ns: narrow(t_done - g.t_call),
+            });
+        }
         self.gangs.ga[tid] = None;
         self.pending_result[tid] = SysResult::Admission(verdict);
         false
@@ -619,7 +678,7 @@ impl Node {
         }
         let anchor_ns = self.wall_ns_busy(cpu);
         let res = self.admit_team_txn(&members, constraints, anchor_ns, delta_ns);
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::TeamAdmit) {
             t.emit(Record::TeamAdmit {
                 cpu: cpu as u32,
                 group: gid.0,

@@ -20,7 +20,7 @@ use crate::node::{tok, Node, TK_STEAL_POLL};
 use nautix_des::Nanos;
 use nautix_hw::{shifted_victim, CpuId};
 use nautix_kernel::ThreadId;
-use nautix_trace::Record;
+use nautix_trace::{Kind, Record, Tracing};
 
 /// What one widening stage of a steal attempt concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,7 +259,7 @@ impl Node {
         let Some(tid) = self.first_unbound_nonrt(victim) else {
             return StageOutcome::LockedEmpty;
         };
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::Steal) {
             t.emit(Record::Steal {
                 thief: cpu as u32,
                 victim: victim as u32,

@@ -39,15 +39,16 @@ pub use config::{parse_switch, parse_threads, HarnessConfig};
 pub use cyclic::{
     compile as compile_cyclic, CyclicError, CyclicExecutive, CyclicSchedule, CyclicTask,
 };
+pub use gang::{GaTiming, GaTimings};
 pub use local::{
     degrade_global_stats, Decision, InvokeReason, JobOutcome, LocalScheduler, SchedThread,
 };
-pub use node::{GaTiming, Node, NodeConfig};
+pub use node::{Node, NodeConfig};
 pub use pool::NodePool;
 pub use request::{AdmissionOutcome, AdmissionRequest, AdmissionTarget};
 pub use stats::{
-    dispatch_spreads, AdmissionStats, CpuSchedStats, DegradeStats, DispatchLog, OverheadBreakdown,
-    OverheadSample, ThreadRtStats,
+    dispatch_spreads, AdmissionStats, CpuSchedStats, DegradeStats, DispatchStamps,
+    OverheadBreakdown, OverheadLog, OverheadSample, ThreadRtStats,
 };
 pub use timeline::{Span, Timeline};
 pub use timesync::{calibrate, wall_cycles, TimeSync};

@@ -21,11 +21,11 @@
 //! exactly as a kernel's scheduler core would be.
 
 use crate::admission::{CpuLoad, LayerTable, SchedConfig, SchedMode, MAX_LAYERS};
-use crate::stats::{CpuSchedStats, DegradeStats, DispatchLog, ThreadRtStats};
+use crate::stats::{CpuSchedStats, DegradeStats, ThreadRtStats};
 use nautix_des::{Cycles, Freq, Nanos};
 use nautix_hw::CpuId;
 use nautix_kernel::{AdmissionError, Constraints, FixedHeap, RrQueue, ThreadId};
-use nautix_trace::{Record, TraceClass, TraceHandle, TraceOutcome};
+use nautix_trace::{Kind, Record, TraceClass, TraceHandle, TraceOutcome, Tracing};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `current_layer` value while the idle thread (or nothing yet) holds the
@@ -109,8 +109,6 @@ pub struct SchedThread {
     pub pending_compute: Option<Cycles>,
     /// Per-thread RT statistics.
     pub stats: ThreadRtStats,
-    /// Dispatch timestamps for the synchronization figures.
-    pub dispatch_log: DispatchLog,
     /// Deadline misses since the last met job (overload detection for
     /// [`crate::admission::DegradePolicy`]).
     pub consecutive_misses: u32,
@@ -133,7 +131,6 @@ impl SchedThread {
             quantum_left: 0,
             pending_compute: None,
             stats: ThreadRtStats::default(),
-            dispatch_log: DispatchLog::with_capacity(0),
             consecutive_misses: 0,
             widen_rounds: 0,
         }
@@ -350,7 +347,7 @@ impl LocalScheduler {
         self.rt_run
             .push(deadline_ns, tid)
             .expect("rt_run overflow: capacity misconfigured");
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::RtQueued) {
             t.emit(Record::RtQueued {
                 cpu: self.cpu as u32,
                 tid: tid as u32,
@@ -365,7 +362,7 @@ impl LocalScheduler {
         self.pending
             .push(arrival_ns, tid)
             .expect("pending overflow: capacity misconfigured");
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::PendingQueued) {
             t.emit(Record::PendingQueued {
                 cpu: self.cpu as u32,
                 tid: tid as u32,
@@ -412,7 +409,7 @@ impl LocalScheduler {
         self.pending.remove(tid);
         self.rt_run.remove(tid);
         self.nonrt.remove(tid);
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::Dequeued) {
             t.emit(Record::Dequeued {
                 cpu: self.cpu as u32,
                 tid: tid as u32,
@@ -530,7 +527,7 @@ impl LocalScheduler {
             }
         }
         if let Some(t) = &self.trace {
-            if verdict.is_ok() && old.is_realtime() {
+            if verdict.is_ok() && old.is_realtime() && t.wants(Kind::ConstraintsReleased) {
                 t.emit(Record::ConstraintsReleased {
                     cpu: self.cpu as u32,
                     tid: tid as u32,
@@ -570,9 +567,12 @@ impl LocalScheduler {
     }
 
     /// Record an admission verdict for `tid` into an armed trace. Like its
-    /// two siblings it takes the handle, so a caller has tested for one
-    /// before any record is built.
+    /// two siblings it takes the handle, so a caller has tested for one,
+    /// and tests its own kind before any record is built.
     fn emit_verdict(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints, accepted: bool) {
+        if !t.wants(Kind::AdmitVerdict) {
+            return;
+        }
         let (class, period_ns, slice_ns) = trace_shape(c);
         t.emit(Record::AdmitVerdict {
             cpu: self.cpu as u32,
@@ -590,7 +590,7 @@ impl LocalScheduler {
     /// common closed-form case). Must precede the paired
     /// `emit_verdict` on the same CPU.
     fn emit_probe(&self, t: &TraceHandle, probe: Option<crate::admission::SimProbe>) {
-        if let Some(p) = probe {
+        if let Some(p) = probe.filter(|_| t.wants(Kind::SimCacheProbe)) {
             t.emit(Record::SimCacheProbe {
                 cpu: self.cpu as u32,
                 hit: p.hit,
@@ -605,6 +605,9 @@ impl LocalScheduler {
     /// Record a rollback re-admission: a rejected verdict cleared `tid`'s
     /// mirror entry, but the ledger restored its previous constraints `c`.
     fn emit_rollback(&self, t: &TraceHandle, tid: ThreadId, c: &Constraints) {
+        if !t.wants(Kind::AdmitRollback) {
+            return;
+        }
         let (class, period_ns, slice_ns) = trace_shape(c);
         t.emit(Record::AdmitRollback {
             cpu: self.cpu as u32,
@@ -729,7 +732,7 @@ impl LocalScheduler {
             self.rt_run
                 .push(st.deadline_ns, tid)
                 .expect("rt_run overflow");
-            if let Some(t) = &self.trace {
+            if let Some(t) = self.trace.wants(Kind::JobArrive) {
                 t.emit(Record::JobArrive {
                     cpu: self.cpu as u32,
                     tid: tid as u32,
@@ -780,13 +783,15 @@ impl LocalScheduler {
         let (timer_exec_cycles, timer_wall_ns) = self.next_timer(now_ns, threads, next);
         let next_is_rt = next != self.idle && threads[next].is_rt();
         if let Some(t) = &self.trace {
-            if switched && prev != self.idle && current_runnable {
+            if switched && prev != self.idle && current_runnable && t.wants(Kind::Preempt) {
                 t.emit(Record::Preempt {
                     cpu: self.cpu as u32,
                     tid: prev as u32,
                     now_ns,
                 });
             }
+        }
+        if let Some(t) = self.trace.wants(Kind::Dispatch) {
             let st = &threads[next];
             let in_job_rt = next != self.idle && st.is_rt() && st.job_active;
             t.emit(Record::Dispatch {
@@ -859,7 +864,7 @@ impl LocalScheduler {
             JobOutcome::Forfeited => {}
         }
         st.job_active = false;
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::JobComplete) {
             t.emit(Record::JobComplete {
                 cpu: self.cpu as u32,
                 tid: tid as u32,
@@ -881,7 +886,7 @@ impl LocalScheduler {
             st.constraints = Constraints::Aperiodic {
                 priority: aperiodic_priority,
             };
-            if let Some(t) = &self.trace {
+            if let Some(t) = self.trace.wants(Kind::ConstraintsReleased) {
                 t.emit(Record::ConstraintsReleased {
                     cpu: self.cpu as u32,
                     tid: tid as u32,
@@ -923,7 +928,7 @@ impl LocalScheduler {
         st.remaining_cycles = 0;
         st.consecutive_misses = 0;
         st.widen_rounds = 0;
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::ConstraintsReleased) {
             t.emit(Record::ConstraintsReleased {
                 cpu: self.cpu as u32,
                 tid: tid as u32,
@@ -972,7 +977,7 @@ impl LocalScheduler {
                 st.consecutive_misses = 0;
                 self.stats.degrade.periodic_widenings += 1;
                 G_PERIODIC_WIDENINGS.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.trace {
+                if let Some(t) = self.trace.wants(Kind::ConstraintsReleased) {
                     t.emit(Record::ConstraintsReleased {
                         cpu: self.cpu as u32,
                         tid: tid as u32,
@@ -1031,7 +1036,7 @@ impl LocalScheduler {
             // flushed `spent` covers everything charged since the previous
             // refill, which is what the oracle's bandwidth bound checks.
             for l in 0..layers.count() {
-                if let Some(t) = &self.trace {
+                if let Some(t) = self.trace.wants(Kind::LayerReplenish) {
                     t.emit(Record::LayerReplenish {
                         cpu: self.cpu as u32,
                         layer: l as u32,
@@ -1062,7 +1067,7 @@ impl LocalScheduler {
             if self.layer_buckets[l] <= 0 && !self.layer_throttle_mark[l] {
                 self.layer_throttle_mark[l] = true;
                 self.stats.layer_throttles += 1;
-                if let Some(t) = &self.trace {
+                if let Some(t) = self.trace.wants(Kind::LayerThrottle) {
                     t.emit(Record::LayerThrottle {
                         cpu: self.cpu as u32,
                         layer: l as u32,

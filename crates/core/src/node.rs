@@ -41,13 +41,11 @@
 
 use crate::admission::{SchedConfig, SimCache};
 use crate::config::HarnessConfig;
-pub use crate::gang::GaTiming;
 use crate::gang::Gangs;
 use crate::global::Global;
 use crate::local::{InvokeReason, LocalScheduler, SchedThread};
 use crate::oracle::{OracleConfig, OracleSuite};
 use crate::request::{AdmissionOutcome, AdmissionRequest, AdmissionTarget};
-use crate::stats::DispatchLog;
 use crate::timesync::{self, TimeSync};
 use nautix_des::{Cycles, Freq, Nanos};
 use nautix_groups::GroupRegistry;
@@ -56,21 +54,24 @@ use nautix_kernel::{
     Action, AdmissionError, Constraints, GroupId, Program, ResumeCx, Steering, SysCall, SysResult,
     TaskQueues, Thread, ThreadId, ThreadState, ThreadTable, WaitKind,
 };
-use nautix_trace::{Record, Sink, TraceHandle};
+use nautix_trace::{
+    narrow, Kind, Observer, Record, TraceHandle, Tracing, DEFAULT_RING_CAPACITY, TRACE_TID_IDLE,
+};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Node-wide configuration: one of the three constructors below, these
-/// nine public fields adjusted, then [`Node::new`] or [`Node::reset`] is
-/// the construction path. What a run records beyond that is armed on the
-/// booted node: [`Node::enable_oracles`] / [`Node::enable_oracles_with`],
-/// [`Node::record_timeline`], and for the oracle regression tests
-/// [`Node::set_sabotage_fifo`] / [`Node::set_sabotage_layer`]. Group-join
-/// and group-admission timings (Figure 10) need no arming: every node
-/// keeps [`Node::join_timings`] and [`Node::ga_timings`]. `boot` hands
-/// `phase_correction` to gang coordination (`gang.rs`) and `steal_poll_ns`
-/// to the idle path (`global.rs`); the rest configure the pump itself.
+/// seven public fields adjusted, then [`Node::new`] or [`Node::reset`] is
+/// the construction path. What a run records is armed on the booted node,
+/// per trial: [`Node::enable_oracles`] / [`Node::enable_oracles_with`], the
+/// observers [`Node::observe`] registers on its trace stream (a figure's
+/// dispatch stamps, timeline, scope, overhead or group-admission
+/// timings), and for the oracle regression tests
+/// [`Node::set_sabotage_fifo`] / [`Node::set_sabotage_layer`]. `boot`
+/// hands `phase_correction` to gang coordination (`gang.rs`) and
+/// `steal_poll_ns` to the idle path (`global.rs`); the rest configure the
+/// pump itself.
 pub struct NodeConfig {
     /// The machine to model.
     pub machine: MachineConfig,
@@ -82,10 +83,6 @@ pub struct NodeConfig {
     /// Rounds of the boot-time TSC calibration (0 skips calibration and
     /// leaves the raw boot skew in place).
     pub calib_rounds: u32,
-    /// Per-thread dispatch-log capacity (0 disables logging).
-    pub dispatch_log_cap: usize,
-    /// Record per-invocation overhead samples (Figure 5).
-    pub record_overheads: bool,
     /// System-wide thread bound.
     pub max_threads: usize,
     /// Idle work-steal poll interval: how long an idle CPU that saw
@@ -115,8 +112,6 @@ impl NodeConfig {
             sched: SchedConfig::default(),
             laden: vec![0],
             calib_rounds: 16,
-            dispatch_log_cap: 0,
-            record_overheads: false,
             max_threads: nautix_kernel::MAX_THREADS,
             steal_poll_ns: 1_000_000,
             phase_correction: true,
@@ -154,14 +149,6 @@ pub struct Node {
     /// The machine model (public for harness-side ground-truth access).
     pub machine: Machine,
     pub(crate) cfg_sched: SchedConfig,
-    dispatch_log_cap: usize,
-    record_overheads: bool,
-    /// GPIO trace hooks: pin assignments are
-    /// pin 0 = the watched thread's activity, pin 1 = scheduler pass,
-    /// pin 2 = interrupt handler (the three traces of Figure 4).
-    gpio_watch: Option<ThreadId>,
-    /// Optional execution-timeline recorder.
-    timeline: Option<crate::timeline::Timeline>,
     pub(crate) freq: Freq,
     /// The machine's cost model, cached by value at boot (`CostModel` is
     /// `Copy`). The event path reads costs on every interrupt; caching
@@ -178,8 +165,8 @@ pub struct Node {
     pub(crate) ts: Vec<SchedThread>,
     pub(crate) sched: Vec<LocalScheduler>,
     sync: TimeSync,
-    /// Groups, Algorithm 1 continuations and their timing records: all of
-    /// gang coordination's state ([`crate::gang`]).
+    /// Groups and Algorithm 1 continuations: all of gang coordination's
+    /// state ([`crate::gang`]).
     pub(crate) gangs: Gangs,
     /// The idle path's state — steal polls, exited threads awaiting the
     /// reaper, the backlog bitmap ([`crate::global`]).
@@ -218,10 +205,6 @@ impl Node {
         let topo = machine.topology();
         let mut node = Node {
             cfg_sched: cfg.sched,
-            dispatch_log_cap: 0,
-            record_overheads: false,
-            gpio_watch: None,
-            timeline: None,
             freq: machine.freq(),
             cm: *machine.cost_model(),
             topo,
@@ -281,10 +264,6 @@ impl Node {
             TimeSync::perfect(n)
         };
         self.cfg_sched = sched;
-        self.dispatch_log_cap = cfg.dispatch_log_cap;
-        self.record_overheads = cfg.record_overheads;
-        self.gpio_watch = None;
-        self.timeline = None;
         self.threads.reset(cfg.max_threads);
         self.ts.clear();
         self.ts.reserve(cfg.max_threads);
@@ -349,7 +328,7 @@ impl Node {
         self.device_irqs_handled.clear();
         self.device_irqs_handled.resize(n, 0);
         // Machine/scheduler/task-queue resets dropped their handles; start
-        // every trial with a fresh sink and fresh oracle state.
+        // every trial with no sink: no observer, fresh oracle state.
         self.trace = None;
         self.oracles = None;
         if HarnessConfig::oracles_from_env() {
@@ -392,16 +371,28 @@ impl Node {
         ))
     }
 
-    /// Attach the oracles with an explicit configuration.
+    /// Attach the oracles with an explicit configuration. Arming starts a
+    /// fresh trace stream, so observers are registered after it.
     pub fn enable_oracles_with(&mut self, cfg: OracleConfig) -> Rc<RefCell<OracleSuite>> {
         let suite = Rc::new(RefCell::new(OracleSuite::new(cfg)));
-        let handle = TraceHandle::new(Sink::with_observer(
-            nautix_trace::DEFAULT_RING_CAPACITY,
-            Box::new(Rc::clone(&suite)),
-        ));
-        self.install_trace(handle);
+        let boxed = Box::new(Rc::clone(&suite));
+        self.install_trace(TraceHandle::new(DEFAULT_RING_CAPACITY, boxed));
         self.oracles = Some(Rc::clone(&suite));
         suite
+    }
+
+    /// Register `observer` on this node's trace stream, after the oracles
+    /// when they are armed, and hand back a handle to read it by. It
+    /// receives the record kinds it subscribes to until [`Node::reset`],
+    /// which drops every observer: like arming, observing is per trial.
+    pub fn observe<O: Observer + 'static>(&mut self, observer: O) -> Rc<RefCell<O>> {
+        let o = Rc::new(RefCell::new(observer));
+        let boxed = Box::new(Rc::clone(&o));
+        match &self.trace {
+            Some(t) => t.subscribe(boxed),
+            None => self.install_trace(TraceHandle::new(DEFAULT_RING_CAPACITY, boxed)),
+        }
+        o
     }
 
     /// The attached oracle suite, if any.
@@ -610,7 +601,6 @@ impl Node {
             .map_err(|_| AdmissionError::CapacityExceeded)?;
         self.track_thread(tid);
         self.ts[tid] = SchedThread::new_aperiodic();
-        self.ts[tid].dispatch_log = DispatchLog::with_capacity(self.dispatch_log_cap);
         self.pending_result[tid] = SysResult::None;
         self.live_programs += 1;
         let now = self.wall_ns(cpu);
@@ -628,7 +618,7 @@ impl Node {
         self.live_programs
     }
 
-    /// A thread's scheduling state (stats, dispatch log, constraints).
+    /// A thread's scheduling state (stats, constraints).
     /// Panics for a `tid` the thread table never handed out.
     pub fn thread_state(&self, tid: ThreadId) -> &SchedThread {
         &self.ts[tid]
@@ -637,16 +627,6 @@ impl Node {
     /// A CPU's local scheduler (stats, queues).
     pub fn scheduler(&self, cpu: CpuId) -> &LocalScheduler {
         &self.sched[cpu]
-    }
-
-    /// The group-admission timing records (Figure 10).
-    pub fn ga_timings(&self) -> &[GaTiming] {
-        &self.gangs.ga_timings
-    }
-
-    /// Group-join durations (Figure 10a).
-    pub fn join_timings(&self) -> &[(ThreadId, Nanos)] {
-        &self.gangs.join_timings
     }
 
     /// The group registry (inspection).
@@ -677,28 +657,6 @@ impl Node {
     /// laden CPU is equidistant and the lowest-id one is chosen.
     pub fn steer_irq_near(&mut self, irq: u8, consumer: CpuId) -> CpuId {
         self.steering.steer_near(irq, consumer)
-    }
-
-    /// Start recording an execution timeline (at most `cap` spans).
-    pub fn record_timeline(&mut self, cap: usize) {
-        self.timeline = Some(crate::timeline::Timeline::new(self.machine.n_cpus(), cap));
-    }
-
-    /// Take the recorded timeline, closing open spans at the current
-    /// true-time instant.
-    pub fn take_timeline(&mut self) -> Option<crate::timeline::Timeline> {
-        let mut t = self.timeline.take()?;
-        t.finish(self.freq.cycles_to_ns(self.machine.now()));
-        Some(t)
-    }
-
-    /// Instrument the scheduler with GPIO writes around `tid`'s activity
-    /// (pin 0), the scheduling pass (pin 1), and interrupt handling
-    /// (pin 2), reproducing the paper's parallel-port scope setup (§5.2).
-    /// Also starts the GPIO capture.
-    pub fn gpio_watch(&mut self, tid: ThreadId) {
-        self.gpio_watch = Some(tid);
-        self.machine.gpio().start_capture();
     }
 
     /// Raise device interrupt `irq` now, routed by the steering table.
@@ -779,43 +737,35 @@ impl Node {
     /// The timer/kick interrupt path: preempt, charge, invoke, dispatch.
     fn interrupt_path(&mut self, cpu: CpuId, reason: InvokeReason) {
         self.preempt(cpu);
-        let trace = self.gpio_watch.is_some();
         let t_irq_start = self.machine.now();
-        if trace {
-            self.machine.gpio_write_at(t_irq_start, 0b100, 0b100);
-        }
         let c_entry = self.machine.charge(cpu, self.cm.irq_entry);
         let c_other = self.machine.charge(cpu, self.cm.sched_other);
         let t_pass_start = self.machine.busy_until(cpu);
-        if trace {
-            self.machine.gpio_write_at(t_pass_start, 0b010, 0b010);
-        }
         let mut c_pass = self.machine.charge(cpu, self.cm.sched_pass);
         let resident = self.sched[cpu].resident() as u64;
         let per = self.machine.draw(self.cm.sched_pass_per_thread) * resident;
         self.machine.charge_raw(cpu, per);
         c_pass += per;
-        if trace {
-            let t = self.machine.busy_until(cpu);
-            self.machine.gpio_write_at(t, 0b010, 0);
+        if let Some(t) = self.trace.wants(Kind::IrqEnter) {
+            t.emit(Record::IrqEnter {
+                cpu: cpu as u32,
+                irq_start_cycles: t_irq_start,
+                pass_start_cycles: t_pass_start,
+                pass_end_cycles: self.machine.busy_until(cpu),
+            });
         }
         let (c_switch, timer) = self.local_invoke_raw(cpu, reason, true);
         let c_exit = self.machine.charge(cpu, self.cm.irq_exit);
         self.program_timer(cpu, timer);
-        if trace {
-            let t = self.machine.busy_until(cpu);
-            self.machine.gpio_write_at(t, 0b100, 0);
-        }
-        if self.record_overheads {
-            self.sched[cpu]
-                .stats
-                .overheads
-                .push(crate::stats::OverheadSample {
-                    irq: c_entry + c_exit,
-                    other: c_other,
-                    resched: c_pass,
-                    switch: c_switch,
-                });
+        if let Some(t) = self.trace.wants(Kind::IrqExit) {
+            t.emit(Record::IrqExit {
+                cpu: cpu as u32,
+                irq_end_cycles: self.machine.busy_until(cpu),
+                irq_cycles: narrow(c_entry + c_exit),
+                other_cycles: narrow(c_other),
+                resched_cycles: narrow(c_pass),
+                switch_cycles: narrow(c_switch),
+            });
         }
         self.dispatch(cpu);
     }
@@ -939,35 +889,24 @@ impl Node {
             if prev_running != ThreadState::Running {
                 self.threads.expect_mut(d.next).state = ThreadState::Running;
             }
-            // Stamp the dispatch where the paper does: when the switch
-            // actually happens, path costs (and their jitter) included.
-            if self.dispatch_log_cap != 0 && d.next != self.sched[cpu].idle {
-                let t = self.wall_ns_busy(cpu);
-                self.ts[d.next].dispatch_log.record(t);
-            }
-            if let Some(tl) = self.timeline.as_mut() {
-                let backlog = self
-                    .machine
-                    .busy_until(cpu)
-                    .saturating_sub(self.machine.now());
-                let t = self.freq.cycles_to_ns(self.machine.now() + backlog);
-                let to = if d.next == self.sched[cpu].idle {
-                    None
-                } else {
-                    Some(d.next)
+            // Stamp the switch where the paper does: when it actually
+            // happens, path costs (and their jitter) included.
+            if let Some(t) = self.trace.wants(Kind::Switch) {
+                let idle = self.sched[cpu].idle;
+                let id = |tid| {
+                    if tid == idle {
+                        TRACE_TID_IDLE
+                    } else {
+                        tid as u32
+                    }
                 };
-                tl.switch(cpu, to, t);
-            }
-            if let Some(watch) = self.gpio_watch {
-                // "The test thread is marked as active/inactive at the end
-                // of the scheduler pass" (§5.2): stamp at the switch point.
-                let t = self.machine.busy_until(cpu);
-                if watch == prev {
-                    self.machine.gpio_write_at(t, 0b001, 0);
-                }
-                if watch == d.next {
-                    self.machine.gpio_write_at(t, 0b001, 0b001);
-                }
+                t.emit(Record::Switch {
+                    cpu: cpu as u32,
+                    prev: id(prev),
+                    next: id(d.next),
+                    at_cycles: self.machine.busy_until(cpu),
+                    wall_ns: self.wall_ns_busy(cpu),
+                });
             }
         }
         // Inline size-tagged tasks (§3.1): only when no RT job is runnable.
@@ -977,7 +916,7 @@ impl Node {
             while let Some(task) = self.tasks[cpu].pop_sized_fitting(budget - spent) {
                 self.queued_tasks -= 1;
                 self.machine.charge_raw(cpu, task.work);
-                if let Some(t) = &self.trace {
+                if let Some(t) = self.trace.wants(Kind::TaskExec) {
                     t.emit(Record::TaskExec {
                         cpu: cpu as u32,
                         now_ns: now,
@@ -1012,7 +951,7 @@ impl Node {
     /// absolute and get no such adjustment. Callers invoke this *after*
     /// their final charges.
     fn program_timer(&mut self, cpu: CpuId, req: TimerReq) {
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::TimerReq) {
             t.emit(Record::TimerReq {
                 cpu: cpu as u32,
                 now_ns: self.wall_ns(cpu),
@@ -1138,7 +1077,7 @@ impl Node {
             self.sched[cpu].finalize_exit(tid, st, now);
         }
         // Release any admitted constraints.
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::ConstraintsReleased) {
             if self.ts[tid].constraints.is_realtime() {
                 t.emit(Record::ConstraintsReleased {
                     cpu: cpu as u32,
@@ -1236,11 +1175,6 @@ impl Node {
                     Err(_) => u64::MAX,
                 };
                 self.pending_result[tid] = SysResult::Value(id);
-                false
-            }
-            SysCall::GpioSet { pin, high } => {
-                self.machine
-                    .gpio_write(1 << pin, if high { 1 << pin } else { 0 });
                 false
             }
         }

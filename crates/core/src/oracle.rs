@@ -48,7 +48,8 @@ use crate::admission::{
 use nautix_des::{Cycles, Freq, Nanos};
 use nautix_hw::{CostModel, MachineConfig, TimerMode};
 use nautix_trace::{
-    FaultLane, Observer, Record, TraceClass, TraceOutcome, TraceRing, TraceTid, TRACE_LAYER_IDLE,
+    FaultLane, Kind, Kinds, Observer, Record, TraceClass, TraceOutcome, TraceRing, TraceTid,
+    TRACE_LAYER_IDLE,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,7 +74,7 @@ pub struct Violation {
 
 /// Check counters, for run summaries and sanity ("did the oracles
 /// actually see anything?").
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Records consumed.
     pub records: u64,
@@ -828,7 +829,17 @@ impl Drop for OracleSuite {
     }
 }
 
+/// What the suite subscribes to: every kind but the figure observers'.
+const ORACLE_KINDS: Kinds = {
+    use Kind::*;
+    Kinds::ALL.without(Kinds::of(&[Switch, IrqEnter, IrqExit, GroupJoin, GaSteps]))
+};
+
 impl Observer for OracleSuite {
+    fn kinds(&self) -> Kinds {
+        ORACLE_KINDS
+    }
+
     fn on_record(&mut self, r: &Record, recent: &TraceRing) {
         self.stats.records += 1;
         match *r {
@@ -886,12 +897,8 @@ impl Observer for OracleSuite {
                 tid,
                 now_ns,
                 deadline_ns,
-                outcome,
-            } => {
-                if outcome == TraceOutcome::Missed {
-                    self.check_miss(cpu, tid, now_ns, deadline_ns, recent);
-                }
-            }
+                outcome: TraceOutcome::Missed,
+            } => self.check_miss(cpu, tid, now_ns, deadline_ns, recent),
             Record::AdmitVerdict {
                 cpu,
                 tid,
@@ -1005,13 +1012,9 @@ impl Observer for OracleSuite {
             } => {
                 self.check_layer_replenish(cpu, layer, spent_ns, cap_ns, recent);
             }
-            // Context-only records: no oracle state.
-            Record::Preempt { .. }
-            | Record::TimerArm { .. }
-            | Record::TimerCancel { .. }
-            | Record::Kick { .. }
-            | Record::TaskSpawn { .. }
-            | Record::TeamAdmit { .. } => {}
+            // Context-only records, and jobs that met their deadline or
+            // forfeited it: no oracle state.
+            _ => {}
         }
     }
 }

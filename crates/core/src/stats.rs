@@ -1,10 +1,14 @@
 //! Scheduler statistics: what the evaluation measures.
 //!
 //! Every figure in §5 is computed from one of these records: per-thread
-//! deadline outcomes (Figures 6–9), per-CPU overhead breakdowns
-//! (Figure 5), and per-thread dispatch timestamps (Figures 11–12).
+//! deadline outcomes (Figures 6–9), and — observed on the trace stream —
+//! per-CPU overhead breakdowns ([`OverheadLog`], Figure 5) and per-thread
+//! dispatch timestamps ([`DispatchStamps`], Figures 11–12).
 
 use nautix_des::{Cycles, Nanos, OnlineStats, Summary};
+use nautix_hw::CpuId;
+use nautix_kernel::ThreadId;
+use nautix_trace::{Kind, Kinds, Observer, Record, TraceRing, TRACE_TID_IDLE};
 
 /// Per-thread real-time accounting.
 #[derive(Debug, Clone, Default)]
@@ -137,8 +141,6 @@ pub struct CpuSchedStats {
     /// `Distance::index()` (same-LLC / same-package / cross-package).
     /// Flat topologies only ever touch slot 0.
     pub steals_by_distance: [u64; 3],
-    /// Overhead samples, recorded when sampling is enabled.
-    pub overheads: Vec<OverheadSample>,
     /// Size-tagged tasks executed inline by the scheduler.
     pub inline_tasks: u64,
     /// Layer throttle events: a layer's token bucket went empty and its
@@ -152,14 +154,35 @@ pub struct CpuSchedStats {
     pub degrade: DegradeStats,
 }
 
-impl CpuSchedStats {
+/// Figure 5's view of the trace stream: the overhead breakdown of every
+/// timer/kick interrupt on one CPU, in order.
+#[derive(Debug)]
+pub struct OverheadLog {
+    cpu: CpuId,
+    samples: Vec<OverheadSample>,
+}
+
+impl OverheadLog {
+    /// A log of `cpu`'s interrupts.
+    pub fn new(cpu: CpuId) -> Self {
+        OverheadLog {
+            cpu,
+            samples: Vec::new(),
+        }
+    }
+
+    /// The samples so far.
+    pub fn samples(&self) -> &[OverheadSample] {
+        &self.samples
+    }
+
     /// Summaries of each overhead component across samples.
-    pub fn overhead_summaries(&self) -> OverheadBreakdown {
+    pub fn summaries(&self) -> OverheadBreakdown {
         let mut irq = OnlineStats::new();
         let mut other = OnlineStats::new();
         let mut resched = OnlineStats::new();
         let mut switch = OnlineStats::new();
-        for s in &self.overheads {
+        for s in &self.samples {
             irq.push(s.irq);
             other.push(s.other);
             resched.push(s.resched);
@@ -172,6 +195,33 @@ impl CpuSchedStats {
             other: other.summary(),
             resched: resched.summary(),
             switch: switch.summary(),
+        }
+    }
+}
+
+impl Observer for OverheadLog {
+    fn kinds(&self) -> Kinds {
+        Kinds::of(&[Kind::IrqExit])
+    }
+
+    fn on_record(&mut self, r: &Record, _: &TraceRing) {
+        if let Record::IrqExit {
+            cpu,
+            irq_cycles,
+            other_cycles,
+            resched_cycles,
+            switch_cycles,
+            ..
+        } = *r
+        {
+            if cpu as CpuId == self.cpu {
+                self.samples.push(OverheadSample {
+                    irq: irq_cycles.into(),
+                    other: other_cycles.into(),
+                    resched: resched_cycles.into(),
+                    switch: switch_cycles.into(),
+                });
+            }
         }
     }
 }
@@ -189,51 +239,61 @@ pub struct OverheadBreakdown {
     pub switch: Summary,
 }
 
-/// A bounded log of dispatch timestamps for one thread, used by the
-/// group-synchronization figures: entry k is the wall-clock time (ns) at
-/// which the thread was switched in for the k-th time.
-#[derive(Debug, Clone, Default)]
-pub struct DispatchLog {
-    times: Vec<Nanos>,
+/// Figures 11–12's view of the trace stream: per thread, the wall-clock
+/// instant of each switch to it, keeping the first `cap`. Threads are
+/// keyed by id for the observer's lifetime (one trial).
+#[derive(Debug)]
+pub struct DispatchStamps {
     cap: usize,
+    logs: Vec<Vec<Nanos>>,
 }
 
-impl DispatchLog {
-    /// A log holding at most `cap` entries (0 disables logging).
-    pub fn with_capacity(cap: usize) -> Self {
-        DispatchLog {
-            times: Vec::with_capacity(cap.min(1 << 20)),
+impl DispatchStamps {
+    /// Stamps of at most `cap` dispatches per thread.
+    pub fn new(cap: usize) -> Self {
+        DispatchStamps {
             cap,
+            logs: Vec::new(),
         }
     }
 
-    /// Record a dispatch, dropping entries past the cap.
-    pub fn record(&mut self, at: Nanos) {
-        if self.times.len() < self.cap {
-            self.times.push(at);
+    /// `tid`'s dispatch stamps, oldest first (empty if it never ran).
+    pub fn times(&self, tid: ThreadId) -> &[Nanos] {
+        self.logs.get(tid).map_or(&[], Vec::as_slice)
+    }
+}
+
+impl Observer for DispatchStamps {
+    fn kinds(&self) -> Kinds {
+        Kinds::of(&[Kind::Switch])
+    }
+
+    fn on_record(&mut self, r: &Record, _: &TraceRing) {
+        let Record::Switch { next, wall_ns, .. } = *r else {
+            return;
+        };
+        if next == TRACE_TID_IDLE || self.cap == 0 {
+            return;
         }
-    }
-
-    /// The recorded timestamps.
-    pub fn times(&self) -> &[Nanos] {
-        &self.times
-    }
-
-    /// Number recorded.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        let tid = next as usize;
+        if tid >= self.logs.len() {
+            self.logs.resize_with(tid + 1, Vec::new);
+        }
+        let log = &mut self.logs[tid];
+        if log.is_empty() {
+            // A thread's first stamp: its log's one allocation.
+            log.reserve_exact(self.cap.min(1 << 20));
+        }
+        if log.len() < self.cap {
+            log.push(wall_ns);
+        }
     }
 }
 
 /// Given one dispatch log per group member, the per-index spread:
 /// `max_i(t[k][i]) - min_i(t[k][i])` for each invocation index k present in
 /// all logs. This is exactly what Figures 11 and 12 plot.
-pub fn dispatch_spreads(logs: &[&DispatchLog]) -> Vec<u64> {
+pub fn dispatch_spreads(logs: &[&[Nanos]]) -> Vec<u64> {
     let Some(min_len) = logs.iter().map(|l| l.len()).min() else {
         return Vec::new();
     };
@@ -242,9 +302,8 @@ pub fn dispatch_spreads(logs: &[&DispatchLog]) -> Vec<u64> {
             let mut lo = u64::MAX;
             let mut hi = 0;
             for l in logs {
-                let t = l.times()[k];
-                lo = lo.min(t);
-                hi = hi.max(t);
+                lo = lo.min(l[k]);
+                hi = hi.max(l[k]);
             }
             hi - lo
         })
@@ -277,45 +336,50 @@ mod tests {
 
     #[test]
     fn switch_summary_skips_non_switching_invocations() {
-        let mut c = CpuSchedStats::default();
-        c.overheads.push(OverheadSample {
-            irq: 1,
-            other: 1,
-            resched: 1,
-            switch: 0,
-        });
-        c.overheads.push(OverheadSample {
-            irq: 1,
-            other: 1,
-            resched: 1,
-            switch: 10,
-        });
-        let b = c.overhead_summaries();
+        let mut c = OverheadLog::new(1);
+        let ring = TraceRing::new(1);
+        for (cpu, switch_cycles) in [(1, 0), (0, 5), (1, 10)] {
+            let r = Record::IrqExit {
+                cpu,
+                irq_end_cycles: 0,
+                irq_cycles: 1,
+                other_cycles: 1,
+                resched_cycles: 1,
+                switch_cycles,
+            };
+            c.on_record(&r, &ring);
+        }
+        let b = c.summaries();
         assert_eq!(b.irq.n, 2);
         assert_eq!(b.switch.n, 1);
         assert_eq!(b.switch.mean, 10.0);
     }
 
     #[test]
-    fn dispatch_log_respects_cap() {
-        let mut l = DispatchLog::with_capacity(2);
-        l.record(1);
-        l.record(2);
-        l.record(3);
-        assert_eq!(l.times(), &[1, 2]);
+    fn log_keeps_the_first_cap_stamps() {
+        let mut s = DispatchStamps::new(2);
+        let ring = TraceRing::new(1);
+        for (next, wall_ns) in [(3, 10), (TRACE_TID_IDLE, 11), (5, 12), (3, 13), (3, 14)] {
+            let r = Record::Switch {
+                cpu: 0,
+                prev: TRACE_TID_IDLE,
+                next,
+                at_cycles: 0,
+                wall_ns,
+            };
+            s.on_record(&r, &ring);
+        }
+        assert_eq!(s.times(3), &[10, 13]);
+        assert_eq!(s.times(5), &[12]);
+        assert!(s.times(4).is_empty() && s.times(99).is_empty());
     }
 
     #[test]
     fn spreads_are_max_minus_min_per_index() {
-        let mut a = DispatchLog::with_capacity(10);
-        let mut b = DispatchLog::with_capacity(10);
-        let mut c = DispatchLog::with_capacity(10);
-        for k in 0..3u64 {
-            a.record(1000 * k + 5);
-            b.record(1000 * k);
-            c.record(1000 * k + 17);
-        }
-        b.record(9999); // extra entry in one log is ignored
+        let a: Vec<Nanos> = (0..3).map(|k| 1000 * k + 5).collect();
+        let mut b: Vec<Nanos> = (0..3).map(|k| 1000 * k).collect();
+        let c: Vec<Nanos> = (0..3).map(|k| 1000 * k + 17).collect();
+        b.push(9999); // extra entry in one log is ignored
         let spreads = dispatch_spreads(&[&a, &b, &c]);
         assert_eq!(spreads, vec![17, 17, 17]);
     }

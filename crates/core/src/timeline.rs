@@ -10,9 +10,10 @@
 //! cpu 2 |BBBB....BBBB....BBBB....|
 //! ```
 
-use nautix_des::Nanos;
+use nautix_des::{Cycles, Freq, Nanos};
 use nautix_hw::CpuId;
 use nautix_kernel::ThreadId;
+use nautix_trace::{Kind, Kinds, Observer, Record, TraceRing, TRACE_TID_IDLE};
 use std::collections::BTreeMap;
 
 /// One execution span of a thread on a CPU.
@@ -28,21 +29,26 @@ pub struct Span {
     pub end_ns: Nanos,
 }
 
-/// A bounded recorder of per-CPU execution spans.
+/// A bounded recorder of per-CPU execution spans; as an observer of a
+/// node's trace stream it records every context switch, at the switch
+/// point's true time converted at the node's core frequency.
 #[derive(Debug)]
 pub struct Timeline {
     spans: Vec<Span>,
     open: Vec<Option<(Option<ThreadId>, Nanos)>>,
     cap: usize,
+    freq: Freq,
 }
 
 impl Timeline {
-    /// A recorder for `n_cpus` CPUs holding at most `cap` spans.
-    pub fn new(n_cpus: usize, cap: usize) -> Self {
+    /// A recorder for `n_cpus` CPUs at core frequency `freq`, holding at
+    /// most `cap` spans.
+    pub fn new(n_cpus: usize, cap: usize, freq: Freq) -> Self {
         Timeline {
             spans: Vec::new(),
             open: vec![None; n_cpus],
             cap,
+            freq,
         }
     }
 
@@ -62,8 +68,10 @@ impl Timeline {
         self.open[cpu] = Some((to, at_ns));
     }
 
-    /// Close all open spans at `at_ns` (end of the observation).
-    pub fn finish(&mut self, at_ns: Nanos) {
+    /// Close all open spans at true machine time `now` (the end of the
+    /// observation).
+    pub fn finish(&mut self, now: Cycles) {
+        let at_ns = self.freq.cycles_to_ns(now);
         for cpu in 0..self.open.len() {
             if let Some((tid, start)) = self.open[cpu].take() {
                 if at_ns > start && self.spans.len() < self.cap {
@@ -136,13 +144,37 @@ impl Timeline {
     }
 }
 
+impl Observer for Timeline {
+    fn kinds(&self) -> Kinds {
+        Kinds::of(&[Kind::Switch])
+    }
+
+    fn on_record(&mut self, r: &Record, _: &TraceRing) {
+        if let Record::Switch {
+            cpu,
+            next,
+            at_cycles,
+            ..
+        } = *r
+        {
+            let to = (next != TRACE_TID_IDLE).then_some(next as ThreadId);
+            self.switch(cpu as CpuId, to, self.freq.cycles_to_ns(at_cycles));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One cycle per nanosecond.
+    fn ghz() -> Freq {
+        Freq::from_mhz(1000)
+    }
+
     #[test]
     fn spans_close_on_switch_and_finish() {
-        let mut t = Timeline::new(2, 100);
+        let mut t = Timeline::new(2, 100, ghz());
         t.switch(0, Some(5), 0);
         t.switch(0, None, 100);
         t.switch(0, Some(6), 150);
@@ -181,7 +213,7 @@ mod tests {
 
     #[test]
     fn render_shows_alternating_execution() {
-        let mut t = Timeline::new(1, 100);
+        let mut t = Timeline::new(1, 100, ghz());
         // 50% duty cycle: thread 3 runs the first half of each period.
         for k in 0..4u64 {
             t.switch(0, Some(3), k * 100);
@@ -198,7 +230,7 @@ mod tests {
 
     #[test]
     fn render_gang_lock_step_rows_match() {
-        let mut t = Timeline::new(3, 1000);
+        let mut t = Timeline::new(3, 1000, ghz());
         for cpu in 0..3 {
             for k in 0..3u64 {
                 t.switch(cpu, Some(10 + cpu), k * 100);
@@ -221,7 +253,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_recording() {
-        let mut t = Timeline::new(1, 2);
+        let mut t = Timeline::new(1, 2, ghz());
         for k in 0..10u64 {
             t.switch(0, Some(1), k * 10);
         }
@@ -231,7 +263,7 @@ mod tests {
 
     #[test]
     fn zero_length_spans_are_dropped() {
-        let mut t = Timeline::new(1, 10);
+        let mut t = Timeline::new(1, 10, ghz());
         t.switch(0, Some(1), 50);
         t.switch(0, Some(2), 50); // immediately replaced
         t.finish(60);

@@ -11,8 +11,10 @@
 
 use nautix_hw::MachineConfig;
 use nautix_kernel::{Action, Constraints, FnProgram, SysCall, ThreadId};
-use nautix_rt::{DegradePolicy, LayerSpec, LayerTable, Node, NodeConfig};
+use nautix_rt::{DegradePolicy, LayerSpec, LayerTable, Node, NodeConfig, Timeline};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const HORIZON_NS: u64 = 400_000_000;
 const REPLENISH_NS: u64 = 10_000_000;
@@ -89,11 +91,16 @@ fn spawn_batch_worker(node: &mut Node) -> ThreadId {
     node.spawn_on(1, "batch", Box::new(prog)).unwrap()
 }
 
+/// Record `node`'s execution timeline.
+fn record_timeline(node: &mut Node) -> Rc<RefCell<Timeline>> {
+    node.observe(Timeline::new(node.machine.n_cpus(), 1 << 22, node.freq()))
+}
+
 /// Wall-time share `tid` received, from the execution timeline.
-fn share_of(node: &mut Node, tid: ThreadId) -> f64 {
-    let ns: u64 = node
-        .take_timeline()
-        .unwrap()
+fn share_of(node: &Node, timeline: &RefCell<Timeline>, tid: ThreadId) -> f64 {
+    timeline.borrow_mut().finish(node.machine.now());
+    let ns: u64 = timeline
+        .borrow()
         .spans()
         .iter()
         .filter(|s| s.tid == Some(tid))
@@ -120,7 +127,7 @@ fn widening_probe_never_steals_batch_bandwidth() {
             max_widen: 1_000,
         },
     );
-    n.record_timeline(1 << 22);
+    let timeline = record_timeline(&mut n);
     let batch = spawn_batch_worker(&mut n);
     let probe = spawn_faulting_probe(&mut n);
     n.run_for_ns(HORIZON_NS);
@@ -135,7 +142,7 @@ fn widening_probe_never_steals_batch_bandwidth() {
         ),
         "a widened probe stays periodic (RT layer)"
     );
-    let share = share_of(&mut n, batch);
+    let share = share_of(&n, &timeline, batch);
     assert!(
         share >= BATCH_FLOOR,
         "widening churn ate the batch guarantee: share {share:.4} < {BATCH_FLOOR}"
@@ -157,7 +164,7 @@ fn demoted_probe_lands_in_the_aperiodic_layer_not_batch() {
             max_widen: 0,
         },
     );
-    n.record_timeline(1 << 22);
+    let timeline = record_timeline(&mut n);
     let batch = spawn_batch_worker(&mut n);
     let probe = spawn_faulting_probe(&mut n);
     n.run_for_ns(HORIZON_NS);
@@ -171,7 +178,7 @@ fn demoted_probe_lands_in_the_aperiodic_layer_not_batch() {
         ),
         "a demoted probe is aperiodic (background layer)"
     );
-    let share = share_of(&mut n, batch);
+    let share = share_of(&n, &timeline, batch);
     assert!(
         share >= BATCH_FLOOR,
         "demotion churn ate the batch guarantee: share {share:.4} < {BATCH_FLOOR}"
@@ -199,7 +206,7 @@ proptest! {
                 max_widen,
             },
         );
-        n.record_timeline(1 << 22);
+        let timeline = record_timeline(&mut n);
         let batch = spawn_batch_worker(&mut n);
         let probe = spawn_faulting_probe(&mut n);
         n.run_for_ns(HORIZON_NS);
@@ -219,7 +226,7 @@ proptest! {
             table.layer_of(&end) != table.map_sporadic(),
             "the degraded probe ended in the batch layer"
         );
-        let share = share_of(&mut n, batch);
+        let share = share_of(&n, &timeline, batch);
         prop_assert!(
             share >= BATCH_FLOOR,
             "degradation churn ate the batch guarantee: share {share:.4}"

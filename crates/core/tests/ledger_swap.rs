@@ -14,7 +14,7 @@
 use nautix_des::Freq;
 use nautix_kernel::Constraints;
 use nautix_rt::{AdmissionPolicy, CpuLoad, LocalScheduler, SchedConfig, SchedThread, SimCache};
-use nautix_trace::{Observer, Record, Sink, TraceHandle, TraceRing};
+use nautix_trace::{Kinds, Observer, Record, TraceHandle, TraceRing};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,6 +22,10 @@ use std::rc::Rc;
 struct Collect(Rc<RefCell<Vec<Record>>>);
 
 impl Observer for Collect {
+    fn kinds(&self) -> Kinds {
+        Kinds::ALL
+    }
+
     fn on_record(&mut self, r: &Record, _recent: &TraceRing) {
         self.0.borrow_mut().push(*r);
     }
@@ -83,10 +87,8 @@ proptest! {
             sched.load.install_sim_cache(Rc::new(RefCell::new(SimCache::new())));
         }
         let seen = Rc::new(RefCell::new(Vec::new()));
-        sched.set_trace(Some(TraceHandle::new(Sink::with_observer(
-            64,
-            Box::new(Collect(Rc::clone(&seen))),
-        ))));
+        let collect = Box::new(Collect(Rc::clone(&seen)));
+        sched.set_trace(Some(TraceHandle::new(64, collect)));
         let mut reference = CpuLoad::new();
         let mut ts: Vec<SchedThread> = (0..16).map(|_| SchedThread::new_aperiodic()).collect();
 

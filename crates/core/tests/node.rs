@@ -161,8 +161,9 @@ fn infeasible_period_misses_with_admission_disabled() {
 fn group_admission_gang_schedules_and_phase_corrects() {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(9).with_seed(5);
-    cfg.dispatch_log_cap = 64;
     let mut node = Node::new(cfg);
+    let stamps = node.observe(nautix_rt::DispatchStamps::new(64));
+    let ga = node.observe(nautix_rt::GaTimings::default());
     let gid = nautix_kernel::GroupId(0);
     let mut tids = Vec::new();
     for cpu in 1..9 {
@@ -201,18 +202,21 @@ fn group_admission_gang_schedules_and_phase_corrects() {
     node.run_until_quiescent();
     // Every member got RT dispatches; compare dispatch times after the
     // last member finished admission (the gang-scheduled regime).
-    let t_admitted = node.ga_timings().iter().map(|t| t.t_done).max().unwrap();
-    let mut logs: Vec<nautix_rt::DispatchLog> = Vec::new();
+    let ga = ga.borrow();
+    let t_admitted = ga.admissions().iter().map(|t| t.t_done).max().unwrap();
+    let stamps = stamps.borrow();
+    let mut logs: Vec<Vec<u64>> = Vec::new();
     for &t in &tids {
-        let full = &node.thread_state(t).dispatch_log;
-        let mut filtered = nautix_rt::DispatchLog::with_capacity(64);
-        for &x in full.times().iter().filter(|&&x| x > t_admitted) {
-            filtered.record(x);
-        }
+        let filtered: Vec<u64> = stamps
+            .times(t)
+            .iter()
+            .copied()
+            .filter(|&x| x > t_admitted)
+            .collect();
         assert!(filtered.len() >= 3, "each member must run gang-scheduled");
         logs.push(filtered);
     }
-    let refs: Vec<&nautix_rt::DispatchLog> = logs.iter().collect();
+    let refs: Vec<&[u64]> = logs.iter().map(Vec::as_slice).collect();
     let spreads = nautix_rt::dispatch_spreads(&refs);
     for &s in &spreads {
         assert!(
@@ -220,8 +224,9 @@ fn group_admission_gang_schedules_and_phase_corrects() {
             "gang dispatch spread {s} ns is too wide for lock-step execution"
         );
     }
-    assert_eq!(node.ga_timings().len(), 8, "one timing record per member");
-    for t in node.ga_timings() {
+    assert_eq!(ga.admissions().len(), 8, "one timing record per member");
+    assert_eq!(ga.joins().len(), 8, "one join per member");
+    for t in ga.admissions() {
         assert!(t.t_elect >= t.t_call);
         assert!(t.t_reduce >= t.t_elect);
         assert!(t.t_done >= t.t_reduce);
@@ -446,31 +451,6 @@ fn device_interrupts_stay_in_the_laden_partition() {
     for c in 1..4 {
         assert_eq!(node.device_irqs_handled[c], 0, "CPU {c} is interrupt-free");
     }
-}
-
-#[test]
-fn gpio_syscall_reaches_the_port() {
-    let mut node = small_node(2);
-    node.machine.gpio().start_capture();
-    node.spawn_on(
-        1,
-        "blink",
-        Box::new(Script::new(vec![
-            Action::Call(SysCall::GpioSet { pin: 2, high: true }),
-            Action::Compute(10_000),
-            Action::Call(SysCall::GpioSet {
-                pin: 2,
-                high: false,
-            }),
-        ])),
-    )
-    .unwrap();
-    node.run_until_quiescent();
-    let trace = node.machine.gpio().take_trace();
-    assert_eq!(trace.len(), 2);
-    assert_eq!(trace[0].pins & 0b100, 0b100);
-    assert_eq!(trace[1].pins & 0b100, 0);
-    assert!(trace[1].time - trace[0].time >= 10_000);
 }
 
 #[test]

@@ -2,14 +2,14 @@
 
 use nautix_hw::MachineConfig;
 use nautix_kernel::{Action, Constraints, FnProgram, SysCall};
-use nautix_rt::{Node, NodeConfig};
+use nautix_rt::{Node, NodeConfig, Timeline};
 
 #[test]
 fn node_timeline_captures_periodic_execution() {
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(3).with_seed(91);
     let mut node = Node::new(cfg);
-    node.record_timeline(10_000);
+    let tl = node.observe(Timeline::new(3, 10_000, node.freq()));
     for cpu in 1..3 {
         let prog = FnProgram::new(move |_cx, n| {
             if n == 0 {
@@ -28,7 +28,8 @@ fn node_timeline_captures_periodic_execution() {
             .unwrap();
     }
     node.run_for_ns(5_000_000);
-    let tl = node.take_timeline().expect("recording was enabled");
+    let mut tl = tl.borrow_mut();
+    tl.finish(node.machine.now());
     // Spans exist on both worker CPUs and alternate thread/idle.
     for cpu in 1..3usize {
         let spans: Vec<_> = tl.spans().iter().filter(|s| s.cpu == cpu).collect();
@@ -58,11 +59,18 @@ fn node_timeline_captures_periodic_execution() {
     );
 }
 
+/// Recording is per trial: a reset drops the registered timeline, so the
+/// next trial runs unobserved.
 #[test]
 fn timeline_disabled_by_default() {
-    let mut cfg = NodeConfig::phi();
-    cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(92);
-    let mut node = Node::new(cfg);
+    let cfg = || {
+        let mut cfg = NodeConfig::phi();
+        cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(92);
+        cfg
+    };
+    let mut node = Node::new(cfg());
+    let tl = node.observe(Timeline::new(2, 10_000, node.freq()));
+    node.reset(cfg());
     node.spawn_on(
         1,
         "t",
@@ -70,5 +78,6 @@ fn timeline_disabled_by_default() {
     )
     .unwrap();
     node.run_until_quiescent();
-    assert!(node.take_timeline().is_none());
+    tl.borrow_mut().finish(node.machine.now());
+    assert!(tl.borrow().spans().is_empty());
 }

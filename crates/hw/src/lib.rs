@@ -13,8 +13,8 @@
 //! * composable **fault lanes** beyond SMIs — kick-IPI loss and delay,
 //!   one-shot overshoot, frequency dips, spurious device interrupts, and
 //!   single-CPU stalls ([`fault`]),
-//! * a **GPIO port** with scope-style capture for external verification
-//!   ([`gpio`]),
+//! * the Figure 4 **scope**: the paper's parallel-port probe as a trace
+//!   observer, and the analysis of its capture ([`gpio`]),
 //! * a calibrated **cycle-cost model** for kernel paths ([`cost`]),
 //!
 //! all glued together by the event-driven [`Machine`].
@@ -33,7 +33,7 @@ pub mod tsc;
 pub use apic::{vector_priority, Apic, TimerMode, VEC_DEVICE_BASE, VEC_KICK, VEC_TIMER};
 pub use cost::{Cost, CostModel};
 pub use fault::{FaultPattern, FaultPlan, FaultStats};
-pub use gpio::{scope, Gpio, GpioSample};
+pub use gpio::{scope, GpioProbe, GpioSample};
 pub use machine::{CpuId, Machine, MachineConfig, MachineEvent, Platform};
 pub use smi::{SmiConfig, SmiStats};
 pub use timer::TimerSlots;

@@ -27,13 +27,12 @@
 use crate::apic::{Apic, TimerMode, VEC_DEVICE_BASE, VEC_KICK, VEC_TIMER};
 use crate::cost::{Cost, CostModel};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::gpio::Gpio;
 use crate::smi::{SmiConfig, SmiStats};
 use crate::timer::TimerSlots;
 use crate::topology::{TopoMap, Topology};
 use crate::tsc::Tsc;
 use nautix_des::{Cycles, DetRng, EventId, EventQueue, Freq, Nanos};
-use nautix_trace::{FaultLane, Record, TraceHandle};
+use nautix_trace::{FaultLane, Kind, Record, TraceHandle, Tracing};
 
 /// Index of a hardware thread ("CPU" in the paper's terminology).
 pub type CpuId = usize;
@@ -268,7 +267,6 @@ pub struct Machine {
     timers: TimerSlots,
     cpus: Vec<CpuState>,
     rng: DetRng,
-    gpio: Gpio,
     op_seq: u64,
     stall_until: Cycles,
     smi_stats: SmiStats,
@@ -297,7 +295,6 @@ impl Machine {
             timers: TimerSlots::new(cfg.n_cpus),
             cpus: Vec::with_capacity(cfg.n_cpus),
             rng: DetRng::seed_from(cfg.seed),
-            gpio: Gpio::new(),
             op_seq: 0,
             stall_until: 0,
             smi_stats: SmiStats::default(),
@@ -362,7 +359,6 @@ impl Machine {
         self.timers.reset(self.cpus.len());
         self.topo = TopoMap::new(cfg.topology, cfg.n_cpus);
         self.rng = rng;
-        self.gpio = Gpio::new();
         self.op_seq = 0;
         self.stall_until = 0;
         self.smi_stats = SmiStats::default();
@@ -458,7 +454,7 @@ impl Machine {
             overshoot = self.cfg.faults.timer_overshoot_extra.draw(&mut self.rng);
             self.fault_stats.timer_overshoots += 1;
             self.fault_stats.timer_overshoot_cycles += overshoot;
-            if let Some(t) = &self.trace {
+            if let Some(t) = self.trace.wants(Kind::Fault) {
                 t.emit(Record::Fault {
                     cpu: cpu as u32,
                     lane: FaultLane::TimerOvershoot,
@@ -468,7 +464,7 @@ impl Machine {
             }
         }
         self.timers.arm(cpu, now + actual + overshoot);
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::TimerArm) {
             t.emit(Record::TimerArm {
                 cpu: cpu as u32,
                 now_cycles: now,
@@ -481,7 +477,7 @@ impl Machine {
     /// Disarm `cpu`'s one-shot timer.
     pub fn cancel_timer(&mut self, cpu: CpuId) {
         self.timers.disarm(cpu);
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::TimerCancel) {
             t.emit(Record::TimerCancel {
                 cpu: cpu as u32,
                 now_cycles: self.q.now(),
@@ -530,7 +526,7 @@ impl Machine {
     /// kick lanes: the send can be silently dropped in the interconnect
     /// or delivered late, both invisible to the sender.
     pub fn send_kick(&mut self, from: CpuId, to: CpuId) {
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::Kick) {
             t.emit(Record::Kick {
                 from: from as u32,
                 to: to as u32,
@@ -539,7 +535,7 @@ impl Machine {
         }
         if FaultPlan::chance(self.cfg.faults.kick_drop_ppm, &mut self.rng) {
             self.fault_stats.kicks_dropped += 1;
-            if let Some(t) = &self.trace {
+            if let Some(t) = self.trace.wants(Kind::Fault) {
                 t.emit(Record::Fault {
                     cpu: to as u32,
                     lane: FaultLane::KickDrop,
@@ -554,7 +550,7 @@ impl Machine {
             extra = self.cfg.faults.kick_delay_extra.draw(&mut self.rng);
             self.fault_stats.kicks_delayed += 1;
             self.fault_stats.kick_delay_cycles += extra;
-            if let Some(t) = &self.trace {
+            if let Some(t) = self.trace.wants(Kind::Fault) {
                 t.emit(Record::Fault {
                     cpu: to as u32,
                     lane: FaultLane::KickDelay,
@@ -695,26 +691,6 @@ impl Machine {
     /// Cancel a wakeup scheduled earlier.
     pub fn cancel_wakeup(&mut self, ev: EventId) {
         self.cancel_ev(ev);
-    }
-
-    /// The GPIO port.
-    pub fn gpio(&mut self) -> &mut Gpio {
-        &mut self.gpio
-    }
-
-    /// Write GPIO pins at the current instant (helper that avoids borrow
-    /// juggling in scheduler hooks).
-    pub fn gpio_write(&mut self, mask: u8, value: u8) {
-        let now = self.q.now();
-        self.gpio.write(now, mask, value);
-    }
-
-    /// Write GPIO pins stamped at an explicit instant. Kernel paths run as
-    /// instantaneous host code whose cycle cost extends the CPU's busy
-    /// window; an `outb` placed mid-path therefore lands at a point inside
-    /// that window, which the caller knows and supplies here.
-    pub fn gpio_write_at(&mut self, at: Cycles, mask: u8, value: u8) {
-        self.gpio.write(at, mask, value);
     }
 
     /// SMI ground truth so far.
@@ -889,7 +865,7 @@ impl Machine {
         self.timers.disarm(cpu);
         self.q.advance_to(deadline);
         self.q.note_external_events(1);
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.trace.wants(Kind::TimerFire) {
             t.emit(Record::TimerFire {
                 cpu: cpu as u32,
                 at_cycles: deadline,
@@ -995,7 +971,7 @@ impl Machine {
         let lost = (window * self.cfg.faults.freq_dip_loss_pct as u64 / 100).max(1);
         self.fault_stats.freq_dips += 1;
         self.fault_stats.freq_dip_lost_cycles += lost;
-        if let Some(trace) = &self.trace {
+        if let Some(trace) = self.trace.wants(Kind::Fault) {
             trace.emit(Record::Fault {
                 cpu: cpu as u32,
                 lane: FaultLane::FreqDip,
@@ -1016,7 +992,7 @@ impl Machine {
         let cpu = self.rng.uniform(0, (self.cpus.len() - 1) as u64) as CpuId;
         let irq = self.cfg.faults.spurious_irq_line & 0x3F;
         self.fault_stats.spurious_irqs += 1;
-        if let Some(trace) = &self.trace {
+        if let Some(trace) = self.trace.wants(Kind::Fault) {
             trace.emit(Record::Fault {
                 cpu: cpu as u32,
                 lane: FaultLane::SpuriousIrq,
@@ -1051,7 +1027,7 @@ impl Machine {
             .max(1);
         self.fault_stats.cpu_stalls += 1;
         self.fault_stats.cpu_stall_cycles += d;
-        if let Some(trace) = &self.trace {
+        if let Some(trace) = self.trace.wants(Kind::Fault) {
             trace.emit(Record::Fault {
                 cpu: cpu as u32,
                 lane: FaultLane::CpuStall,

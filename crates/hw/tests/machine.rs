@@ -352,19 +352,6 @@ fn reset_across_the_queue_width_boundary_replays_like_a_fresh_machine() {
 }
 
 #[test]
-fn gpio_writes_are_captured_at_true_time() {
-    let mut m = small_machine();
-    m.gpio().start_capture();
-    m.begin_op(0, 500, 0);
-    m.advance();
-    m.gpio_write(0b1, 0b1);
-    let trace = m.gpio().take_trace();
-    assert_eq!(trace.len(), 1);
-    assert_eq!(trace[0].time, 500);
-    assert_eq!(trace[0].pins, 1);
-}
-
-#[test]
 #[should_panic]
 fn double_begin_op_panics() {
     let mut m = small_machine();

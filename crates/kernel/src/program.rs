@@ -118,13 +118,6 @@ pub enum SysCall {
         /// Actual work the task performs, in cycles.
         work: Cycles,
     },
-    /// Drive a GPIO pin (external verification, §5.2).
-    GpioSet {
-        /// Pin number 0..8.
-        pin: u8,
-        /// Level to drive.
-        high: bool,
-    },
 }
 
 /// Result of the previous service call, delivered on resume.

@@ -10,7 +10,7 @@
 
 use crate::ids::TaskId;
 use nautix_des::Cycles;
-use nautix_trace::{Record, TraceHandle};
+use nautix_trace::{Kind, Record, TraceHandle};
 use std::collections::VecDeque;
 
 /// The relevant task queue is at capacity.
@@ -86,7 +86,11 @@ impl TaskQueues {
         let id = TaskId(self.next_id);
         self.next_id += 1;
         q.push_back(Task { id, size, work });
-        if let Some((t, cpu)) = &self.trace {
+        if let Some((t, cpu)) = self
+            .trace
+            .as_ref()
+            .filter(|(t, _)| t.wants(Kind::TaskSpawn))
+        {
             t.emit(Record::TaskSpawn {
                 cpu: *cpu,
                 sized: size.is_some(),

@@ -7,19 +7,28 @@
 //! edge (§3–§5). This crate is the observability substrate that lets the
 //! rest of the workspace *check* those claims continuously: the scheduler,
 //! node, kernel task queues, and machine emit [`Record`]s into a
-//! fixed-capacity [`TraceRing`]; an optional [`Observer`] (the invariant
-//! oracles in `nautix-rt::oracle`) consumes each record online, as the
-//! simulation runs.
+//! fixed-capacity [`TraceRing`] behind a [`TraceHandle`]; its
+//! [`Observer`]s (the invariant oracles in `nautix-rt::oracle`, and each
+//! figure's view of a run) consume them online, as the simulation runs.
+//! The stream is the only way a run is observed.
+//!
+//! # Subscriptions
+//!
+//! Each observer subscribes to a set of record [`Kind`]s and receives
+//! exactly those, in emission order. The sink keeps the union where an
+//! emission site can test it without borrowing the sink
+//! ([`TraceHandle::wants`]); a site whose kind nobody subscribes to builds
+//! no record, and the ring holds only subscribed records.
 //!
 //! # Zero-allocation discipline
 //!
 //! Records are plain `Copy` values. The ring is allocated once at trace
 //! enable time and overwrites its oldest entry when full — emitting a
-//! record on the event hot path is a bounds-checked store plus an optional
-//! virtual call into the observer, never an allocation. The layer is
-//! always compiled in; each emission point holds an `Option<TraceHandle>`
-//! and tests it before building a record, so an unarmed run pays one
-//! not-taken branch per site.
+//! record on the event hot path is a bounds-checked store plus a virtual
+//! call into each subscriber, never an allocation. The layer is always
+//! compiled in; each emission point holds an `Option<TraceHandle>` and
+//! tests it and the kind ([`Tracing::wants`]) before building a record,
+//! so an unarmed run pays one not-taken branch per site.
 //!
 //! # Timestamps
 //!
@@ -31,7 +40,7 @@
 //! across the calibration boundary.
 
 use nautix_des::{Cycles, Nanos};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// CPU index as recorded in the trace.
@@ -421,6 +430,152 @@ pub enum Record {
         /// interrupts.
         magnitude_cycles: Cycles,
     },
+    /// A context switch took effect (`Node::local_invoke_raw`), stamped
+    /// where the paper stamps it: at the end of the pass, kernel-path
+    /// costs and their jitter included. Feeds the dispatch stamps of
+    /// Figures 11–12, the timeline, and pin 0 of the Figure 4 scope.
+    Switch {
+        /// CPU that switched.
+        cpu: TraceCpu,
+        /// The thread switched away from, or [`TRACE_TID_IDLE`].
+        prev: TraceTid,
+        /// The thread switched to, or [`TRACE_TID_IDLE`].
+        next: TraceTid,
+        /// True machine time of the switch point.
+        at_cycles: Cycles,
+        /// The CPU's wall-clock estimate at the switch point.
+        wall_ns: Nanos,
+    },
+    /// A timer/kick interrupt reached the end of its scheduling pass
+    /// (`Node::interrupt_path`): its phase boundaries before the switch,
+    /// in true machine time. Pins 2 and 1 of the Figure 4 scope.
+    IrqEnter {
+        /// CPU taking the interrupt.
+        cpu: TraceCpu,
+        /// Interrupt entry.
+        irq_start_cycles: Cycles,
+        /// Scheduling pass start.
+        pass_start_cycles: Cycles,
+        /// Scheduling pass end.
+        pass_end_cycles: Cycles,
+    },
+    /// The interrupt of the preceding [`Record::IrqEnter`] on `cpu`
+    /// returned: its end in true machine time and its Figure 5 costs in
+    /// cycles, narrowed to `u32` (one invocation costs thousands).
+    IrqExit {
+        /// CPU that took the interrupt.
+        cpu: TraceCpu,
+        /// Interrupt exit, timer programmed.
+        irq_end_cycles: Cycles,
+        /// Interrupt entry + exit.
+        irq_cycles: u32,
+        /// Bookkeeping around the pass ("Other").
+        other_cycles: u32,
+        /// The scheduling pass ("Resched").
+        resched_cycles: u32,
+        /// The context switch ("Switch"); 0 when the thread continued.
+        switch_cycles: u32,
+    },
+    /// A `GroupJoin` call returned (Figure 10a).
+    GroupJoin {
+        /// CPU the caller ran on.
+        cpu: TraceCpu,
+        /// The joining thread.
+        tid: TraceTid,
+        /// Wall ns from the call to its contended update landing.
+        dur_ns: Nanos,
+    },
+    /// One member left group admission control (Algorithm 1), admitted or
+    /// not: its step boundaries as Figure 10 reports them, the later ones
+    /// as wall-ns offsets from the call narrowed to `u32`.
+    GaSteps {
+        /// The member.
+        tid: TraceTid,
+        /// Group size at admission.
+        n: u16,
+        /// Call entry, wall ns.
+        call_ns: Nanos,
+        /// Call entry to leader election completed.
+        to_elect_ns: u32,
+        /// Local admission control's own duration.
+        local_admit_ns: u32,
+        /// Call entry to error reduction completed.
+        to_reduce_ns: u32,
+        /// Call entry to final barrier and phase correction completed.
+        to_done_ns: u32,
+    },
+}
+
+// Every emitted record is copied into the ring (and through every
+// subscribed observer): a kind that outgrows 32 bytes grows them all.
+const _: () = assert!(std::mem::size_of::<Record>() == 32);
+
+/// `prev` / `next` on a [`Record::Switch`] when that side is the CPU's
+/// idle thread.
+pub const TRACE_TID_IDLE: TraceTid = TraceTid::MAX;
+
+/// Narrow a cost or offset known to be small to a record's `u32` field.
+/// A build with debug assertions checks the claim.
+pub fn narrow(v: u64) -> u32 {
+    debug_assert!(v <= u32::MAX as u64, "{v} does not fit a u32 record field");
+    v as u32
+}
+
+/// Declares [`Kind`], one per [`Record`] variant and of the same name,
+/// [`Kinds::ALL`] and [`Record::kind`].
+macro_rules! kinds {
+    ($($k:ident),*) => {
+        /// The kind of a [`Record`], one per variant and of the same name:
+        /// what an [`Observer`] subscribes to.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Kind { $($k),* }
+
+        impl Kinds {
+            /// Every kind.
+            pub const ALL: Kinds = Kinds::of(&[$(Kind::$k),*]);
+        }
+
+        impl Record {
+            /// This record's kind.
+            pub fn kind(&self) -> Kind {
+                match self { $(Record::$k { .. } => Kind::$k),* }
+            }
+        }
+    };
+}
+
+kinds! {
+    Dispatch, Preempt, RtQueued, PendingQueued, Dequeued, JobArrive, JobComplete, AdmitVerdict,
+    ConstraintsReleased, SimCacheProbe, AdmitRollback, TeamAdmit, TimerReq, TimerArm,
+    TimerCancel, TimerFire, Kick, Steal, TaskSpawn, TaskExec, LayerThrottle, LayerReplenish,
+    Fault, Switch, IrqEnter, IrqExit, GroupJoin, GaSteps
+}
+
+/// A set of [`Kind`]s, one bit each; empty by default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Kinds(u32);
+
+impl Kinds {
+    /// The set of `kinds`.
+    pub const fn of(kinds: &[Kind]) -> Kinds {
+        let (mut bits, mut i) = (0, 0);
+        while i < kinds.len() {
+            bits |= 1 << kinds[i] as u32;
+            i += 1;
+        }
+        Kinds(bits)
+    }
+
+    /// This set less `other`.
+    pub const fn without(self, other: Kinds) -> Kinds {
+        Kinds(self.0 & !other.0)
+    }
+
+    /// Whether `kind` is in the set.
+    #[inline]
+    pub const fn contains(self, kind: Kind) -> bool {
+        self.0 & (1 << kind as u32) != 0
+    }
 }
 
 /// Fixed-capacity overwrite-oldest record buffer.
@@ -472,11 +627,6 @@ impl TraceRing {
         self.buf.is_empty()
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Retained records, oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = &Record> + '_ {
         let split = if self.buf.len() < self.capacity {
@@ -494,93 +644,118 @@ impl TraceRing {
     }
 }
 
-/// An online consumer of the record stream (the invariant oracles).
+/// An online consumer of the record stream: the invariant oracles, or a
+/// figure's view of a run (dispatch stamps, timeline, scope, overhead
+/// breakdown, group-admission timings).
 ///
 /// `recent` is the ring *including* the record just emitted, for
 /// violation messages that want the surrounding context.
 pub trait Observer {
-    /// Called once per emitted record, in emission order.
+    /// The record kinds this observer receives, fixed for its lifetime.
+    fn kinds(&self) -> Kinds;
+
+    /// Called once per emitted record of a subscribed kind, in emission
+    /// order.
     fn on_record(&mut self, r: &Record, recent: &TraceRing);
 }
 
 impl<T: Observer> Observer for Rc<RefCell<T>> {
+    fn kinds(&self) -> Kinds {
+        self.borrow().kinds()
+    }
+
     fn on_record(&mut self, r: &Record, recent: &TraceRing) {
         self.borrow_mut().on_record(r, recent);
     }
 }
 
-/// The ring plus an optional online observer.
-pub struct Sink {
+/// The ring plus the observers it fans each record out to.
+struct Sink {
     ring: TraceRing,
-    observer: Option<Box<dyn Observer>>,
+    observers: Vec<(Kinds, Box<dyn Observer>)>,
 }
 
-impl Sink {
-    /// A sink with no observer (record-only tracing).
-    pub fn new(capacity: usize) -> Self {
-        Sink {
-            ring: TraceRing::new(capacity),
-            observer: None,
-        }
-    }
-
-    /// A sink whose records are also fed to `observer` online.
-    pub fn with_observer(capacity: usize, observer: Box<dyn Observer>) -> Self {
-        Sink {
-            ring: TraceRing::new(capacity),
-            observer: Some(observer),
-        }
-    }
-
-    /// Record `r` and notify the observer.
-    pub fn emit(&mut self, r: Record) {
-        self.ring.push(r);
-        if let Some(o) = self.observer.as_mut() {
-            o.on_record(&r, &self.ring);
-        }
-    }
-
-    /// The retained record window.
-    pub fn ring(&self) -> &TraceRing {
-        &self.ring
-    }
+struct Shared {
+    /// The union of the observers' kinds, readable without borrowing the
+    /// sink.
+    kinds: Cell<Kinds>,
+    sink: RefCell<Sink>,
 }
 
-impl std::fmt::Debug for Sink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sink")
-            .field("ring", &self.ring)
-            .field("observer", &self.observer.is_some())
-            .finish()
-    }
-}
-
-/// Shared handle to a [`Sink`], cloned into every emitting layer of one
-/// node (scheduler, node, task queues, machine). Single-threaded by
-/// design: one simulated node is driven by one host thread.
+/// Shared handle to a trace sink — a ring of the latest records plus the
+/// observers each record fans out to — cloned into every emitting layer of
+/// one node (scheduler, node, task queues, machine). The ring holds what
+/// some observer subscribed to, nothing else. Single-threaded by design:
+/// one simulated node is driven by one host thread.
 #[derive(Clone)]
-pub struct TraceHandle(Rc<RefCell<Sink>>);
+pub struct TraceHandle(Rc<Shared>);
 
 impl TraceHandle {
-    /// Wrap a sink for sharing.
-    pub fn new(sink: Sink) -> Self {
-        TraceHandle(Rc::new(RefCell::new(sink)))
+    /// A sink retaining the latest `capacity` records, feeding `observer`.
+    pub fn new(capacity: usize, observer: Box<dyn Observer>) -> Self {
+        let sink = Sink {
+            ring: TraceRing::new(capacity),
+            observers: Vec::new(),
+        };
+        let handle = TraceHandle(Rc::new(Shared {
+            kinds: Cell::default(),
+            sink: RefCell::new(sink),
+        }));
+        handle.subscribe(observer);
+        handle
     }
 
-    /// Emit one record.
+    /// Add `observer` after those already subscribed: each record reaches
+    /// its subscribers in subscription order.
+    pub fn subscribe(&self, observer: Box<dyn Observer>) {
+        let kinds = observer.kinds();
+        self.0.kinds.set(Kinds(self.0.kinds.get().0 | kinds.0));
+        self.0.sink.borrow_mut().observers.push((kinds, observer));
+    }
+
+    /// Whether some observer subscribes to `kind`: the test an emission
+    /// site makes before it builds a record.
+    #[inline]
+    pub fn wants(&self, kind: Kind) -> bool {
+        self.0.kinds.get().contains(kind)
+    }
+
+    /// Record `r`, of a subscribed kind, and notify its subscribers.
     pub fn emit(&self, r: Record) {
-        self.0.borrow_mut().emit(r);
+        let kind = r.kind();
+        debug_assert!(self.wants(kind), "{kind:?} emitted unsubscribed");
+        let Sink { ring, observers } = &mut *self.0.sink.borrow_mut();
+        ring.push(r);
+        for (kinds, o) in observers {
+            if kinds.contains(kind) {
+                o.on_record(&r, ring);
+            }
+        }
     }
 
     /// Total records emitted so far.
     pub fn records(&self) -> u64 {
-        self.0.borrow().ring.seq()
+        self.0.sink.borrow().ring.seq()
     }
 }
 
 impl std::fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "TraceHandle(records={})", self.records())
+    }
+}
+
+/// The emission-site test on a layer's optional handle.
+pub trait Tracing {
+    /// The handle, when there is one and some observer subscribes to
+    /// `kind`.
+    fn wants(&self, kind: Kind) -> Option<&TraceHandle>;
+}
+
+impl Tracing for Option<TraceHandle> {
+    #[inline]
+    fn wants(&self, kind: Kind) -> Option<&TraceHandle> {
+        self.as_ref().filter(|t| t.wants(kind))
     }
 }
 
@@ -630,6 +805,9 @@ mod tests {
     fn sink_feeds_observer_in_order() {
         struct Collect(Rc<RefCell<Vec<u64>>>);
         impl Observer for Collect {
+            fn kinds(&self) -> Kinds {
+                Kinds::of(&[Kind::Kick])
+            }
             fn on_record(&mut self, r: &Record, recent: &TraceRing) {
                 if let Record::Kick { now_cycles, .. } = r {
                     self.0.borrow_mut().push(*now_cycles);
@@ -638,17 +816,24 @@ mod tests {
             }
         }
         let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut sink = Sink::with_observer(4, Box::new(Collect(Rc::clone(&seen))));
+        let sink = TraceHandle::new(4, Box::new(Collect(Rc::clone(&seen))));
         for i in 0..5 {
             sink.emit(kick(i));
         }
         assert_eq!(*seen.borrow(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(sink.ring().seq(), 5);
+        assert_eq!(sink.records(), 5);
     }
 
     #[test]
     fn handle_is_shared() {
-        let h = TraceHandle::new(Sink::new(4));
+        struct Kicks;
+        impl Observer for Kicks {
+            fn kinds(&self) -> Kinds {
+                Kinds::of(&[Kind::Kick])
+            }
+            fn on_record(&mut self, _: &Record, _: &TraceRing) {}
+        }
+        let h = TraceHandle::new(4, Box::new(Kicks));
         let h2 = h.clone();
         h.emit(kick(1));
         h2.emit(kick(2));

@@ -8,13 +8,14 @@
 
 use nautix::kernel::{FnProgram, GroupId, SysCall};
 use nautix::prelude::*;
+use nautix::rt::Timeline;
 
 fn main() {
     let n = 4;
     let mut cfg = NodeConfig::phi();
     cfg.machine = MachineConfig::phi().with_cpus(n + 1).with_seed(17);
     let mut node = Node::new(cfg);
-    node.record_timeline(100_000);
+    let tl = node.observe(Timeline::new(n + 1, 100_000, node.freq()));
     let gid = GroupId(0);
     for i in 0..n {
         let prog = FnProgram::new(move |_cx, step| {
@@ -38,7 +39,8 @@ fn main() {
             .unwrap();
     }
     node.run_for_ns(8_000_000);
-    let tl = node.take_timeline().unwrap();
+    let mut tl = tl.borrow_mut();
+    tl.finish(node.machine.now());
     // Render 1.2 ms of steady-state gang execution (6 periods).
     let from = 5_000_000;
     let to = from + 1_200_000;
