@@ -863,6 +863,41 @@ fn ext_cluster(run: &mut Run<'_>) {
             ]
         }),
     );
+    for p in &pts {
+        let cell = format!("{} at {} tenants", p.strategy, p.tenants);
+        run.check(
+            p.quality > 0.0 && p.quality <= 1.0,
+            "ext_cluster: the fluid oracle upper-bounds every policy",
+            format!("{cell}: quality {}", f(p.quality)),
+        );
+        run.check(
+            p.placed + p.rejected == p.decisions,
+            "ext_cluster: every decision places or rejects the tenant",
+            format!(
+                "{cell}: {} placed + {} rejected of {}",
+                p.placed, p.rejected, p.decisions
+            ),
+        );
+    }
+    // One gang per shard wastes what the packing policies fill.
+    for rt in pts.iter().filter(|p| p.strategy == "rt_gang") {
+        for p in pts
+            .iter()
+            .filter(|p| p.tenants == rt.tenants && p.strategy != "rt_gang")
+        {
+            run.check(
+                rt.quality < p.quality,
+                "ext_cluster: rt_gang packs below every packing policy",
+                format!(
+                    "{} tenants: rt_gang {} vs {} {}",
+                    rt.tenants,
+                    f(rt.quality),
+                    p.strategy,
+                    f(p.quality)
+                ),
+            );
+        }
+    }
     // Each strategy's largest cell.
     let tenants = pts.iter().map(|p| p.tenants).max().unwrap_or(0);
     let at_scale: Vec<String> = pts

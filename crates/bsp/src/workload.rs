@@ -146,7 +146,7 @@ impl BspResult {
 /// cost the paper's barrier-removal experiment eliminates.
 struct Shared {
     /// `tags[i][b][e]`: iteration number last written into thread i's halo
-    /// buffer b, element e, by its ring predecessor.
+    /// buffer b, element e (`e < nw.min(ne)`), by its ring predecessor.
     tags: Vec<[Vec<i64>; 2]>,
     stale: u64,
     torn: u64,
@@ -362,10 +362,12 @@ pub fn spawn_bsp(node: &mut Node, params: BspParams, cpu_base: usize) -> BspHand
     let cm = *node.machine.cost_model();
     let base_compute = params.ne * params.nc * cm.local_compute_unit.base;
     let write_cycles = params.nw * cm.remote_write.base;
-    let ne = params.ne.max(1) as usize;
+    // A halo is the first `nw` elements (at most `ne`): no other tag is
+    // ever read or written.
+    let halo = params.nw.min(params.ne) as usize;
     let shared = Rc::new(RefCell::new(Shared {
         tags: (0..params.p)
-            .map(|_| [vec![-1; ne], vec![-1; ne]])
+            .map(|_| [vec![-1; halo], vec![-1; halo]])
             .collect(),
         stale: 0,
         torn: 0,

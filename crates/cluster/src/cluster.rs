@@ -33,7 +33,7 @@ use crate::tenant::{TenantRequest, TenantStream};
 use nautix_des::{DetRng, Nanos};
 use nautix_hw::{MachineConfig, Platform, Topology};
 use nautix_kernel::{AdmissionError, Constraints, IdleLoop, ThreadId};
-use nautix_rt::{AdmissionPolicy, AdmissionRequest, NodeConfig, NodePool, SchedConfig};
+use nautix_rt::{AdmissionPolicy, AdmissionRequest, Node, NodeConfig, NodePool, SchedConfig};
 use nautix_stats::StatsSnapshot;
 
 /// Everything a cluster run depends on. A run is a pure function of this
@@ -229,7 +229,10 @@ impl Fleet {
     }
 }
 
-/// Book-keeping the engine holds per shard alongside the node.
+/// Book-keeping the engine holds per shard alongside the node, including
+/// a summary of its ledgers. The engine is the shard's only mutator (it
+/// never steps the node), so the summary changes only where the engine
+/// admits or releases a team, and it refreshes exactly those CPUs.
 struct ShardState {
     /// Free reservation-slot threads per CPU (LIFO).
     free: Vec<Vec<ThreadId>>,
@@ -237,11 +240,31 @@ struct ShardState {
     slot_cpu: Vec<usize>,
     /// Resident gang count.
     resident: usize,
+    /// Each CPU's admitted periodic utilization, ppm: a copy of its
+    /// ledger's `periodic_util_ppm()`.
+    util: Vec<u64>,
+    /// Sum of `util`.
+    util_ppm: u64,
+    /// Free slots over every CPU: the summed lengths of `free`.
+    free_slots: usize,
 }
 
 impl ShardState {
-    fn free_slots(&self) -> usize {
-        self.free.iter().map(Vec::len).sum()
+    /// Re-read the ledgers of `cpus` into the summary.
+    fn refresh(&mut self, node: &Node, cpus: &[usize]) {
+        for &cpu in cpus {
+            let now = node.scheduler(cpu).load.periodic_util_ppm();
+            self.util_ppm = self.util_ppm - self.util[cpu] + now;
+            self.util[cpu] = now;
+        }
+    }
+
+    /// Whether the summary agrees with `node`'s ledgers and the free lists.
+    fn in_sync(&self, node: &Node) -> bool {
+        let ledgers = (0..self.util.len()).map(|cpu| node.scheduler(cpu).load.periodic_util_ppm());
+        ledgers.eq(self.util.iter().copied())
+            && self.util_ppm == self.util.iter().sum::<u64>()
+            && self.free_slots == self.free.iter().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -367,7 +390,14 @@ pub fn run_with_policy(
             free,
             slot_cpu,
             resident: 0,
+            util: vec![0; n_cpus],
+            util_ppm: 0,
+            free_slots: n_cpus * cfg.slots_per_cpu,
         });
+        debug_assert!(
+            states[s].in_sync(node),
+            "a booted shard holds no reservation"
+        );
     }
 
     let shard_capacity_ppm = n_cpus as u64 * cfg.sched.periodic_budget_ppm();
@@ -413,9 +443,13 @@ pub fn run_with_policy(
             departures.pop();
             let (shard, members) = resident[id as usize].take().expect("resident tenant");
             let state = &mut states[shard];
+            cpus.clear();
             for &m in &members {
-                state.free[state.slot_cpu[m]].push(m);
+                let cpu = state.slot_cpu[m];
+                state.free[cpu].push(m);
+                cpus.push(cpu);
             }
+            state.free_slots += members.len();
             state.resident -= 1;
             let node = pools[shard].current().expect("booted shard");
             node.admit(
@@ -423,27 +457,28 @@ pub fn run_with_policy(
             )
             .into_result()
             .expect("aperiodic release cannot fail");
+            state.refresh(node, &cpus);
             out.departures += 1;
         }
 
         out.offered_util_ppm += req.util_ppm();
         oracle.offer(now_ns, &req);
 
-        // Rebuild the policy's view from the live ledgers.
+        // Rebuild the policy's view from the ledger summaries.
+        debug_assert!(
+            (states.iter().zip(pools.iter_mut()))
+                .all(|(state, pool)| state.in_sync(pool.current().expect("booted shard"))),
+            "a shard's ledger summary drifted from its ledgers"
+        );
         view.shards.clear();
-        for (s, pool) in pools.iter_mut().enumerate() {
-            let node = pool.current().expect("booted shard");
-            let util_ppm = (0..n_cpus)
-                .map(|cpu| node.scheduler(cpu).load.periodic_util_ppm())
-                .sum();
-            view.shards.push(ShardView {
+        view.shards
+            .extend(states.iter().enumerate().map(|(s, state)| ShardView {
                 shard: s,
-                util_ppm,
+                util_ppm: state.util_ppm,
                 capacity_ppm: shard_capacity_ppm,
-                free_slots: states[s].free_slots(),
-                resident_gangs: states[s].resident,
-            });
-        }
+                free_slots: state.free_slots,
+                resident_gangs: state.resident,
+            }));
 
         candidates.clear();
         policy.candidates(&req, &view, &mut candidates);
@@ -459,19 +494,29 @@ pub fn run_with_policy(
             // least-loaded CPUs first (ties to the lower index), each
             // CPU's most recently freed slot. Seats leave the free lists
             // only once the team is admitted.
-            let node = pools[shard].current().expect("booted shard");
-            let free = &mut states[shard].free;
+            let state = &mut states[shard];
             cpus.clear();
-            cpus.extend((0..n_cpus).filter(|&cpu| !free[cpu].is_empty()));
+            cpus.extend((0..n_cpus).filter(|&cpu| !state.free[cpu].is_empty()));
             if cpus.len() < req.gang {
                 last_error = AdmissionError::CapacityExceeded;
                 continue;
             }
-            cpus.sort_by_key(|&cpu| (node.scheduler(cpu).load.periodic_util_ppm(), cpu));
+            cpus.sort_by_key(|&cpu| (state.util[cpu], cpu));
             cpus.truncate(req.gang);
+            // The last seat is the fullest. When its ledger alone already
+            // refuses the team, no transaction needs to run.
+            let fullest = cpus.last().map_or(0, |&cpu| state.util[cpu]);
+            if cfg
+                .sched
+                .refuses_team_over_budget(&req.constraints, fullest)
+            {
+                last_error = AdmissionError::UtilizationExceeded;
+                continue;
+            }
+            let node = pools[shard].current().expect("booted shard");
             let team: Vec<ThreadId> = cpus
                 .iter()
-                .map(|&cpu| *free[cpu].last().expect("free slot"))
+                .map(|&cpu| *state.free[cpu].last().expect("free slot"))
                 .collect();
             let outcome = node.admit(AdmissionRequest::team(team).constraints(req.constraints));
             if !outcome.is_admitted() {
@@ -480,12 +525,14 @@ pub fn run_with_policy(
             }
             let members = cpus
                 .iter()
-                .map(|&cpu| free[cpu].pop().expect("free slot"))
+                .map(|&cpu| state.free[cpu].pop().expect("free slot"))
                 .collect();
+            state.free_slots -= req.gang;
+            state.resident += 1;
+            state.refresh(node, &cpus);
             departures.push(Reverse((now_ns.saturating_add(req.hold_ns), req.id)));
             debug_assert_eq!(resident.len() as u64, req.id);
             resident.push(Some((shard, members)));
-            states[shard].resident += 1;
             placed_at = Some(shard);
             break;
         }
@@ -525,7 +572,7 @@ pub fn run_with_policy(
             out.fingerprint.push(load.periodic_util_ppm());
             out.fingerprint.push(load.periodic_count() as u64);
         }
-        out.fingerprint.push(states[s].free_slots() as u64);
+        out.fingerprint.push(states[s].free_slots as u64);
         out.fingerprint.push(states[s].resident as u64);
     }
     out.fingerprint

@@ -39,7 +39,7 @@
 
 use crate::stats::AdmissionStats;
 use nautix_des::Nanos;
-use nautix_kernel::{task_set_signature, AdmissionError, Constraints};
+use nautix_kernel::{ppm_of, task_set_signature, AdmissionError, Constraints};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -552,6 +552,56 @@ impl SchedConfig {
             .saturating_sub(self.sporadic_reserve_ppm)
             .saturating_sub(self.aperiodic_reserve_ppm)
     }
+
+    /// The budget gate: whether `u_new` ppm more periodic utilization on a
+    /// CPU whose ledger holds `ledger_ppm` exceeds
+    /// [`SchedConfig::periodic_budget_ppm`]. Every [`AdmissionPolicy`]
+    /// applies it before anything else, so a request it fails is refused
+    /// with [`AdmissionError::UtilizationExceeded`] whatever the policy.
+    pub fn over_budget(&self, ledger_ppm: u64, u_new: u64) -> bool {
+        ledger_ppm.saturating_add(u_new) > self.periodic_budget_ppm()
+    }
+
+    /// Whether a team transaction of `c` is refused with
+    /// [`AdmissionError::UtilizationExceeded`] when the most loaded of its
+    /// seats holds `fullest_ppm`, whatever the other seats hold. The seats
+    /// must be distinct CPUs whose members hold no periodic reservation
+    /// yet. True when the ledgers enforce, `c` is a periodic descriptor
+    /// every seat accepts in shape, the layer gate cannot refuse a seat the
+    /// budget gate passed, and the fullest seat fails the budget gate.
+    ///
+    /// Sound because each member touches only its own seat's ledger, so
+    /// the fullest seat holds `fullest_ppm` when its turn comes; it fails
+    /// there unless an earlier member fails first, and an earlier member
+    /// can fail only a policy test, with the same error. The transaction is
+    /// all-or-nothing, so refusing it without running it leaves every
+    /// ledger as running it would have.
+    pub fn refuses_team_over_budget(&self, c: &Constraints, fullest_ppm: u64) -> bool {
+        let Constraints::Periodic { period, slice, .. } = *c else {
+            return false;
+        };
+        self.admission_enabled
+            && c.validate().is_ok()
+            && !self.too_fine(period, slice)
+            && self.layers_follow_budget()
+            && self.over_budget(fullest_ppm, c.utilization_ppm())
+    }
+
+    /// The granularity bounds a periodic descriptor must meet (§3.3).
+    fn too_fine(&self, period: Nanos, slice: Nanos) -> bool {
+        period < self.min_period_ns
+            || slice < self.min_slice_ns
+            || self.granularity_ns > 1 && !period.is_multiple_of(self.granularity_ns)
+    }
+
+    /// Whether the layer gate passes everything the budget gate passes:
+    /// one layer (the default table) whose guarantee covers the periodic
+    /// budget plus the whole sporadic reservation.
+    fn layers_follow_budget(&self) -> bool {
+        self.layers.count() == 1
+            && self.layers.spec(0).guarantee_ppm as u64
+                >= self.periodic_budget_ppm() + self.sporadic_reserve_ppm
+    }
 }
 
 /// The per-CPU admitted-load ledger.
@@ -620,7 +670,7 @@ impl CpuLoad {
     /// Total admitted periodic utilization recomputed from scratch: the
     /// reference the differential tests compare with the maintained sum.
     pub fn periodic_util_ppm_rescan(&self) -> u64 {
-        self.periodic.iter().map(|&(p, s)| util_term(p, s)).sum()
+        self.periodic.iter().map(|&(p, s)| ppm_of(s, p)).sum()
     }
 
     /// Active sporadic utilization, ppm.
@@ -674,18 +724,16 @@ impl CpuLoad {
         match *c {
             Constraints::Aperiodic { .. } => Ok(()),
             Constraints::Periodic { period, slice, .. } => {
-                if period < cfg.min_period_ns
-                    || slice < cfg.min_slice_ns
-                    || period % cfg.granularity_ns != 0 && cfg.granularity_ns > 1
-                {
+                if cfg.too_fine(period, slice) {
                     return Err(AdmissionError::TooFine);
                 }
+                let u = ppm_of(slice, period);
                 if cfg.admission_enabled {
-                    self.test_periodic(cfg, period, slice)?;
-                    self.test_layer(cfg, c, util_term(period, slice))?;
+                    self.test_periodic(cfg, (period, slice), u)?;
+                    self.test_layer(cfg, c, u)?;
                 }
                 self.periodic.push((period, slice));
-                self.periodic_ppm += util_term(period, slice);
+                self.periodic_ppm += u;
                 Ok(())
             }
             Constraints::Sporadic {
@@ -698,7 +746,7 @@ impl CpuLoad {
                 if size < cfg.min_slice_ns || window < cfg.min_period_ns {
                     return Err(AdmissionError::TooFine);
                 }
-                let u = (size as u128 * PPM as u128 / window as u128) as u64;
+                let u = ppm_of(size, window);
                 if cfg.admission_enabled {
                     if self.sporadic_ppm + u > cfg.sporadic_reserve_ppm {
                         return Err(AdmissionError::SporadicReservationExceeded);
@@ -711,47 +759,36 @@ impl CpuLoad {
         }
     }
 
+    /// The policy's test of `candidate`, whose utilization term is `u_new`.
     fn test_periodic(
         &mut self,
         cfg: &SchedConfig,
-        period: Nanos,
-        slice: Nanos,
+        candidate: (Nanos, Nanos),
+        u_new: u64,
     ) -> Result<(), AdmissionError> {
-        let budget = cfg.periodic_budget_ppm();
-        let u_new = util_term(period, slice);
-        let u_total = self.periodic_ppm + u_new;
-        match cfg.policy {
-            AdmissionPolicy::EdfBound => {
-                if u_total <= budget {
-                    Ok(())
-                } else {
-                    Err(AdmissionError::UtilizationExceeded)
-                }
-            }
+        // The budget gate comes first under every policy, which is what
+        // lets `SchedConfig::refuses_team_over_budget` read a team's
+        // verdict off its fullest seat.
+        if cfg.over_budget(self.periodic_ppm, u_new) {
+            return Err(AdmissionError::UtilizationExceeded);
+        }
+        let feasible = match cfg.policy {
+            AdmissionPolicy::EdfBound => true,
             AdmissionPolicy::RmBound => {
                 let n = (self.periodic.len() + 1) as f64;
                 let rm = n * (2f64.powf(1.0 / n) - 1.0);
                 let rm_ppm = (rm * PPM as f64) as u64;
-                if u_total <= rm_ppm.min(budget) {
-                    Ok(())
-                } else {
-                    Err(AdmissionError::UtilizationExceeded)
-                }
+                self.periodic_ppm + u_new <= rm_ppm
             }
             AdmissionPolicy::HyperperiodSim {
                 overhead_ns,
                 window_cap_ns,
-            } => {
-                // The closed-form bound still gates the reservations.
-                if u_total > budget {
-                    return Err(AdmissionError::UtilizationExceeded);
-                }
-                if self.sim_feasible((period, slice), overhead_ns, window_cap_ns) {
-                    Ok(())
-                } else {
-                    Err(AdmissionError::UtilizationExceeded)
-                }
-            }
+            } => self.sim_feasible(candidate, overhead_ns, window_cap_ns),
+        };
+        if feasible {
+            Ok(())
+        } else {
+            Err(AdmissionError::UtilizationExceeded)
         }
     }
 
@@ -820,7 +857,7 @@ impl CpuLoad {
                     self.periodic.remove(i);
                     // Exact: the removed tuple's term recomputes to the
                     // value added when it was pushed.
-                    self.periodic_ppm -= util_term(period, slice);
+                    self.periodic_ppm -= ppm_of(slice, period);
                 }
             }
             Constraints::Sporadic {
@@ -830,16 +867,11 @@ impl CpuLoad {
                 ..
             } => {
                 let window = deadline - phase;
-                let u = (size as u128 * PPM as u128 / window as u128) as u64;
+                let u = ppm_of(size, window);
                 self.sporadic_ppm = self.sporadic_ppm.saturating_sub(u);
             }
         }
     }
-}
-
-/// One periodic task's floored utilization term, ppm.
-fn util_term(period: Nanos, slice: Nanos) -> u64 {
-    (slice as u128 * PPM as u128 / period as u128) as u64
 }
 
 /// Whether the synchronous EDF schedule of `set` (`(period, slice)`

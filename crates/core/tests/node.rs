@@ -2,8 +2,10 @@
 //! execution, groups, stealing, tasks, and interrupt steering.
 
 use nautix_hw::{Cost, FaultPattern, MachineConfig, SmiConfig};
-use nautix_kernel::{Action, Constraints, FnProgram, Script, SysCall, SysResult};
-use nautix_rt::{AdmissionError, Node, NodeConfig, SchedMode};
+use nautix_kernel::{Action, Constraints, FnProgram, IdleLoop, Script, SysCall, SysResult};
+use nautix_rt::{
+    AdmissionError, AdmissionRequest, LayerTable, Node, NodeConfig, SchedConfig, SchedMode,
+};
 
 fn small_node(cpus: usize) -> Node {
     let mut cfg = NodeConfig::phi();
@@ -531,4 +533,91 @@ fn arming_oracles_does_not_perturb_the_run() {
     let (plain_events, plain_snapshot, _) = run(false);
     assert_eq!(events, plain_events);
     assert_eq!(snapshot, plain_snapshot);
+}
+
+/// A two-CPU node with one idle slot thread per CPU for a team, and one
+/// more per CPU to hold background load.
+fn team_node(sched: SchedConfig) -> (Node, [usize; 2], [usize; 2]) {
+    let mut cfg = NodeConfig::phi();
+    cfg.machine = MachineConfig::phi().with_cpus(2).with_seed(1234);
+    cfg.sched = sched;
+    let mut node = Node::new(cfg);
+    let spawn = |node: &mut Node, cpu| {
+        node.spawn_on(cpu, "slot", Box::new(IdleLoop::new(1)))
+            .unwrap()
+    };
+    let team = [spawn(&mut node, 0), spawn(&mut node, 1)];
+    let load = [spawn(&mut node, 0), spawn(&mut node, 1)];
+    (node, team, load)
+}
+
+fn hold(node: &mut Node, tid: usize, c: Constraints) {
+    let held = node.admit(AdmissionRequest::thread(tid).constraints(c));
+    assert!(held.is_admitted(), "{held:?}");
+}
+
+/// A team whose last (fullest) seat is over the periodic budget is
+/// refused with `UtilizationExceeded`, leaving every ledger as it was,
+/// and `SchedConfig::refuses_team_over_budget` reads that verdict off the
+/// fullest seat alone.
+#[test]
+fn a_team_over_budget_at_its_last_seat_is_refused() {
+    let sched = SchedConfig::default();
+    let (mut node, team, load) = team_node(sched);
+    hold(
+        &mut node,
+        load[1],
+        Constraints::periodic(1_000_000, 700_000).build(),
+    );
+    let c = Constraints::periodic(1_000_000, 150_000).build();
+    let ledgers = |node: &Node| [0, 1].map(|cpu| node.scheduler(cpu).load.periodic_util_ppm());
+    assert_eq!(ledgers(&node), [0, 700_000]);
+    assert!(!sched.refuses_team_over_budget(&c, 0));
+    assert!(sched.refuses_team_over_budget(&c, 700_000));
+
+    let out = node.admit(AdmissionRequest::team(team).constraints(c));
+    assert_eq!(out.error(), Some(AdmissionError::UtilizationExceeded));
+    assert_eq!(
+        ledgers(&node),
+        [0, 700_000],
+        "the first seat was rolled back"
+    );
+}
+
+/// Where the layer gate binds below the budget, an earlier seat can fail
+/// it first, so the fullest seat no longer decides the error: the
+/// shortcut stands aside and the transaction says `LayerOvercommit`.
+#[test]
+fn a_binding_layer_gate_keeps_the_team_transaction() {
+    // One layer for every class, guaranteeing less than the periodic
+    // budget plus the sporadic reservation (790k + 100k ppm).
+    let sched = SchedConfig {
+        layers: LayerTable::single(800_000, 0, 10_000_000).unwrap(),
+        ..SchedConfig::default()
+    };
+    let (mut node, team, load) = team_node(sched);
+    // Seat 0: 600k periodic + 100k sporadic; seat 1: 700k periodic.
+    hold(
+        &mut node,
+        load[0],
+        Constraints::periodic(1_000_000, 600_000).build(),
+    );
+    let sporadic = node
+        .spawn_on(0, "burst", Box::new(IdleLoop::new(1)))
+        .unwrap();
+    hold(
+        &mut node,
+        sporadic,
+        Constraints::sporadic(100_000, 1_000_000).build(),
+    );
+    hold(
+        &mut node,
+        load[1],
+        Constraints::periodic(1_000_000, 700_000).build(),
+    );
+
+    let c = Constraints::periodic(1_000_000, 150_000).build();
+    assert!(!sched.refuses_team_over_budget(&c, 700_000));
+    let out = node.admit(AdmissionRequest::team(team).constraints(c));
+    assert_eq!(out.error(), Some(AdmissionError::LayerOvercommit));
 }

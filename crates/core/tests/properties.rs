@@ -478,6 +478,60 @@ fn reservation_defaults_hold_at_exact_boundaries() {
     );
 }
 
+/// Any descriptor a team could request: periodic (some below the minimum
+/// period, so `TooFine`), sporadic or aperiodic.
+fn arb_request() -> impl Strategy<Value = Constraints> {
+    prop_oneof![
+        arb_periodic(),
+        (5u64..100, 5u64..90).prop_map(|(p100, pct)| Constraints::Periodic {
+            phase: 0,
+            period: p100 * 100,
+            slice: p100 * pct,
+        }),
+        (500u64..50_000).prop_map(|size| Constraints::sporadic(size, 100_000).build()),
+        (0u64..4).prop_map(|priority| Constraints::Aperiodic { priority }),
+    ]
+}
+
+proptest! {
+    /// The budget gate settles a verdict under every policy: whatever a
+    /// ledger holds, a well-formed periodic request over its budget is
+    /// refused with `UtilizationExceeded` and leaves the ledger as it was.
+    /// `refuses_team_over_budget`, the shortcut the cluster engine takes
+    /// without asking a ledger, refuses exactly those requests.
+    #[test]
+    fn over_budget_is_refused_under_every_policy(
+        held in prop::collection::vec(arb_periodic(), 0..12),
+        c in arb_request(),
+        which in 0usize..3,
+    ) {
+        let policy = [
+            AdmissionPolicy::EdfBound,
+            AdmissionPolicy::RmBound,
+            AdmissionPolicy::HyperperiodSim { overhead_ns: 2_000, window_cap_ns: 20_000_000 },
+        ][which];
+        let cfg = SchedConfig { policy, ..SchedConfig::default() };
+        // With the gate off a ledger checks only shape, so it can be
+        // filled past any budget, and it tells a well-formed request.
+        let shape_only = SchedConfig { admission_enabled: false, ..cfg };
+        let mut load = CpuLoad::new();
+        for h in &held {
+            load.admit(&shape_only, h).unwrap();
+        }
+        let before = load.periodic_util_ppm();
+        let well_formed = load.clone().admit(&shape_only, &c).is_ok();
+        let over = matches!(c, Constraints::Periodic { .. })
+            && well_formed
+            && cfg.over_budget(before, c.utilization_ppm());
+        prop_assert_eq!(cfg.refuses_team_over_budget(&c, before), over);
+        if over {
+            prop_assert_eq!(load.admit(&cfg, &c), Err(AdmissionError::UtilizationExceeded));
+            prop_assert_eq!(load.periodic_util_ppm(), before);
+            prop_assert_eq!(load.periodic_count(), held.len());
+        }
+    }
+}
+
 fn arb_cyclic_set() -> impl Strategy<Value = Vec<CyclicTask>> {
     // Periods drawn from a harmonic-friendly menu keep hyperperiods small.
     let menu = prop::sample::select(vec![

@@ -67,14 +67,19 @@ impl DetRng {
             // Full 64-bit range.
             return self.next_u64();
         }
-        // Lemire's unbiased multiply-shift rejection sampling.
-        let threshold = span.wrapping_neg() % span;
-        loop {
-            let m = (self.next_u64() as u128).wrapping_mul(span as u128);
-            if m as u64 >= threshold {
-                return lo.wrapping_add((m >> 64) as u64);
+        // Lemire's unbiased multiply-shift rejection sampling, in its
+        // nearly divisionless form: a draw is rejected only when its low
+        // word falls below `2⁶⁴ mod span`, which is less than `span`, so the
+        // remainder (a 64-bit division) is needed only when the low word
+        // is. Same accept/reject decisions, same draws, same stream.
+        let mut m = (self.next_u64() as u128).wrapping_mul(span as u128);
+        if (m as u64) < span {
+            let threshold = span.wrapping_neg() % span;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128).wrapping_mul(span as u128);
             }
         }
+        lo.wrapping_add((m >> 64) as u64)
     }
 
     /// Uniform float in `[0, 1)`.
@@ -187,6 +192,52 @@ mod tests {
             let u = r.unit();
             assert!((0.0..1.0).contains(&u));
         }
+    }
+
+    /// `uniform` as first written: the remainder on every draw.
+    fn uniform_reference(r: &mut DetRng, lo: u64, hi: u64) -> u64 {
+        let span = hi.wrapping_sub(lo).wrapping_add(1);
+        if span == 0 {
+            return r.next_u64();
+        }
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let m = (r.next_u64() as u128).wrapping_mul(span as u128);
+            if m as u64 >= threshold {
+                return lo.wrapping_add((m >> 64) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn divisionless_uniform_matches_the_remainder_form() {
+        let mut spans: Vec<u64> = vec![1, 2, 3, 7, 1_000, u64::MAX - 1, u64::MAX];
+        spans.extend((0..64).map(|k| 1u64 << k));
+        // Just past a power of two, about half the draws are rejected.
+        spans.extend((1..64).map(|k| (1u64 << k) + 1));
+        let mut pick = DetRng::seed_from(19);
+        spans.extend((0..64).map(|_| pick.uniform(1, u64::MAX)));
+        for (i, &span) in spans.iter().enumerate() {
+            let lo = pick.uniform(0, u64::MAX - (span - 1));
+            let hi = lo + (span - 1);
+            let mut new = DetRng::seed_from(i as u64);
+            let mut old = new.clone();
+            for _ in 0..256 {
+                assert_eq!(
+                    new.uniform(lo, hi),
+                    uniform_reference(&mut old, lo, hi),
+                    "span {span}"
+                );
+            }
+            // Equal draw counts leave the streams in step.
+            assert_eq!(new.next_u64(), old.next_u64(), "span {span}");
+        }
+        // The full range too (span 2⁶⁴ wraps to 0).
+        let (mut new, mut old) = (DetRng::seed_from(23), DetRng::seed_from(23));
+        assert_eq!(
+            new.uniform(0, u64::MAX),
+            uniform_reference(&mut old, 0, u64::MAX)
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The simulator's base unit of time is the **machine cycle** of the node's
 //! base clock (the invariant TSC rate). The paper's scheduler API works in
 //! **nanoseconds stored in 64-bit integers** (§3.3), so conversions between
-//! the two appear on every hot path. Conversions use 128-bit intermediates
-//! and are exact up to the stated rounding direction; a 64-bit nanosecond
+//! the two appear on every hot path. Conversions are exact up to the stated
+//! rounding direction: they multiply in 64 bits while the product fits and
+//! in 128 bits beyond, so no hot path calls a 128-bit division; a 64-bit nanosecond
 //! counter does not overflow for the lifetime of a machine (the paper makes
 //! the same observation).
 
@@ -58,14 +59,21 @@ impl Freq {
 
     /// Convert a cycle count to nanoseconds, rounding down.
     ///
-    /// `ns = cycles * 1e6 / khz`, computed in 128-bit arithmetic.
+    /// `ns = cycles * 1e6 / khz`: in 64-bit arithmetic while the product
+    /// fits, in 128-bit beyond (both exact, so the result is the same).
     pub fn cycles_to_ns(&self, cycles: Cycles) -> Nanos {
-        ((cycles as u128) * 1_000_000 / self.khz as u128) as u64
+        match cycles.checked_mul(1_000_000) {
+            Some(scaled) => scaled / self.khz,
+            None => ((cycles as u128) * 1_000_000 / self.khz as u128) as u64,
+        }
     }
 
     /// Convert nanoseconds to a cycle count, rounding down.
     pub fn ns_to_cycles(&self, ns: Nanos) -> Cycles {
-        ((ns as u128) * self.khz as u128 / 1_000_000) as u64
+        match ns.checked_mul(self.khz) {
+            Some(scaled) => scaled / 1_000_000,
+            None => ((ns as u128) * self.khz as u128 / 1_000_000) as u64,
+        }
     }
 
     /// Convert nanoseconds to a cycle count, rounding up.
@@ -73,7 +81,10 @@ impl Freq {
     /// Used where a *conservative* (never-late) duration is required, e.g.
     /// for slice budgets.
     pub fn ns_to_cycles_ceil(&self, ns: Nanos) -> Cycles {
-        ((ns as u128) * self.khz as u128).div_ceil(1_000_000) as u64
+        match ns.checked_mul(self.khz) {
+            Some(scaled) => scaled.div_ceil(1_000_000),
+            None => ((ns as u128) * self.khz as u128).div_ceil(1_000_000) as u64,
+        }
     }
 
     /// Convert microseconds to cycles, rounding down.
@@ -132,6 +143,45 @@ mod tests {
         let century_ns: u64 = 100 * 365 * 24 * 3600 * 1_000_000_000u64;
         let c = f.ns_to_cycles(century_ns / 1_000_000_000 * 1_000_000_000);
         assert!(c > 0);
+    }
+
+    /// The conversions as first written, always through 128 bits.
+    fn reference(f: Freq, v: u64) -> [u64; 3] {
+        let (v, khz) = (v as u128, f.khz() as u128);
+        [
+            (v * 1_000_000 / khz) as u64,
+            (v * khz / 1_000_000) as u64,
+            (v * khz).div_ceil(1_000_000) as u64,
+        ]
+    }
+
+    #[test]
+    fn conversions_match_the_128_bit_formulas_across_the_overflow_edge() {
+        let mut rng = crate::DetRng::seed_from(17);
+        for khz in [
+            1,
+            999,
+            1_000,
+            1_300_000,
+            2_200_000,
+            4_000_000,
+            1 << 32,
+            u64::MAX,
+        ] {
+            let f = Freq::from_khz(khz);
+            // Each product's 64-bit edge, and the values around it.
+            let edges = [u64::MAX / 1_000_000, u64::MAX / khz];
+            let near = edges
+                .iter()
+                .flat_map(|&e| [e.saturating_sub(1), e, e.saturating_add(1)]);
+            let random: Vec<u64> = (0..400)
+                .map(|i| rng.uniform(0, if i % 2 == 0 { u64::MAX } else { 1 << 40 }))
+                .collect();
+            for v in [0, 1, u64::MAX].into_iter().chain(near).chain(random) {
+                let got = [f.cycles_to_ns(v), f.ns_to_cycles(v), f.ns_to_cycles_ceil(v)];
+                assert_eq!(got, reference(f, v), "{v} at {khz} kHz");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub mod task;
 pub mod thread;
 
 pub use constraints::{
-    task_set_signature, AdmissionError, ConstraintError, Constraints, ConstraintsBuilder, Priority,
+    ppm_of, task_set_signature, AdmissionError, ConstraintError, Constraints, ConstraintsBuilder,
+    Priority,
 };
 pub use ids::{GroupId, TaskId};
 pub use program::{

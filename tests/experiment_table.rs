@@ -51,6 +51,7 @@ fn every_entry_writes_exactly_its_declared_files_in_the_committed_schema() {
         fs::create_dir_all(&dir).unwrap();
         let run = experiments::run(&hc, Scale::Quick, &dir, &[e]);
         assert!(!run.summary.is_empty(), "{}: no summary row", e.name);
+        assert!(run.failed.is_empty(), "{}: failed {:?}", e.name, run.failed);
 
         let written = dir_entries(&dir);
         let declared: BTreeSet<String> = e
